@@ -20,7 +20,7 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               search_implementation, verify_implementation)
 from .polynomials import characteristic_polynomial, degree_of_constraint, \
     degree_of_language
-from .solver import ORACLE_CAP, brute_force, decide_exact
+from .solver import ORACLE_CAP, brute_force
 from .transforms import (apply_poly, chain, compress_to_polynomial,
                          implement_lit, implement_tf, kernelize, neg_to_base,
                          signed_to_unsigned_neg, unsigned_lit, verify_transform,
@@ -208,8 +208,7 @@ def cmd_solve(args) -> int:
            "witness " + "".join(str(b) for b in res.witness),
            f"decision {'yes' if res.optimum >= phi.threshold else 'no'}"]
     if args.exact:
-        hit = decide_exact(phi, cap=args.oracle_cap)
-        out.append(f"exact {'yes' if hit else 'no'}")
+        out.append(f"exact {'yes' if res.exact else 'no'}")
     _write(args, "\n".join(out) + "\n")
     return 0
 

@@ -4,7 +4,8 @@ A formula is a set of weighted constraint applications over variables
 1..nvars, tagged with a weight range ("Z" or "N"), a decision threshold, and
 an optional declared weight exponent c asserting ||phi|| <= nvars**c.
 Applications are kept in canonical sorted order; duplicate (constraint,
-tuple) pairs are merged only by formula_sum, never implicitly.
+tuple) pairs are merged only by merge_applications (which formula_sum
+uses), never implicitly.
 """
 
 from __future__ import annotations
@@ -107,22 +108,26 @@ class Formula:
         return Formula(**data)
 
 
+def merge_applications(apps) -> tuple[Application, ...]:
+    """Merge applications that share the same constraint and the same index
+    tuple by adding their weights; first occurrences keep their order."""
+    merged: dict[tuple, list] = {}
+    for app in apps:
+        key = (app.constraint.name, app.constraint.signature(), app.indices)
+        if key in merged:
+            merged[key][2] += app.weight
+        else:
+            merged[key] = [app.constraint, app.indices, app.weight]
+    return tuple(Application(c, i, w) for c, i, w in merged.values())
+
+
 def formula_sum(a: Formula, b: Formula) -> Formula:
-    """Union of the applications, merging pairs that share the same
-    constraint and the same index tuple by adding weights.
+    """Union of the applications, merged by merge_applications.
 
     The variable universe is the union; the thresholds add (callers in the
     reduction pipeline always set the threshold explicitly afterwards).
     """
-    merged: dict[tuple, tuple[Constraint, tuple[int, ...], int]] = {}
-    for app in a.applications + b.applications:
-        key = (app.constraint.name, app.constraint.signature(), app.indices)
-        if key in merged:
-            c, idx, w = merged[key]
-            merged[key] = (c, idx, w + app.weight)
-        else:
-            merged[key] = (app.constraint, app.indices, app.weight)
-    apps = tuple(Application(c, idx, w) for c, idx, w in merged.values())
+    apps = merge_applications(a.applications + b.applications)
     weight_range = RANGE_N if (a.weight_range == RANGE_N and b.weight_range == RANGE_N) else RANGE_Z
     return Formula(max(a.nvars, b.nvars), apps, weight_range,
                    a.threshold + b.threshold)

@@ -74,16 +74,26 @@ def verify_implementation(candidate: Implementation) -> VerifyResult:
         if len(idx) != c.arity or any(not 1 <= i <= tot for i in idx):
             raise FormatError(f"application {c.name}{idx} out of range 1..{tot}")
     per_x_max = _satisfied_counts(p, q, candidate.applications)
+    return VerifyResult(*_implements(candidate.target, per_x_max))
+
+
+def _implements(target: Constraint, per_x_max: list[int]) -> tuple[bool, int, bool]:
+    """(valid, alpha, strict) of the per-primary-assignment maxima: alpha is
+    the global maximum, reached exactly where the target holds and missed
+    elsewhere; strict when every miss is by exactly one."""
     alpha = max(per_x_max)
-    valid = alpha >= 1
+    if alpha < 1:
+        return False, alpha, False
     strict = True
-    for x in range(1 << p):
-        if candidate.target.table[x]:
-            valid = valid and per_x_max[x] == alpha
+    for x, best in enumerate(per_x_max):
+        if target.table[x]:
+            if best != alpha:
+                return False, alpha, False
+        elif best > alpha - 1:
+            return False, alpha, False
         else:
-            valid = valid and per_x_max[x] <= alpha - 1
-            strict = strict and per_x_max[x] == alpha - 1
-    return VerifyResult(valid, alpha, valid and strict)
+            strict = strict and best == alpha - 1
+    return True, alpha, strict
 
 
 def checked_implementation(target: Constraint, primary_arity: int,
@@ -194,20 +204,9 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
                  for idx in itertools.product(range(1, tot + 1), repeat=c.arity)]
         for m in range(1, max_apps + 1):
             for combo in itertools.combinations_with_replacement(space, m):
-                per_x_max = _satisfied_counts(p, q, combo)
-                alpha = max(per_x_max)
-                if alpha < 1:
-                    continue
-                ok = strict = True
-                for x in range(1 << p):
-                    if target.table[x]:
-                        ok = ok and per_x_max[x] == alpha
-                    else:
-                        ok = ok and per_x_max[x] <= alpha - 1
-                        strict = strict and per_x_max[x] == alpha - 1
-                    if not ok:
-                        break
-                if ok and strict:
+                valid, alpha, strict = _implements(
+                    target, _satisfied_counts(p, q, combo))
+                if valid and strict:
                     return Implementation(target, p, q, tuple(combo), alpha, True)
     return None
 

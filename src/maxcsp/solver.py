@@ -1,16 +1,19 @@
 """Exact exponential-time reference solver.
 
 This is the ground-truth oracle for every transformation check: it
-enumerates all 2**n assignments and evaluates the formula as the weighted
-sum of satisfied applications, straight from the truth tables.  It never
-goes through the polynomial machinery it is used to validate.
+evaluates the formula on all 2**n assignments as the weighted sum of
+satisfied applications, straight from the truth tables.  It never goes
+through the polynomial machinery it is used to validate.
 
-Two engines share the same semantics: a plain-Python sweep for small n and
-a vectorized numpy sweep for larger n.  The numpy engine precomputes, per
-distinct index tuple, the weighted sum of the truth tables applied to it,
-so each tuple costs one gather per assignment block.  The witness tie-break
-is the lexicographically smallest maximizer (assignment bits read x1 first,
-which matches ascending numeric order of the assignment index).
+One engine does every sweep.  Each application's table is folded onto its
+sorted distinct variables (which absorbs repeated and unsorted indices),
+the folded tables are summed per variable set, and each sum is added into
+a (2,)*n value array by broadcasting.  Past 20 variables the array is
+built in blocks of 2**20 entries, one per setting of the top variables.
+Values are int64 below ||phi|| = 2**62 and exact Python ints from there.
+The witness tie-break is the lexicographically smallest maximizer
+(assignment bits read x1 first, which matches ascending numeric order of
+the assignment index), the first index argmax finds.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ from .errors import CapExceededError
 from .formulas import Formula
 
 ORACLE_CAP = 24
-_NUMPY_MIN_VARS = 12
-_CHUNK_BITS = 20
-_INT64_SAFE = 1 << 62
+_BLOCK_BITS = 20
 
 
 @dataclass(frozen=True)
 class SolveResult:
     optimum: int
     witness: tuple[int, ...]
+    exact: bool  # some assignment has phi(x) = phi.threshold exactly
 
     def decision(self, t: int) -> bool:
         return self.optimum >= t
@@ -45,84 +47,61 @@ class _Sweep:
     exact_hit: bool
 
 
-def _sweep_python(phi: Formula, t_exact) -> _Sweep:
+def _sweep(phi: Formula, t_exact: int | None, cap: int) -> _Sweep:
+    """Optimum, first maximizer and whether some assignment is worth
+    t_exact (False when t_exact is None)."""
     n = phi.nvars
-    apps = [(a.constraint.table,
-             tuple(n - i for i in a.indices),  # bit position of each index
-             a.weight)
-            for a in phi.applications]
-    best = None
-    best_idx = 0
-    exact_hit = False
-    for m in range(1 << n):
-        v = 0
-        for table, shifts, w in apps:
-            r = 0
-            for s in shifts:
-                r = (r << 1) | ((m >> s) & 1)
-            if table[r]:
-                v += w
-        if best is None or v > best:
-            best, best_idx = v, m
-        if t_exact is not None and v == t_exact:
-            exact_hit = True
-    return _Sweep(best if best is not None else 0, best_idx, exact_hit)
+    if n > cap:
+        raise CapExceededError(f"oracle: {n} variables exceeds cap {cap}")
+    dtype = object if phi.total_weight >= 1 << 62 else np.int64
+    check_exact = t_exact is not None and abs(t_exact) <= phi.total_weight
 
-
-def _grouped_tables(phi: Formula) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    groups: dict[tuple[int, ...], np.ndarray] = {}
+    sums: dict[tuple[int, ...], list[int]] = {}
     for a in phi.applications:
-        wt = groups.get(a.indices)
-        if wt is None:
-            wt = np.zeros(1 << len(a.indices), dtype=np.int64)
-            groups[a.indices] = wt
-        wt += a.weight * np.asarray(a.constraint.table, dtype=np.int64)
-    return sorted(groups.items())
+        support = tuple(sorted(set(a.indices)))
+        k = len(support)
+        shifts = [k - 1 - support.index(i) for i in a.indices]
+        acc = sums.setdefault(support, [0] * (1 << k))
+        for s in range(1 << k):
+            r = 0
+            for sh in shifts:
+                r = (r << 1) | ((s >> sh) & 1)
+            if a.constraint.table[r]:
+                acc[s] += a.weight
 
-
-def _sweep_numpy(phi: Formula, t_exact) -> _Sweep:
-    n = phi.nvars
-    groups = _grouped_tables(phi)
-    best = None
-    best_idx = 0
+    # One block per setting p of the top variables x1..x_top; within a
+    # block, axis j is variable top+1+j.
+    low = min(n, _BLOCK_BITS)
+    top = n - low
+    tables = []
+    for support, acc in sums.items():
+        shape = [1] * low
+        for v in support:
+            if v > top:
+                shape[v - top - 1] = 2
+        tables.append(([top - v for v in support if v <= top], shape,
+                       np.array(acc, dtype=dtype).reshape((2,) * len(support))))
+    best = best_idx = None
     exact_hit = False
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, 1 << n, chunk):
-        base = np.arange(start, start + chunk, dtype=np.int64)
-        values = np.zeros(chunk, dtype=np.int64)
-        for indices, wtable in groups:
-            if indices:
-                r = np.zeros(chunk, dtype=np.int64)
-                for i in indices:
-                    np.left_shift(r, 1, out=r)
-                    np.bitwise_or(r, (base >> (n - i)) & 1, out=r)
-                values += wtable[r]
-            else:
-                values += wtable[0]
-        local_best = int(values.max()) if len(values) else 0
-        if best is None or local_best > best:
-            best = local_best
-            best_idx = start + int(values.argmax())
-        if t_exact is not None and not exact_hit:
-            exact_hit = bool((values == t_exact).any())
-    return _Sweep(best if best is not None else 0, best_idx, exact_hit)
-
-
-def _sweep(phi: Formula, t_exact=None, cap: int = ORACLE_CAP) -> _Sweep:
-    if phi.nvars > cap:
-        raise CapExceededError(
-            f"oracle: {phi.nvars} variables exceeds cap {cap}")
-    if not phi.applications:
-        return _Sweep(0, 0, t_exact == 0 if t_exact is not None else False)
-    if phi.nvars >= _NUMPY_MIN_VARS and phi.total_weight < _INT64_SAFE:
-        return _sweep_numpy(phi, t_exact)
-    return _sweep_python(phi, t_exact)
+    for p in range(1 << top):
+        values = np.zeros((2,) * low, dtype=dtype)
+        for top_shifts, shape, table in tables:
+            fixed = tuple((p >> s) & 1 for s in top_shifts)
+            values += table[fixed + (...,)].reshape(shape)
+        flat = values.reshape(-1)
+        i = int(flat.argmax())
+        if best is None or flat[i] > best:
+            best, best_idx = int(flat[i]), (p << low) | i
+        exact_hit = exact_hit or (check_exact and bool((flat == t_exact).any()))
+    return _Sweep(best, best_idx, exact_hit)
 
 
 def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
-    """Exhaustive optimum with deterministic (lex-smallest) witness."""
-    s = _sweep(phi, None, cap)
-    return SolveResult(s.optimum, row_to_bits(s.witness_index, phi.nvars))
+    """Exhaustive optimum with deterministic (lex-smallest) witness, and the
+    exact (=) answer for phi's own threshold, from one sweep."""
+    s = _sweep(phi, phi.threshold, cap)
+    return SolveResult(s.optimum, row_to_bits(s.witness_index, phi.nvars),
+                       s.exact_hit)
 
 
 def decisions(phi: Formula, t: int | None = None,
@@ -130,9 +109,8 @@ def decisions(phi: Formula, t: int | None = None,
     """Both decision modes from one enumeration: (exists phi(x) >= t,
     exists phi(x) = t)."""
     t = phi.threshold if t is None else t
-    exact_possible = abs(t) <= phi.total_weight
-    s = _sweep(phi, t if exact_possible else None, cap)
-    return s.optimum >= t, s.exact_hit if exact_possible else False
+    s = _sweep(phi, t, cap)
+    return s.optimum >= t, s.exact_hit
 
 
 def decide(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> bool:
@@ -154,10 +132,7 @@ def check_equivalence(phi1: Formula, t1: int | None, phi2: Formula,
                       cap: int = ORACLE_CAP) -> bool:
     """Do the two thresholded instances agree, as in the transformation
     conditions: mode "geq" compares the >= decisions, "eq" the = decisions."""
-    t1 = phi1.threshold if t1 is None else t1
-    t2 = phi2.threshold if t2 is None else t2
-    if mode == "geq":
-        return decide(phi1, t1, cap) == decide(phi2, t2, cap)
-    if mode == "eq":
-        return decide_exact(phi1, t1, cap) == decide_exact(phi2, t2, cap)
-    raise ValueError(f"unknown equivalence mode {mode!r}")
+    if mode not in ("geq", "eq"):
+        raise ValueError(f"unknown equivalence mode {mode!r}")
+    i = 0 if mode == "geq" else 1
+    return decisions(phi1, t1, cap)[i] == decisions(phi2, t2, cap)[i]

@@ -24,13 +24,14 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
                           xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
-from .formulas import RANGE_N, RANGE_Z, Application, Formula, empty_formula
+from .formulas import (RANGE_N, RANGE_Z, Application, Formula, empty_formula,
+                       merge_applications)
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, ZERO, characteristic_polynomial,
                           degree_of_language)
-from .solver import ORACLE_CAP, decide, decide_exact
+from .solver import ORACLE_CAP, decide_exact, decisions
 
 AFFINE = "affine"
 EXISTENTIAL = "existential"
@@ -110,17 +111,6 @@ def compose_value_maps(maps) -> tuple:
         a2, b2 = Fraction(m[1]), Fraction(m[2])
         a, b = a2 * a, a2 * b + b2
     return (AFFINE, a, b)
-
-
-def _merge(apps) -> tuple[Application, ...]:
-    merged: dict[tuple, list] = {}
-    for app in apps:
-        key = (app.constraint.name, app.constraint.signature(), app.indices)
-        if key in merged:
-            merged[key][2] += app.weight
-        else:
-            merged[key] = [app.constraint, app.indices, app.weight]
-    return tuple(Application(c, i, w) for c, i, w in merged.values())
 
 
 def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
@@ -226,7 +216,8 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
             member = tf.by_table(term.constraint.arity, term.constraint.table)
             mapped = tuple(a.indices[j - 1] for j in term.indices)
             apps.append(Application(member, mapped, a.weight * coeff.numerator))
-    phi2 = Formula(phi.nvars, _merge(apps), RANGE_Z, beta * phi.threshold)
+    phi2 = Formula(phi.nvars, merge_applications(apps), RANGE_Z,
+                   beta * phi.threshold)
     size_factor = max([len(c.terms) for c in combos.values()] + [1])
     weight_factor = max(
         [sum(abs(int(t.coefficient)) for t in c.terms) for c in combos.values()]
@@ -298,7 +289,7 @@ def implement_tf(phi: Formula, base: ConstraintLanguage,
         aux = t_impl.aux_count + f_impl.aux_count
         alpha = t_impl.alpha + f_impl.alpha
 
-    phi2 = Formula(n + 2 + aux, _merge(apps + gadget), RANGE_Z,
+    phi2 = Formula(n + 2 + aux, merge_applications(apps + gadget), RANGE_Z,
                    alpha * big_w + phi.threshold)
     m = len(gadget)
     cert = _certificate("implement-tf", KIND_ADDITIVE, phi, phi2,
@@ -319,7 +310,7 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
                 f"{a.constraint.name} not in base language {base.name!r}")
     # A formula is a set of applications; merge repeats first so the most
     # negative weight is measured on the merged instance.
-    base_apps = _merge(phi.applications)
+    base_apps = merge_applications(phi.applications)
     big_w = max((-a.weight for a in base_apps if a.weight < 0), default=0)
     if big_w == 0:
         phi2 = Formula(phi.nvars, base_apps, RANGE_N, phi.threshold)
@@ -344,7 +335,7 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
         for idx in js:
             for v in variants:
                 apps.append(Application(v, idx, big_w))
-    merged = _merge(apps)
+    merged = merge_applications(apps)
     if any(a.weight < 0 for a in merged):
         raise FormatError("unsigned-lit left a negative weight")
     phi2 = Formula(phi.nvars, merged, RANGE_N, phi.threshold + shift)
@@ -389,7 +380,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
     gadget = []
     for i in range(1, n + 1):
         gadget += _impl_applications(impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
-    phi2 = Formula(n * (2 + q), _merge(apps + gadget), RANGE_N,
+    phi2 = Formula(n * (2 + q), merge_applications(apps + gadget), RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
     cert = _certificate("implement-lit", KIND_LINEAR, phi, phi2,
@@ -558,9 +549,9 @@ def _solved_kernel(label, phi, report, oracle_cap):
         bits = [1] * phi.nvars if report.one_valid and not report.trivial else [0] * phi.nvars
         optimum = phi.value(bits)
         geq_yes = optimum >= phi.threshold
+        eq_yes = decide_exact(phi, cap=oracle_cap)
     else:
-        geq_yes = decide(phi, cap=oracle_cap)
-    eq_yes = decide_exact(phi, cap=oracle_cap)
+        geq_yes, eq_yes = decisions(phi, cap=oracle_cap)
     return _degenerate(label, phi, geq_yes, eq_yes)
 
 
@@ -701,10 +692,10 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
         "weight", phi2.total_weight <= weight_bound))
 
     if max(phi1.nvars, phi2.nvars) <= oracle_cap:
-        geq = decide(phi1, cap=oracle_cap) == decide(phi2, cap=oracle_cap)
-        eq = decide_exact(phi1, cap=oracle_cap) == decide_exact(phi2, cap=oracle_cap)
-        checks.append(ConditionCheck("equivalence-geq", geq))
-        checks.append(ConditionCheck("equivalence-eq", eq))
+        geq1, eq1 = decisions(phi1, cap=oracle_cap)
+        geq2, eq2 = decisions(phi2, cap=oracle_cap)
+        checks.append(ConditionCheck("equivalence-geq", geq1 == geq2))
+        checks.append(ConditionCheck("equivalence-eq", eq1 == eq2))
     else:
         checks.append(ConditionCheck("equivalence-geq", None, "beyond oracle cap"))
         checks.append(ConditionCheck("equivalence-eq", None, "beyond oracle cap"))

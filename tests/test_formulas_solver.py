@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from maxcsp.constraints import or_constraint, xor_constraint, row_to_bits
+import maxcsp.solver
+from maxcsp.cli import main
+from maxcsp.constraints import (T, F, Constraint, or_constraint, xor_constraint,
+                               row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
 from maxcsp.formulas import (Application, Formula, empty_formula, formula_sum,
                              random_formula, scalar_mul)
 from maxcsp.languages import builtin_language, gamma_d_sat
 from maxcsp.solver import (brute_force, check_equivalence, decide, decide_exact,
-                           _sweep_numpy, _sweep_python)
-from maxcsp.transforms import vc_reduce
+                           decisions)
+from maxcsp.transforms import neg_to_base, vc_reduce, verify_transform
 
 XOR = xor_constraint(2)
 OR2 = or_constraint(2)
@@ -141,17 +144,92 @@ def test_cap_exceeded():
         brute_force(phi, cap=24)
 
 
-def test_python_and_numpy_engines_agree():
+def _reference(phi, t):
+    """Max of Formula.value over all assignments (ties to the first) and
+    whether some assignment is worth exactly t."""
+    best = witness = None
+    hit = False
+    for m in range(1 << phi.nvars):
+        bits = row_to_bits(m, phi.nvars)
+        v = phi.value(bits)
+        if best is None or v > best:
+            best, witness = v, bits
+        hit = hit or v == t
+    return best, witness, hit
+
+
+def _assert_matches_reference(phi, t):
+    best, witness, hit = _reference(phi, t)
+    res = brute_force(phi)
+    assert (res.optimum, res.witness) == (best, witness)
+    assert res.exact == _reference(phi, phi.threshold)[2]
+    assert decisions(phi, t) == (best >= t, hit)
+    assert decide(phi, t) == (best >= t) and decide_exact(phi, t) == hit
+
+
+def test_oracle_matches_reference():
     rng = random.Random(31)
-    for nvars in (6, 9, 13):
-        for _ in range(6):
-            phi = random_formula(gamma_d_sat(2), nvars, 12, "Z",
-                                 seed=rng.randrange(10 ** 9))
-            t = rng.randint(-8, 8)
-            a = _sweep_python(phi, t)
-            b = _sweep_numpy(phi, t)
-            assert (a.optimum, a.witness_index, a.exact_hit) == \
-                   (b.optimum, b.witness_index, b.exact_hit)
+    for name in ("2sat", "3sat", "nae3lit", "ex3"):
+        lang = builtin_language(name)
+        for nvars in (1, 2, 5, 9):
+            for weight_range in ("N", "Z"):
+                phi = random_formula(lang, nvars, 2 * nvars, weight_range,
+                                     seed=rng.randrange(10 ** 9))
+                _assert_matches_reference(phi, rng.randint(-8, 8))
+
+
+def test_oracle_edge_instances():
+    big = 1 << 62
+    repeated = (Application(OR2, (3, 1), 4), Application(OR2, (2, 2), -3),
+                Application(XOR, (3, 3), 7), Application(F, (2,), -2),
+                Application(Constraint("K", 0, (1,)), (), 2))
+    for phi, t in (
+            (empty_formula(1), 0),
+            (empty_formula(4, threshold=1), 1),
+            (Formula(1, (Application(T, (1,), -2), Application(F, (1,), 5)),
+                     "Z", 5), 5),
+            (Formula(3, repeated, "Z", 1), 2),
+            # ||phi|| >= 2**62: values are exact Python ints
+            (Formula(3, (Application(XOR, (1, 3), big),
+                         Application(OR2, (3, 2), big + 1),
+                         Application(T, (2,), -3 * big)), "Z", big + 1),
+             big + 1)):
+        _assert_matches_reference(phi, t)
+
+
+def test_oracle_blocks_over_top_variables():
+    # 22 variables: two blocks of 2**20 entries per setting of x1, x2.
+    # Unit T on x1 and x22, unit F on the rest: the unique maximizer is
+    # 1 0...0 1 with value 22.
+    apps = [Application(T, (1,), 1), Application(T, (22,), 1)]
+    apps += [Application(F, (i,), 1) for i in range(2, 22)]
+    phi = Formula(22, tuple(apps), "N", 22)
+    res = brute_force(phi)
+    assert res.optimum == 22 and res.exact
+    assert res.witness == (1,) + (0,) * 20 + (1,)
+    assert decisions(phi, 23) == (False, False)
+    # Unit F on x1 as well ties x1 = 0 with x1 = 1; the tie goes to the
+    # first block.
+    tied = phi.replace(applications=phi.applications + (Application(F, (1,), 1),))
+    res = brute_force(tied)
+    assert res.optimum == 22 and res.witness == (0,) * 21 + (1,)
+
+
+def test_one_sweep_per_formula(monkeypatch, tmp_path, capsys):
+    calls = []
+    sweep = maxcsp.solver._sweep
+    monkeypatch.setattr(maxcsp.solver, "_sweep",
+                        lambda *a: calls.append(1) or sweep(*a))
+    phi = random_formula(builtin_language("e2lin"), 5, 8, "Z", seed=4)
+    phi2, cert = neg_to_base(phi, builtin_language("xor"))
+    verify_transform(phi, phi2, cert)
+    assert len(calls) == 2
+    inst = tmp_path / "in.maxcsp"
+    inst.write_text("maxcsp 3 2 N 2\nXOR 1 1 2\nXOR 1 2 3\n")
+    assert main(["solve", "--language", "xor", "--instance", str(inst),
+                 "--exact"]) == 0
+    assert len(calls) == 3
+    assert capsys.readouterr().out.endswith("exact yes\n")
 
 
 def test_random_formula_deterministic():
