@@ -62,6 +62,10 @@ class Constraint:
                 f"{self.name}: table length {len(self.table)} != 2**{self.arity}")
         if any(v not in (0, 1) for v in self.table):
             raise FormatError(f"{self.name}: table entries must be 0/1")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.table)))
+
+    def __hash__(self):
+        return self._hash
 
     def value(self, bits: Sequence[int]) -> int:
         if len(bits) != self.arity:
@@ -128,6 +132,10 @@ class ConstraintLanguage:
             raise FormatError(f"language {self.name!r} has duplicate constraint names")
         object.__setattr__(self, "constraints",
                            tuple(sorted(self.constraints, key=lambda c: c.name)))
+        object.__setattr__(self, "_hash", hash((self.name, self.constraints)))
+
+    def __hash__(self):
+        return self._hash
 
     def __iter__(self):
         return iter(self.constraints)
@@ -149,9 +157,6 @@ class ConstraintLanguage:
 
     def non_trivial(self) -> tuple[Constraint, ...]:
         return tuple(c for c in self.constraints if not c.is_trivial())
-
-    def max_arity(self) -> int:
-        return max(c.arity for c in self.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +193,6 @@ class SubstitutionPattern:
                     raise FormatError("negated slot in constants-only pattern")
             else:
                 raise FormatError(f"bad slot {s!r}")
-
-    def used_variables(self) -> set[int]:
-        return {abs(s) for s in self.slots if isinstance(s, int)}
 
 
 def render_slot(slot) -> str:

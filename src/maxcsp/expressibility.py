@@ -26,14 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from .constraints import (MODE_CONSTANTS, Constraint, ConstraintLanguage,
                           SubstitutionPattern, apply_pattern, identity_pattern,
                           row_to_bits)
 from .errors import MaxCspError, PreconditionError
-from .polynomials import (MultilinearPolynomial, ZERO, characteristic_polynomial,
-                          degree_of_constraint, monomial_key)
+from .polynomials import (MultilinearPolynomial, add_composed,
+                          characteristic_polynomial, degree_of_constraint,
+                          monomial_key)
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class CombinationTerm:
     indices: tuple[int, ...]              # variables the term is applied to
     coefficient: Fraction
 
-    def polynomial(self) -> MultilinearPolynomial:
-        poly = characteristic_polynomial(self.constraint)
-        return poly.compose_at(self.indices).scale(self.coefficient)
-
 
 @dataclass(frozen=True)
 class LinearCombination:
@@ -63,10 +62,11 @@ class LinearCombination:
     terms: tuple[CombinationTerm, ...]
 
     def expand(self) -> MultilinearPolynomial:
-        acc = ZERO
+        acc: dict = {}
         for t in self.terms:
-            acc = acc + t.polynomial()
-        return acc
+            add_composed(acc, characteristic_polynomial(t.constraint), t.indices,
+                         t.coefficient)
+        return MultilinearPolynomial(acc)
 
     def evaluate(self, bits) -> Fraction:
         """Pointwise value using the constraints themselves, not their
@@ -87,9 +87,7 @@ def _compose_steps(k: int, steps) -> SubstitutionPattern:
     return SubstitutionPattern(arity, tuple(slots), MODE_CONSTANTS)
 
 
-_witness_cache: dict[tuple[Constraint, int], DegreeWitness] = {}
-
-
+@lru_cache(maxsize=None)
 def find_degree_witness(f: Constraint, d: int) -> DegreeWitness:
     """A d-ary constraint expressible by f with constants whose polynomial
     has degree exactly d, for any 1 <= d <= deg(f)."""
@@ -99,9 +97,6 @@ def find_degree_witness(f: Constraint, d: int) -> DegreeWitness:
     if not 1 <= d <= deg_f:
         raise PreconditionError(
             f"requested degree {d} outside 1..deg({f.name}) = {deg_f}")
-    key = (f, d)
-    if key in _witness_cache:
-        return _witness_cache[key]
 
     # Base level: keep a nonzero top-degree monomial, zero the rest.
     poly = characteristic_polynomial(f)
@@ -121,10 +116,8 @@ def find_degree_witness(f: Constraint, d: int) -> DegreeWitness:
         if cpoly.degree != level or not lead:
             raise MaxCspError(
                 f"witness construction failed for ({f.name}, {level})")
-        witness = DegreeWitness(level, pattern, constraint, lead)
-        _witness_cache.setdefault((f, level), witness)
         if level == d:
-            return witness
+            return DegreeWitness(level, pattern, constraint, lead)
 
         # Descent: prefer zeroing the variable missing from a nonzero
         # (level-1)-degree monomial; otherwise set the last position to 1.
@@ -158,31 +151,30 @@ def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination
         # Self-decomposition: one identity term.
         terms.append(CombinationTerm(identity_pattern(f.arity), f,
                                      tuple(range(1, f.arity + 1)), Fraction(1)))
-        residual = ZERO
     else:
-        residual = target
+        # One residual dict, updated in place: a degree-d term reaches only its
+        # own top monomial at level d, so no alpha of a level moves another.
+        residual = dict(target.terms)
         for d in range(target.degree, 0, -1):
-            level = sorted((m for m in residual.terms if len(m) == d),
+            level = sorted((m for m, c in residual.items() if len(m) == d and c),
                            key=monomial_key)
             if not level:
                 continue
             witness = find_degree_witness(f, d)
+            poly = characteristic_polynomial(witness.constraint)
             for mono in level:
-                alpha = residual.coefficient(mono) / witness.leading_coefficient
+                alpha = residual[mono] / witness.leading_coefficient
                 idx = tuple(sorted(mono))
-                term = CombinationTerm(witness.pattern, witness.constraint,
-                                       idx, alpha)
-                terms.append(term)
-                residual = residual - term.polynomial()
-        const = residual.coefficient(())
+                terms.append(CombinationTerm(witness.pattern, witness.constraint,
+                                             idx, alpha))
+                add_composed(residual, poly, idx, -alpha)
+        const = residual.get(frozenset(), 0)
         if const:
             sat = f.satisfying_rows()[0]
             slots = tuple(str(b) for b in row_to_bits(sat, f.arity))
             pattern = SubstitutionPattern(0, slots, MODE_CONSTANTS)
             constraint = apply_pattern(f, pattern)
-            term = CombinationTerm(pattern, constraint, (), const)
-            terms.append(term)
-            residual = residual - term.polynomial()
+            terms.append(CombinationTerm(pattern, constraint, (), Fraction(const)))
 
     combo = LinearCombination(f, nvars, tuple(terms))
     if combo.expand() != target:
@@ -201,10 +193,12 @@ def max_degree_member(language: ConstraintLanguage) -> Constraint:
                   key=lambda c: c.name)[0]
 
 
+@lru_cache(maxsize=None)
 def language_denominator(source: ConstraintLanguage, f: Constraint
-                         ) -> tuple[int, dict[str, LinearCombination]]:
+                         ) -> tuple[int, MappingProxyType]:
     """The common denominator beta and, per source constraint g, the
-    combination rescaled to integer coefficients representing beta * g."""
+    combination rescaled to integer coefficients representing beta * g.
+    Memoized; the mapping is read-only because every caller shares it."""
     combos = {}
     denominators = [1]
     for g in sorted(source, key=lambda c: c.name):
@@ -219,4 +213,4 @@ def language_denominator(source: ConstraintLanguage, f: Constraint
             tuple(CombinationTerm(t.pattern, t.constraint, t.indices,
                                   t.coefficient * beta)
                   for t in combo.terms))
-    return beta, scaled
+    return beta, MappingProxyType(scaled)

@@ -113,7 +113,7 @@ def merge_applications(apps) -> tuple[Application, ...]:
     tuple by adding their weights; first occurrences keep their order."""
     merged: dict[tuple, list] = {}
     for app in apps:
-        key = (app.constraint.name, app.constraint.signature(), app.indices)
+        key = (app.constraint, app.indices)
         if key in merged:
             merged[key][2] += app.weight
         else:

@@ -6,6 +6,9 @@ coefficients.  Characteristic polynomials of truth tables are computed by a
 subset Moebius transform; an independent expansion of the per-row indicator
 products is kept alongside as a verification oracle, and the two must agree.
 
+Sums of composed polynomials are accumulated as ints in one dict by
+add_composed and validated once by the constructor, in linear time.
+
 Degree of the zero polynomial is 0 by convention.  Canonical term order is
 by degree, then lexicographically on the sorted index tuple.
 """
@@ -123,14 +126,6 @@ class MultilinearPolynomial:
                 bump(mono, c)
         return MultilinearPolynomial(acc)
 
-    def compose_at(self, indices: Sequence[int]) -> "MultilinearPolynomial":
-        """Substitute x_j -> x_{indices[j-1]}, collapsing repeats (x*x = x)."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            mapped = frozenset(indices[j - 1] for j in mono)
-            acc[mapped] = acc.get(mapped, Fraction(0)) + c
-        return MultilinearPolynomial(acc)
-
     def __repr__(self):
         if not self._terms:
             return "Poly(0)"
@@ -141,15 +136,22 @@ class MultilinearPolynomial:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def add_composed(acc: dict, poly: MultilinearPolynomial, indices: Sequence[int],
+                 scale) -> None:
+    """acc += scale * poly(x_{indices[0]}, ..., x_{indices[k-1]}) in place,
+    collapsing x*x = x; integral coefficients are added as ints."""
+    get = acc.get
+    for mono, c in poly._terms.items():
+        key = frozenset([indices[j - 1] for j in mono])
+        acc[key] = get(key, 0) + scale * (c.numerator if c.denominator == 1 else c)
+
+
 def from_terms(pairs) -> MultilinearPolynomial:
     acc: dict[Monomial, Fraction] = {}
     for mono, c in pairs:
         mono = frozenset(mono)
         acc[mono] = acc.get(mono, Fraction(0)) + Fraction(c)
     return MultilinearPolynomial(acc)
-
-
-ZERO = MultilinearPolynomial()
 
 
 @lru_cache(maxsize=None)

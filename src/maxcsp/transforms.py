@@ -29,8 +29,8 @@ from .formulas import (RANGE_N, RANGE_Z, Application, Formula, empty_formula,
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
-from .polynomials import (MultilinearPolynomial, ZERO, characteristic_polynomial,
-                          degree_of_language)
+from .polynomials import (MultilinearPolynomial, add_composed,
+                          characteristic_polynomial, degree_of_language)
 from .solver import ORACLE_CAP, decide_exact, decisions
 
 AFFINE = "affine"
@@ -492,26 +492,30 @@ class CompressResult:
     monomials: int
 
 
+def _formula_terms(phi: Formula) -> dict:
+    """phi's integer monomial coefficients, summed in one pass."""
+    acc: dict = {}
+    for a in phi.applications:
+        if a.weight:
+            add_composed(acc, characteristic_polynomial(a.constraint),
+                         a.indices, a.weight)
+    return acc
+
+
 def formula_polynomial(phi: Formula) -> MultilinearPolynomial:
     """phi as a single multilinear polynomial: the weighted sum of the
     characteristic polynomials of its applications."""
-    acc = ZERO
-    for a in phi.applications:
-        poly = characteristic_polynomial(a.constraint)
-        acc = acc + poly.compose_at(a.indices).scale(a.weight)
-    return acc
+    return MultilinearPolynomial(_formula_terms(phi))
 
 
 def compress_to_polynomial(phi: Formula) -> CompressResult:
     """The pure compression: fold the formula into monomial coefficients,
     absorbing the constant term into the threshold."""
-    poly = formula_polynomial(phi)
-    const = poly.coefficient(())
-    reduced = poly - MultilinearPolynomial({frozenset(): const})
-    if not reduced.is_integral():
-        raise FormatError("characteristic polynomials must have integer coefficients")
-    return CompressResult(reduced, phi.threshold - int(const), phi.nvars,
-                          len(poly.terms))
+    terms = _formula_terms(phi)
+    const = terms.pop(frozenset(), 0)
+    reduced = MultilinearPolynomial(terms)
+    return CompressResult(reduced, phi.threshold - const, phi.nvars,
+                          len(reduced.terms) + (const != 0))
 
 
 def formula_from_polynomial(poly: MultilinearPolynomial, nvars: int,
@@ -702,13 +706,11 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
 
     if cert.is_affine() and phi1.nvars == phi2.nvars:
         if phi1.nvars <= pointwise_cap:
-            a, b = Fraction(cert.value_map[1]), Fraction(cert.value_map[2])
-            ok = True
-            for m in range(1 << phi1.nvars):
-                bits = row_to_bits(m, phi1.nvars)
-                if Fraction(phi2.value(bits)) != a * phi1.value(bits) + b:
-                    ok = False
-                    break
+            # phi2 = (p/q) phi1 + r/s, compared in integers.
+            (p, q), (r, s) = (Fraction(v).as_integer_ratio() for v in cert.value_map[1:])
+            ok = all(q * s * phi2.value(bits) == p * s * phi1.value(bits) + r * q
+                     for bits in (row_to_bits(m, phi1.nvars)
+                                  for m in range(1 << phi1.nvars)))
             checks.append(ConditionCheck("affine-pointwise", ok))
         else:
             checks.append(ConditionCheck("affine-pointwise", None,

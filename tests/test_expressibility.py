@@ -150,3 +150,12 @@ def test_language_denominator_paper_family():
     beta, _ = language_denominator(
         ConstraintLanguage("src", (or3_negated(),)), ex_constraint(3))
     assert beta == 6
+
+
+def test_language_denominator_is_memoized_and_read_only():
+    source = ConstraintLanguage("src", (or3_negated(),))
+    first = language_denominator(source, ex_constraint(3))
+    assert language_denominator(source, ex_constraint(3)) is first
+    _, combos = first
+    with pytest.raises(TypeError):
+        combos["OR3"] = None

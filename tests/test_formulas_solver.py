@@ -50,6 +50,20 @@ def test_formula_sum_merges_exact_tuples():
     assert s.size == 1 and s.applications[0].weight == 5
 
 
+def test_merge_keys_on_constraint_value():
+    # A separately built equal constraint merges; the same table under
+    # another name does not, and hashing agrees with equality.
+    twin = xor_constraint(2)
+    renamed = Constraint("XOR_B", 2, XOR.table)
+    assert twin is not XOR and hash(twin) == hash(XOR) and twin == XOR
+    a = Formula(2, (Application(XOR, (1, 2), 3),), "N", 0)
+    b = Formula(2, (Application(twin, (1, 2), 2),
+                    Application(renamed, (1, 2), 4)), "N", 0)
+    s = formula_sum(a, b)
+    assert sorted((x.constraint.name, x.weight) for x in s.applications) == \
+        [("XOR", 5), ("XOR_B", 4)]
+
+
 def test_formula_sum_keeps_distinct_tuples():
     a = Formula(2, (Application(XOR, (1, 2), 3),), "N", 0)
     b = Formula(2, (Application(XOR, (2, 1), 2),), "N", 0)

@@ -1,16 +1,19 @@
 """Lemma-level transforms, chains, kernelization, the VC gadget."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from maxcsp.constraints import MODE_LIT, MODE_TF, closure, xor_constraint
+from maxcsp.constraints import (MODE_LIT, MODE_TF, T, F, and_constraint, closure,
+                                or_constraint, row_to_bits, xor_constraint)
 from maxcsp.errors import FormatError, PreconditionError
 from maxcsp.formulas import Application, Formula, random_formula
 from maxcsp.languages import builtin_language, gamma_d_sat
-from maxcsp.polynomials import from_terms
+from maxcsp.polynomials import characteristic_polynomial, from_terms
 from maxcsp.solver import brute_force, check_equivalence, decide
-from maxcsp.transforms import (apply_poly, chain, chain_stages,
+from maxcsp.transforms import (AFFINE, KIND_ADDITIVE, TransformCertificate,
+                               apply_poly, chain, chain_stages,
                                compress_to_polynomial, exp_cycle,
                                formula_polynomial, implement_lit, implement_tf,
                                kernelize, neg_to_base, signed_to_unsigned_neg,
@@ -368,6 +371,65 @@ def test_compress_preserves_values_pointwise():
         for row in range(1 << phi.nvars):
             bits = row_to_bits(row, phi.nvars)
             assert res.polynomial.evaluate(bits) + shift == phi.value(bits)
+
+
+def sampled_assignments(nvars, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(0, 1) for _ in range(nvars)) for _ in range(count)]
+
+
+def test_formula_polynomial_matches_values_and_reference():
+    or2, and2 = or_constraint(2), and_constraint(2)
+    # XOR + 2 AND2 = x1 + x2: the x1*x2 coefficient cancels to zero, and
+    # XOR(x2, x2) collapses to the zero polynomial.
+    cancel = Formula(3, (Application(XOR, (2, 1), 1), Application(and2, (1, 2), 2),
+                         Application(XOR, (2, 2), 5), Application(or2, (3, 3), 0),
+                         Application(or2, (3, 1), -4)), "Z", 0)
+    poly = formula_polynomial(cancel)
+    assert frozenset([1, 2]) not in poly.terms
+    assert poly == from_terms([(frozenset([1]), -3), (frozenset([2]), 1),
+                               (frozenset([3]), -4), (frozenset([1, 3]), 4)])
+    cases = [cancel]
+    for key in ("3sat", "nae3lit", "ex3"):
+        cases += random_cases(builtin_language(key), 4, 7, 30, "Z", seed=len(key),
+                              max_weight=5)
+    for phi in cases:
+        poly = formula_polynomial(phi)
+        assert all(type(c) is Fraction and c for c in poly.terms.values())
+        # Reference: every mapped term summed as a Fraction by from_terms.
+        assert poly == from_terms(
+            (frozenset(a.indices[j - 1] for j in mono), a.weight * c)
+            for a in phi.applications
+            for mono, c in characteristic_polynomial(a.constraint).terms.items())
+        for bits in sampled_assignments(phi.nvars, 20, phi.size):
+            assert poly.evaluate(bits) == phi.value(bits)
+
+
+def test_formula_polynomial_at_n80_m8000():
+    phi = random_formula(builtin_language("nae3lit"), 80, 8000, "Z", seed=80)
+    res = compress_to_polynomial(phi)
+    assert res.monomials <= 1 + 80 + 80 * 79 // 2
+    shift = phi.threshold - res.threshold
+    for bits in sampled_assignments(80, 10, 8000):
+        assert res.polynomial.evaluate(bits) + shift == phi.value(bits)
+
+
+def test_affine_pointwise_with_fractional_map():
+    # phi1 = 1 + 2 XOR, phi2 = 1 + 3 XOR = (3/2) phi1 - 1/2.
+    phi1 = Formula(2, (Application(T, (1,), 1), Application(F, (1,), 1),
+                       Application(XOR, (1, 2), 2)), "N", 3)
+
+    def check(xor_weight, b):
+        phi2 = Formula(2, (Application(T, (1,), 1), Application(F, (1,), 1),
+                           Application(XOR, (1, 2), xor_weight)), "N", 4)
+        cert = TransformCertificate(
+            "scale", KIND_ADDITIVE, 2, 2, 3, 3, phi1.total_weight,
+            phi2.total_weight, 3, 4, (AFFINE, Fraction(3, 2), b), 0, 1, 2, 0)
+        return {c.name: c.passed for c in verify_transform(phi1, phi2, cert).checks}
+
+    assert check(3, Fraction(-1, 2))["affine-pointwise"] is True
+    assert check(3, Fraction(-1, 3))["affine-pointwise"] is False
+    assert check(4, Fraction(-1, 2))["affine-pointwise"] is False
 
 
 def test_kernel_app_count_bound_holds_with_recorded_constant():
