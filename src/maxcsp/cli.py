@@ -8,6 +8,7 @@ See the README for the file formats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -38,17 +39,28 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _target_constraint(args, language=None):
+def _language(args):
+    if args.language is None:
+        raise MaxCspError("--language is required")
+    return io.resolve_language_spec(args.language)
+
+
+def _constraint(name, option: str, language=None):
+    """The constraint an option names: the language's member of that name
+    if there is one, else the standard catalog constraint."""
+    if name is None:
+        raise MaxCspError(f"{option} is required")
     if language is not None:
-        try:
-            return language.get(args.target)
-        except KeyError:
-            pass
-    return standard_constraint(args.target)
+        with contextlib.suppress(KeyError):
+            return language.get(name)
+    try:
+        return standard_constraint(name)
+    except KeyError as exc:
+        raise MaxCspError(exc.args[0]) from None
 
 
 def cmd_classify(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     report = classify_language(language)
     out = []
     for name, flags in report.per_constraint:
@@ -67,7 +79,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     out = []
     if args.per_constraint:
         out += [f"{c.name} {degree_of_constraint(c)}" for c in language]
@@ -78,35 +90,29 @@ def cmd_degree(args) -> int:
 
 def cmd_poly(args) -> int:
     language = io.resolve_language_spec(args.language) if args.language else None
-    c = _target_constraint(args, language)
+    c = _constraint(args.target, "--constraint", language)
     _write(args, io.emit_polynomial(characteristic_polynomial(c), c.arity))
     return 0
 
 
 def cmd_decompose(args) -> int:
     language = io.resolve_language_spec(args.language) if args.language else None
-    base = (language.get(args.base) if language and _has(language, args.base)
-            else standard_constraint(args.base))
-    if args.target_poly:
-        target, _ = io.parse_polynomial(_read(args.target_poly))
-    else:
-        target = characteristic_polynomial(standard_constraint(args.target))
-    combo = decompose(target, base)
+    base = _constraint(args.base, "--base", language)
+    combo = decompose(_target_polynomial(args), base)
     _write(args, io.emit_decomposition(combo))
     return 0
 
 
-def _has(language, name: str) -> bool:
-    try:
-        language.get(name)
-        return True
-    except KeyError:
-        return False
+def _target_polynomial(args):
+    if args.target_poly:
+        return io.parse_polynomial(_read(args.target_poly))[0]
+    return characteristic_polynomial(
+        _constraint(args.target, "--target or --target-poly"))
 
 
 def cmd_implement(args) -> int:
-    language = io.resolve_language_spec(args.language)
-    target = _target_constraint(args)
+    language = _language(args)
+    target = _constraint(args.target, "--target")
     impl = search_implementation(language, target, args.max_aux, args.max_apps)
     if impl is None:
         _write(args, "not-found\n")
@@ -115,64 +121,51 @@ def cmd_implement(args) -> int:
     return 0
 
 
-_TRANSFORM_OPS = ("neg-to-base", "unsign-neg", "apply-poly", "implement-tf",
-                  "unsigned-lit", "implement-lit", "chain-z", "chain-n")
-
-
-def _run_transform(args, language, target_language, phi):
-    op = args.op
-    if op == "neg-to-base":
-        return neg_to_base(phi, language)
-    if op == "unsign-neg":
-        return signed_to_unsigned_neg(phi, io.closure(language, io.MODE_NEG))
-    if op == "apply-poly":
-        return apply_poly(phi, language, target_language)
-    if op == "implement-tf":
-        return implement_tf(phi, language, args.max_aux, args.max_apps)
-    if op == "unsigned-lit":
-        return unsigned_lit(phi, language)
-    if op == "implement-lit":
-        return implement_lit(phi, language, args.max_aux, args.max_apps)
-    mode = RANGE_Z if op == "chain-z" else RANGE_N
-    return chain(phi, language, target_language, mode, args.max_aux, args.max_apps)
-
-
-def _parse_language_for_op(op: str, language):
-    if op in ("neg-to-base", "unsign-neg"):
-        return io.closure(language, io.MODE_NEG)
-    if op == "implement-tf":
-        return io.closure(language, io.MODE_TF)
-    if op == "implement-lit":
-        return io.closure(language, io.MODE_LIT)
-    return language
+# op -> (closure mode of the language the instance is over, or None,
+#        whether --target-language is needed, runner(phi, source, target, args))
+_TRANSFORM_OPS = {
+    "neg-to-base": (io.MODE_NEG, False, lambda phi, s, t, a: neg_to_base(phi, s)),
+    "unsign-neg": (io.MODE_NEG, False, lambda phi, s, t, a: signed_to_unsigned_neg(
+        phi, io.closure(s, io.MODE_NEG))),
+    "apply-poly": (None, True, lambda phi, s, t, a: apply_poly(phi, s, t)),
+    "implement-tf": (io.MODE_TF, False, lambda phi, s, t, a: implement_tf(
+        phi, s, a.max_aux, a.max_apps)),
+    "unsigned-lit": (None, False, lambda phi, s, t, a: unsigned_lit(phi, s)),
+    "implement-lit": (io.MODE_LIT, False, lambda phi, s, t, a: implement_lit(
+        phi, s, a.max_aux, a.max_apps)),
+    "chain-z": (None, True, lambda phi, s, t, a: chain(
+        phi, s, t, RANGE_Z, a.max_aux, a.max_apps)),
+    "chain-n": (None, True, lambda phi, s, t, a: chain(
+        phi, s, t, RANGE_N, a.max_aux, a.max_apps)),
+}
 
 
 def cmd_transform(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
+    mode, needs_target, run = _TRANSFORM_OPS[args.op]
+    if needs_target and args.target_language is None:
+        raise MaxCspError(f"--target-language is required for {args.op}")
     target_language = (io.resolve_language_spec(args.target_language)
                        if args.target_language else None)
-    if args.op in ("apply-poly", "chain-z", "chain-n") and target_language is None:
-        raise MaxCspError(f"--target-language is required for {args.op}")
-    phi, _ = io.parse_instance(_read(args.instance),
-                               _parse_language_for_op(args.op, language))
-    phi2, cert = _run_transform(args, language, target_language, phi)
+    phi, _ = io.parse_instance(
+        _read(args.instance), language if mode is None else io.closure(language, mode))
+    phi2, cert = run(phi, language, target_language, args)
     _write(args, io.emit_instance(phi2, cert))
-    if args.verify:
-        report = verify_transform(phi, phi2, cert, args.oracle_cap)
-        _print_report(report)
-        return 0 if report.all_passed else 1
-    return 0
+    return _verify(phi, phi2, cert, args.oracle_cap) if args.verify else 0
 
 
-def _print_report(report) -> None:
+def _verify(phi1, phi2, cert, oracle_cap) -> int:
+    """Report every certificate check on stderr; exit 1 on a failure."""
+    report = verify_transform(phi1, phi2, cert, oracle_cap)
     for check in report.checks:
         status = "SKIP" if check.passed is None else ("PASS" if check.passed else "FAIL")
         detail = f"  ({check.detail})" if check.detail else ""
         sys.stderr.write(f"{status} {check.name}{detail}\n")
+    return 0 if report.all_passed else 1
 
 
 def cmd_kernelize(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     phi, _ = io.parse_instance(_read(args.instance), language)
     result = kernelize(phi, language, args.oracle_cap, args.max_aux, args.max_apps)
     rep = result.report
@@ -182,16 +175,12 @@ def cmd_kernelize(args) -> int:
              f" nvars={rep.kernel_nvars} constant={rep.app_bound_constant}"
              f" bits={rep.encoded_bits}\n")
     _write(args, text)
-    if args.verify:
-        report = verify_transform(phi, result.formula, result.certificate,
-                                  args.oracle_cap)
-        _print_report(report)
-        return 0 if report.all_passed else 1
-    return 0
+    cert = result.certificate
+    return _verify(phi, result.formula, cert, args.oracle_cap) if args.verify else 0
 
 
 def cmd_compress(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     phi, _ = io.parse_instance(_read(args.instance), language)
     result = compress_to_polynomial(phi)
     text = f"compress {result.nvars} {result.threshold}\n"
@@ -201,7 +190,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     phi, _ = io.parse_instance(_read(args.instance), language)
     res = brute_force(phi, args.oracle_cap)
     out = [f"optimum {res.optimum}",
@@ -215,29 +204,23 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.kind == "transform":
-        language = io.resolve_language_spec(args.language)
+        language = _language(args)
         out_language = (io.resolve_language_spec(args.out_language)
                         if args.out_language else language)
         phi1, _ = io.parse_instance(_read(args.paths[0]), language)
         phi2, cert = io.parse_instance(_read(args.paths[1]), out_language)
         if cert is None:
             raise MaxCspError(f"{args.paths[1]} carries no certificate block")
-        report = verify_transform(phi1, phi2, cert, args.oracle_cap)
-        _print_report(report)
-        return 0 if report.all_passed else 1
+        return _verify(phi1, phi2, cert, args.oracle_cap)
     if args.kind == "decomposition":
-        base = standard_constraint(args.base)
+        base = _constraint(args.base, "--base")
         combo = io.parse_decomposition(_read(args.paths[0]), base)
-        if args.target_poly:
-            target, _ = io.parse_polynomial(_read(args.target_poly))
-        else:
-            target = characteristic_polynomial(standard_constraint(args.target))
-        ok = combo.expand() == target
+        ok = combo.expand() == _target_polynomial(args)
         sys.stderr.write(("PASS" if ok else "FAIL") + " formal-identity\n")
         return 0 if ok else 1
     # implementation
-    language = io.resolve_language_spec(args.language)
-    target = standard_constraint(args.target)
+    language = _language(args)
+    target = _constraint(args.target, "--target")
     impl = io.parse_implementation(_read(args.paths[0]), language, target)
     res = verify_implementation(impl)
     sys.stderr.write(f"valid={int(res.valid)} alpha={res.alpha} "
@@ -253,7 +236,7 @@ def cmd_vc_reduce(args) -> int:
 
 
 def cmd_random(args) -> int:
-    language = io.resolve_language_spec(args.language)
+    language = _language(args)
     phi = random_formula(language, args.nvars, args.napps, args.weight_range,
                          args.max_weight, args.seed, args.threshold)
     _write(args, io.emit_instance(phi))

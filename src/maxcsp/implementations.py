@@ -46,8 +46,7 @@ class VerifyResult:
 
 def _satisfied_counts(p: int, q: int,
                       applications) -> list[int]:
-    """Per primary assignment, the max satisfied count over aux settings,
-    plus (second list) whether each per-x count level is attained."""
+    """Per primary assignment, the max satisfied count over aux settings."""
     tot = p + q
     per_x_max = [0] * (1 << p)
     for m in range(1 << tot):
@@ -118,20 +117,6 @@ def identity_implementation(c: Constraint) -> Implementation:
 # Catalog of known implementations, re-verified on first use.
 
 
-@dataclass(frozen=True)
-class _CatalogEntry:
-    label: str
-    target: Constraint
-    primary_arity: int
-    aux_count: int
-    applications: tuple[tuple[Constraint, tuple[int, ...]], ...]
-
-
-def _entry(label, target, p, q, apps):
-    return _CatalogEntry(label, target, p, q,
-                         tuple((c, tuple(idx)) for c, idx in apps))
-
-
 @lru_cache(maxsize=1)
 def catalog() -> tuple[Implementation, ...]:
     """Known strict implementations of XOR, T, F; each is re-verified here
@@ -142,25 +127,24 @@ def catalog() -> tuple[Implementation, ...]:
     nae3 = nae_constraint(3)
     ex3 = ex_constraint(3)
     dicut = dicut_constraint()
-    entries = (
-        _entry("xor-from-2sat", xor, 2, 0, [(or2, (1, 2)), (or2nn, (1, 2))]),
-        _entry("xor-from-nae3", xor, 2, 0, [(nae3, (1, 2, 2))]),
-        _entry("xor-from-ex3", xor, 2, 2, [(ex3, (1, 2, 3)), (ex3, (3, 3, 4))]),
-        _entry("xor-from-xor", xor, 2, 0, [(xor, (1, 2))]),
-        _entry("xor-from-dicut", xor, 2, 0, [(dicut, (1, 2)), (dicut, (2, 1))]),
-        _entry("t-from-or2", T, 1, 0, [(or2, (1, 1))]),
-        _entry("t-from-ex3", T, 1, 1, [(ex3, (1, 2, 2))]),
-        _entry("t-from-dicut", T, 1, 1, [(dicut, (1, 2))]),
-        _entry("f-from-or2nn", F, 1, 0, [(or2nn, (1, 1))]),
-        _entry("f-from-ex3", F, 1, 1, [(ex3, (1, 1, 2))]),
-        _entry("f-from-dicut", F, 1, 1, [(dicut, (2, 1))]),
+    rows = (  # label, target, primary arity, aux count, applications
+        ("xor-from-2sat", xor, 2, 0, [(or2, (1, 2)), (or2nn, (1, 2))]),
+        ("xor-from-nae3", xor, 2, 0, [(nae3, (1, 2, 2))]),
+        ("xor-from-ex3", xor, 2, 2, [(ex3, (1, 2, 3)), (ex3, (3, 3, 4))]),
+        ("xor-from-xor", xor, 2, 0, [(xor, (1, 2))]),
+        ("xor-from-dicut", xor, 2, 0, [(dicut, (1, 2)), (dicut, (2, 1))]),
+        ("t-from-or2", T, 1, 0, [(or2, (1, 1))]),
+        ("t-from-ex3", T, 1, 1, [(ex3, (1, 2, 2))]),
+        ("t-from-dicut", T, 1, 1, [(dicut, (1, 2))]),
+        ("f-from-or2nn", F, 1, 0, [(or2nn, (1, 1))]),
+        ("f-from-ex3", F, 1, 1, [(ex3, (1, 1, 2))]),
+        ("f-from-dicut", F, 1, 1, [(dicut, (2, 1))]),
     )
     verified = []
-    for e in entries:
-        impl = checked_implementation(e.target, e.primary_arity, e.aux_count,
-                                      e.applications)
+    for label, target, p, q, apps in rows:
+        impl = checked_implementation(target, p, q, apps)
         if not impl.strict:
-            raise MaxCspError(f"catalog entry {e.label} is not strict")
+            raise MaxCspError(f"catalog entry {label} is not strict")
         verified.append(impl)
     return tuple(verified)
 

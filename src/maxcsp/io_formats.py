@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+from .certificates import AFFINE, EXISTENTIAL, TransformCertificate
 from .constraints import (MODE_CONSTANTS, Constraint, ConstraintLanguage,
                           MODE_LIT, MODE_NEG, MODE_TF, apply_pattern, closure,
                           make_constraint, parse_pattern, render_pattern)
@@ -30,7 +31,6 @@ from .formulas import RANGE_N, RANGE_Z, Application, Formula
 from .implementations import Implementation, checked_implementation
 from .languages import builtin_language
 from .polynomials import MultilinearPolynomial
-from .transforms import AFFINE, EXISTENTIAL, TransformCertificate
 
 
 def _lines(text: str):
@@ -42,6 +42,24 @@ def _lines(text: str):
 
 def _fail(num: int, msg: str):
     raise FormatError(f"line {num}: {msg}")
+
+
+def _require_header(header, keyword: str, found: int | None = None,
+                    what: str = "") -> None:
+    """Refuse a file without its header, or whose body does not hold the
+    `found` items the header declares in its second field."""
+    if header is None:
+        raise FormatError(f"missing '{keyword}' header")
+    if found is not None and found != header[1]:
+        raise FormatError(f"header declares {header[1]} {what}, found {found}")
+
+
+def _int(num: int, text: str, what: str) -> int:
+    """An integer field of line `num`; `what` names it in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        _fail(num, f"bad {what} {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +76,7 @@ def parse_language(text: str, name: str = "language",
         if current is None:
             if parts[0] != "constraint" or len(parts) != 3:
                 _fail(num, f"expected 'constraint <name> <arity>', got {line!r}")
-            try:
-                arity = int(parts[2])
-            except ValueError:
-                _fail(num, f"bad arity {parts[2]!r}")
+            arity = _int(num, parts[2], "arity")
             if arity == 0 and not allow_constants:
                 _fail(num, "arity-0 constraints are closure artifacts and are "
                            "rejected in user-supplied languages")
@@ -130,10 +145,9 @@ def parse_instance(text: str, language: ConstraintLanguage
         if header is None:
             if parts[0] != "maxcsp" or len(parts) != 5:
                 _fail(num, f"expected 'maxcsp <n> <m> <Z|N> <t>', got {line!r}")
-            try:
-                n, m, t = int(parts[1]), int(parts[2]), int(parts[4])
-            except ValueError:
-                _fail(num, "bad instance header numbers")
+            n = _int(num, parts[1], "variable count")
+            m = _int(num, parts[2], "application count")
+            t = _int(num, parts[4], "threshold")
             if parts[3] not in (RANGE_Z, RANGE_N):
                 _fail(num, f"weight range must be Z or N, got {parts[3]!r}")
             header = (n, m, parts[3], t)
@@ -147,22 +161,16 @@ def parse_instance(text: str, language: ConstraintLanguage
                 c = language.get(parts[0])
             except KeyError as exc:
                 _fail(num, str(exc))
-            try:
-                weight = int(parts[1])
-                idx = tuple(int(p) for p in parts[2:])
-            except ValueError:
-                _fail(num, f"bad numbers in {line!r}")
+            weight = _int(num, parts[1], "weight")
+            idx = tuple(_int(num, p, "index") for p in parts[2:])
             if len(idx) != c.arity:
                 _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
             try:
                 apps.append(Application(c, idx, weight))
             except FormatError as exc:
                 _fail(num, str(exc))
-    if header is None:
-        raise FormatError("missing 'maxcsp' header")
-    n, m, weight_range, t = header
-    if len(apps) != m:
-        raise FormatError(f"header declares {m} applications, found {len(apps)}")
+    _require_header(header, "maxcsp", len(apps), "applications")
+    n, _, weight_range, t = header
     phi = Formula(n, tuple(apps), weight_range, t)
     cert = _parse_certificate_lines(cert_lines) if cert_lines else None
     return phi, cert
@@ -183,19 +191,22 @@ def emit_instance(phi: Formula, cert: TransformCertificate | None = None) -> str
 # Certificates
 
 
+# Certificate lines that hold two integer fields, and the integer bounds.
+_CERT_PAIRS = (("vars", "n_in", "n_out"), ("sizes", "size_in", "size_out"),
+               ("weights", "weight_in", "weight_out"),
+               ("thresholds", "t_in", "t_out"))
+_CERT_BOUNDS = ("var_bound", "size_factor", "weight_factor", "weight_exponent")
+
+
 def emit_certificate(cert: TransformCertificate) -> str:
-    out = [f"certificate {cert.label}",
-           f"kind {cert.kind}",
-           f"vars {cert.n_in} {cert.n_out}",
-           f"sizes {cert.size_in} {cert.size_out}",
-           f"weights {cert.weight_in} {cert.weight_out}",
-           f"thresholds {cert.t_in} {cert.t_out}"]
+    out = [f"certificate {cert.label}", f"kind {cert.kind}"]
+    out += [f"{key} {getattr(cert, a)} {getattr(cert, b)}"
+            for key, a, b in _CERT_PAIRS]
     if cert.value_map[0] == AFFINE:
         out.append(f"value_map affine {cert.value_map[1]} {cert.value_map[2]}")
     else:
         out.append("value_map existential")
-    out.append(f"bounds {cert.var_bound} {cert.size_factor} "
-               f"{cert.weight_factor} {cert.weight_exponent}")
+    out.append("bounds " + " ".join(str(getattr(cert, f)) for f in _CERT_BOUNDS))
     if cert.stages:
         out.append("stages " + ",".join(s.label for s in cert.stages))
     out.append("end")
@@ -213,31 +224,21 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
             label = parts[1]
         elif parts[0] == "end":
             break
-        elif parts[0] == "stages":
-            continue
         else:
             fields[parts[0]] = parts[1:]
     if label is None:
         raise FormatError("certificate block missing its header")
     try:
-        kind = fields["kind"][0]
-        n_in, n_out = map(int, fields["vars"])
-        size_in, size_out = map(int, fields["sizes"])
-        weight_in, weight_out = map(int, fields["weights"])
-        t_in, t_out = map(int, fields["thresholds"])
+        values = {"label": label, "kind": fields["kind"][0]}
+        for key, a, b in _CERT_PAIRS:
+            values[a], values[b] = map(int, fields[key])
+        values.update(zip(_CERT_BOUNDS, map(int, fields["bounds"]), strict=True))
         vm = fields["value_map"]
-        value_map = ((AFFINE, Fraction(vm[1]), Fraction(vm[2]))
-                     if vm[0] == "affine" else (EXISTENTIAL,))
-        var_bound, size_factor, weight_factor, weight_exponent = map(
-            int, fields["bounds"])
+        values["value_map"] = ((AFFINE, Fraction(vm[1]), Fraction(vm[2]))
+                               if vm[0] == "affine" else (EXISTENTIAL,))
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed certificate block: {exc}")
-    return TransformCertificate(
-        label=label, kind=kind, n_in=n_in, n_out=n_out, size_in=size_in,
-        size_out=size_out, weight_in=weight_in, weight_out=weight_out,
-        t_in=t_in, t_out=t_out, value_map=value_map, var_bound=var_bound,
-        size_factor=size_factor, weight_factor=weight_factor,
-        weight_exponent=weight_exponent)
+    return TransformCertificate(**values)
 
 
 def parse_certificate(text: str) -> TransformCertificate:
@@ -265,7 +266,8 @@ def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
         if header is None:
             if parts[0] != "poly" or len(parts) != 3:
                 _fail(num, f"expected 'poly <nvars> <nterms>', got {line!r}")
-            header = (int(parts[1]), int(parts[2]))
+            header = (_int(num, parts[1], "variable count"),
+                      _int(num, parts[2], "term count"))
         else:
             try:
                 coeff = Fraction(parts[0])
@@ -276,10 +278,7 @@ def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
             if mono in terms:
                 _fail(num, f"duplicate monomial in {line!r}")
             terms[mono] = coeff
-    if header is None:
-        raise FormatError("missing 'poly' header")
-    if len(terms) != header[1]:
-        raise FormatError(f"header declares {header[1]} terms, found {len(terms)}")
+    _require_header(header, "poly", len(terms), "terms")
     return MultilinearPolynomial(terms), header[0]
 
 
@@ -303,10 +302,11 @@ def parse_implementation(text: str, language: ConstraintLanguage,
     for num, line in _lines(text):
         parts = line.split()
         if header is None:
-            if parts[0] != "impl":
+            if parts[0] != "impl" or len(parts) < 2:
                 _fail(num, f"expected 'impl ...', got {line!r}")
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            header = (int(kv["p"]), int(kv["q"]))
+            kv = dict(p.partition("=")[::2] for p in parts[2:])
+            header = (_int(num, kv.get("p", ""), "p="),
+                      _int(num, kv.get("q", ""), "q="))
             if parts[1] != target.name:
                 _fail(num, f"implementation targets {parts[1]!r}, not {target.name!r}")
         elif line == "end":
@@ -316,9 +316,8 @@ def parse_implementation(text: str, language: ConstraintLanguage,
                 c = language.get(parts[0])
             except KeyError as exc:
                 _fail(num, str(exc))
-            apps.append((c, tuple(int(p) for p in parts[1:])))
-    if header is None:
-        raise FormatError("missing 'impl' header")
+            apps.append((c, tuple(_int(num, p, "index") for p in parts[1:])))
+    _require_header(header, "impl")
     return checked_implementation(target, header[0], header[1], apps)
 
 
@@ -345,7 +344,8 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
                 _fail(num, f"expected decomposition header, got {line!r}")
             if parts[1] != base.name:
                 _fail(num, f"decomposition is over {parts[1]!r}, not {base.name!r}")
-            header = (int(parts[2]), int(parts[3]))
+            header = (_int(num, parts[2], "variable count"),
+                      _int(num, parts[3], "term count"))
         elif line == "end":
             break
         else:
@@ -360,8 +360,7 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
             except (ValueError, ZeroDivisionError) as exc:
                 _fail(num, f"bad decomposition term: {exc}")
             terms.append(CombinationTerm(pattern, constraint, indices, coeff))
-    if header is None:
-        raise FormatError("missing decomposition header")
+    _require_header(header, "decomposition")
     return LinearCombination(base, header[0], tuple(terms))
 
 
@@ -377,13 +376,12 @@ def parse_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
         if header is None:
             if parts[0] != "graph" or len(parts) != 3:
                 _fail(num, f"expected 'graph <n> <e>', got {line!r}")
-            header = (int(parts[1]), int(parts[2]))
+            header = (_int(num, parts[1], "vertex count"),
+                      _int(num, parts[2], "edge count"))
         else:
             if len(parts) != 2:
                 _fail(num, f"expected '<u> <v>', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-    if header is None:
-        raise FormatError("missing 'graph' header")
-    if len(edges) != header[1]:
-        raise FormatError(f"header declares {header[1]} edges, found {len(edges)}")
+            edges.append((_int(num, parts[0], "vertex"),
+                          _int(num, parts[1], "vertex")))
+    _require_header(header, "graph", len(edges), "edges")
     return header[0], edges

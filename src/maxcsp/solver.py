@@ -5,7 +5,8 @@ evaluates the formula on all 2**n assignments as the weighted sum of
 satisfied applications, straight from the truth tables.  It never goes
 through the polynomial machinery it is used to validate.
 
-One engine does every sweep.  Each application's table is folded onto its
+One engine does every sweep, and the affine check of two formulas walks
+their value blocks side by side.  Each application's table is folded onto its
 sorted distinct variables (which absorbs repeated and unsorted indices),
 the folded tables are summed per variable set, and each sum is added into
 a (2,)*n value array by broadcasting.  Past 20 variables the array is
@@ -19,6 +20,7 @@ the assignment index), the first index argmax finds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,21 +42,13 @@ class SolveResult:
         return self.optimum >= t
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    optimum: int
-    witness_index: int
-    exact_hit: bool
-
-
-def _sweep(phi: Formula, t_exact: int | None, cap: int) -> _Sweep:
-    """Optimum, first maximizer and whether some assignment is worth
-    t_exact (False when t_exact is None)."""
+def _value_blocks(phi: Formula, cap: int):
+    """phi's value on every assignment, in assignment-index order: yields
+    (index of the first entry, flat block of at most 2**20 values)."""
     n = phi.nvars
     if n > cap:
         raise CapExceededError(f"oracle: {n} variables exceeds cap {cap}")
     dtype = object if phi.total_weight >= 1 << 62 else np.int64
-    check_exact = t_exact is not None and abs(t_exact) <= phi.total_weight
 
     sums: dict[tuple[int, ...], list[int]] = {}
     for a in phi.applications:
@@ -81,27 +75,52 @@ def _sweep(phi: Formula, t_exact: int | None, cap: int) -> _Sweep:
                 shape[v - top - 1] = 2
         tables.append(([top - v for v in support if v <= top], shape,
                        np.array(acc, dtype=dtype).reshape((2,) * len(support))))
-    best = best_idx = None
-    exact_hit = False
     for p in range(1 << top):
         values = np.zeros((2,) * low, dtype=dtype)
         for top_shifts, shape, table in tables:
             fixed = tuple((p >> s) & 1 for s in top_shifts)
             values += table[fixed + (...,)].reshape(shape)
-        flat = values.reshape(-1)
+        yield p << low, values.reshape(-1)
+
+
+def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]:
+    """(optimum, index of the first maximizer, whether some assignment is
+    worth t_exact); the last is False when t_exact is None."""
+    check_exact = t_exact is not None and abs(t_exact) <= phi.total_weight
+    best = best_idx = None
+    exact_hit = False
+    for start, flat in _value_blocks(phi, cap):
         i = int(flat.argmax())
         if best is None or flat[i] > best:
-            best, best_idx = int(flat[i]), (p << low) | i
+            best, best_idx = int(flat[i]), start + i
         exact_hit = exact_hit or (check_exact and bool((flat == t_exact).any()))
-    return _Sweep(best, best_idx, exact_hit)
+    return best, best_idx, exact_hit
+
+
+def affine_holds(phi1: Formula, phi2: Formula, a, b,
+                 cap: int = ORACLE_CAP) -> bool:
+    """Is phi2(x) = a * phi1(x) + b on every assignment (same variables)?
+    With a = p/q and b = r/s this is q*s*phi2 == p*s*phi1 + r*q, compared
+    in int64 when no term can reach 2**62 and in exact Python ints
+    otherwise."""
+    if phi1.nvars != phi2.nvars:
+        raise ValueError("a pointwise relation needs the same variables")
+    (p, q), (r, s) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+    wide = max(q * s * max(phi2.total_weight, 1),
+               abs(p) * s * max(phi1.total_weight, 1) + abs(r) * q) >= 1 << 62
+    for (_, v1), (_, v2) in zip(_value_blocks(phi1, cap), _value_blocks(phi2, cap)):
+        if wide:
+            v1, v2 = v1.astype(object), v2.astype(object)
+        if not np.array_equal(q * s * v2, p * s * v1 + r * q):
+            return False
+    return True
 
 
 def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
     """Exhaustive optimum with deterministic (lex-smallest) witness, and the
     exact (=) answer for phi's own threshold, from one sweep."""
-    s = _sweep(phi, phi.threshold, cap)
-    return SolveResult(s.optimum, row_to_bits(s.witness_index, phi.nvars),
-                       s.exact_hit)
+    optimum, index, exact = _sweep(phi, phi.threshold, cap)
+    return SolveResult(optimum, row_to_bits(index, phi.nvars), exact)
 
 
 def decisions(phi: Formula, t: int | None = None,
@@ -109,14 +128,14 @@ def decisions(phi: Formula, t: int | None = None,
     """Both decision modes from one enumeration: (exists phi(x) >= t,
     exists phi(x) = t)."""
     t = phi.threshold if t is None else t
-    s = _sweep(phi, t, cap)
-    return s.optimum >= t, s.exact_hit
+    optimum, _, exact = _sweep(phi, t, cap)
+    return optimum >= t, exact
 
 
 def decide(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> bool:
     """Is there an assignment with phi(x) >= t?"""
     t = phi.threshold if t is None else t
-    return _sweep(phi, None, cap).optimum >= t
+    return _sweep(phi, None, cap)[0] >= t
 
 
 def decide_exact(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> bool:
@@ -124,7 +143,7 @@ def decide_exact(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> b
     t = phi.threshold if t is None else t
     if abs(t) > phi.total_weight:
         return False
-    return _sweep(phi, t, cap).exact_hit
+    return _sweep(phi, t, cap)[2]
 
 
 def check_equivalence(phi1: Formula, t1: int | None, phi2: Formula,

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
+                           TransformCertificate, build_certificate,
+                           endpoints)
 from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
                           ConstraintLanguage, classify_language, closure,
-                          literal_variant, recover_pattern, row_to_bits,
-                          xor_constraint, T, F)
+                          literal_variant, recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
 from .formulas import (RANGE_N, RANGE_Z, Application, Formula, empty_formula,
@@ -31,86 +32,7 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
 from .languages import gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, add_composed,
                           characteristic_polynomial, degree_of_language)
-from .solver import ORACLE_CAP, decide_exact, decisions
-
-AFFINE = "affine"
-EXISTENTIAL = "existential"
-KIND_ADDITIVE = "additive"
-KIND_LINEAR = "linear"
-
-
-@dataclass(frozen=True)
-class TransformCertificate:
-    """Accounting record for one transformation instance.
-
-    Checked inequalities (see verify_transform):
-      additive:  n_out <= n_in + var_bound
-      linear:    n_out <= var_bound * n_in
-      always:    size_out <= size_factor * (size_in + n_in)
-                 weight_out <= weight_factor * (weight_in + 1) * n_in**weight_exponent
-    An affine value map (a, b) asserts phi2(x) = a * phi1(x) + b pointwise
-    whenever the transform preserves the variable set.
-    """
-
-    label: str
-    kind: str
-    n_in: int
-    n_out: int
-    size_in: int
-    size_out: int
-    weight_in: int
-    weight_out: int
-    t_in: int
-    t_out: int
-    value_map: tuple
-    var_bound: int
-    size_factor: int
-    weight_factor: int
-    weight_exponent: int
-    stages: tuple = ()
-
-    def is_affine(self) -> bool:
-        return self.value_map[0] == AFFINE
-
-
-def _certificate(label, kind, phi1, phi2, value_map, var_bound, size_factor,
-                 weight_factor, weight_exponent, stages=()):
-    return TransformCertificate(
-        label=label, kind=kind,
-        n_in=phi1.nvars, n_out=phi2.nvars,
-        size_in=phi1.size, size_out=phi2.size,
-        weight_in=phi1.total_weight, weight_out=phi2.total_weight,
-        t_in=phi1.threshold, t_out=phi2.threshold,
-        value_map=value_map, var_bound=var_bound, size_factor=size_factor,
-        weight_factor=weight_factor, weight_exponent=weight_exponent,
-        stages=tuple(stages))
-
-
-def _measured_certificate(label, kind, phi1, phi2, value_map, stages):
-    """Certificate for a composed transform, with measured constants (the
-    per-transform constants compose, but the measured values are what the
-    accounting conditions are checked against)."""
-    n_in, n_out = phi1.nvars, phi2.nvars
-    if kind == KIND_ADDITIVE:
-        var_bound = max(0, n_out - n_in)
-    else:
-        var_bound = max(1, -(-n_out // n_in))
-    size_factor = max(1, -(-phi2.size // (phi1.size + n_in)))
-    weight_exponent = max((s.weight_exponent for s in stages), default=0)
-    denom = (phi1.total_weight + 1) * n_in ** weight_exponent
-    weight_factor = max(1, -(-phi2.total_weight // denom))
-    return _certificate(label, kind, phi1, phi2, value_map, var_bound,
-                        size_factor, weight_factor, weight_exponent, stages)
-
-
-def compose_value_maps(maps) -> tuple:
-    a, b = Fraction(1), Fraction(0)
-    for m in maps:
-        if m[0] != AFFINE:
-            return (EXISTENTIAL,)
-        a2, b2 = Fraction(m[1]), Fraction(m[2])
-        a, b = a2 * a, a2 * b + b2
-    return (AFFINE, a, b)
+from .solver import ORACLE_CAP, affine_holds, decide_exact, decisions
 
 
 def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
@@ -121,68 +43,71 @@ def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
         raise FormatError("an exact hit implies the threshold is reachable")
     t2 = 0 if eq_yes else (-1 if geq_yes else 1)
     phi2 = empty_formula(1, RANGE_N, t2)
-    cert = _certificate(label, kind, phi, phi2, (EXISTENTIAL,),
-                        var_bound=1, size_factor=1, weight_factor=1,
-                        weight_exponent=0)
+    cert = build_certificate(label, phi, phi2, kind, (EXISTENTIAL,),
+                             var_bound=1, size_factor=1, weight_factor=1,
+                             weight_exponent=0)
     return phi2, cert
+
+
+def _hard_report(language: ConstraintLanguage, what: str,
+                 two_monotone: bool):
+    """Classify the language, refusing the polynomial-time cases a reduction
+    cannot start from (trivial, 0-valid, 1-valid, and 2-monotone if asked);
+    `what` names the language in the error."""
+    report = classify_language(language)
+    for bad, name in ((report.trivial, "trivial"),
+                      (report.zero_valid, "0-valid"),
+                      (report.one_valid, "1-valid"),
+                      (two_monotone and report.two_monotone, "2-monotone")):
+        if bad:
+            raise PreconditionError(f"{what} is {name}")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Signed reductions (negation-wise closure vs. negative weights)
 
 
+def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
+                 weight_range: str, label: str):
+    """Rebind every application to a member of the language; one that
+    `flips` becomes the member with the complementary table at the opposite
+    weight.  As w * f = w - w * (1 - f), each flip shifts the values and
+    the threshold by -w."""
+    apps = []
+    shift = 0
+    for a in phi.applications:
+        c, flip = a.constraint, flips(a)
+        member = language.by_table(
+            c.arity, tuple(1 - v for v in c.table) if flip else c.table)
+        if member is None:
+            raise PreconditionError(f"{language.name!r} has no "
+                                    f"{'negation of ' if flip else ''}{c.name}")
+        if flip:
+            shift -= a.weight
+        apps.append(Application(member, a.indices, -a.weight if flip else a.weight))
+    phi2 = Formula(phi.nvars, tuple(apps), weight_range, phi.threshold + shift)
+    cert = build_certificate(label, phi, phi2, KIND_ADDITIVE,
+                             (AFFINE, 1, shift), var_bound=0, size_factor=1,
+                             weight_factor=1, weight_exponent=0)
+    return phi2, cert
+
+
 def neg_to_base(phi: Formula, base: ConstraintLanguage):
     """Rewrite a formula over Gamma^NEG as one over Gamma with integer
     weights: each application of a negated constraint flips to the base
     constraint with opposite weight, shifting the threshold."""
-    apps = []
-    shift = 0
-    for a in phi.applications:
-        member = base.by_table(a.constraint.arity, a.constraint.table)
-        if member is not None:
-            apps.append(Application(member, a.indices, a.weight))
-            continue
-        comp = tuple(1 - v for v in a.constraint.table)
-        member = base.by_table(a.constraint.arity, comp)
-        if member is None:
-            raise PreconditionError(
-                f"{a.constraint.name} is neither in {base.name!r} nor a negation "
-                f"of one of its members")
-        apps.append(Application(member, a.indices, -a.weight))
-        shift -= a.weight
-    phi2 = Formula(phi.nvars, tuple(apps), RANGE_Z, phi.threshold + shift)
-    cert = _certificate("neg-to-base", KIND_ADDITIVE, phi, phi2,
-                        (AFFINE, 1, shift), var_bound=0, size_factor=1,
-                        weight_factor=1, weight_exponent=0)
-    return phi2, cert
+    return _flip_signed(
+        phi, base,
+        lambda a: base.by_table(a.constraint.arity, a.constraint.table) is None,
+        RANGE_Z, "neg-to-base")
 
 
 def signed_to_unsigned_neg(phi: Formula, neg_language: ConstraintLanguage):
     """Erase negative weights over a negation-closed language: a negative
     application flips to its pointwise negation with positive weight."""
-    apps = []
-    shift = 0
-    for a in phi.applications:
-        if a.weight >= 0:
-            member = neg_language.by_table(a.constraint.arity, a.constraint.table)
-            if member is None:
-                raise PreconditionError(
-                    f"{a.constraint.name} not in {neg_language.name!r}")
-            apps.append(Application(member, a.indices, a.weight))
-            continue
-        comp = tuple(1 - v for v in a.constraint.table)
-        member = neg_language.by_table(a.constraint.arity, comp)
-        if member is None:
-            raise PreconditionError(
-                f"language {neg_language.name!r} is not negation-closed: "
-                f"missing the negation of {a.constraint.name}")
-        apps.append(Application(member, a.indices, -a.weight))
-        shift += -a.weight
-    phi2 = Formula(phi.nvars, tuple(apps), RANGE_N, phi.threshold + shift)
-    cert = _certificate("signed-to-unsigned", KIND_ADDITIVE, phi, phi2,
-                        (AFFINE, 1, shift), var_bound=0, size_factor=1,
-                        weight_factor=1, weight_exponent=0)
-    return phi2, cert
+    return _flip_signed(phi, neg_language, lambda a: a.weight < 0, RANGE_N,
+                        "signed-to-unsigned")
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +147,10 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
     weight_factor = max(
         [sum(abs(int(t.coefficient)) for t in c.terms) for c in combos.values()]
         + [1])
-    cert = _certificate("apply-poly", KIND_ADDITIVE, phi, phi2,
-                        (AFFINE, beta, 0), var_bound=0,
-                        size_factor=size_factor, weight_factor=weight_factor,
-                        weight_exponent=0)
+    cert = build_certificate("apply-poly", phi, phi2, KIND_ADDITIVE,
+                             (AFFINE, beta, 0), var_bound=0,
+                             size_factor=size_factor,
+                             weight_factor=weight_factor, weight_exponent=0)
     return phi2, cert
 
 
@@ -256,12 +181,8 @@ def implement_tf(phi: Formula, base: ConstraintLanguage,
     the fresh variables x_T, x_F, pinned by weight-scaled implementations
     (T and F separately, or XOR of the pair when the language is
     complementation-closed)."""
-    report = classify_language(base)
-    for cond, msg in ((report.trivial, "trivial"),
-                      (report.zero_valid, "0-valid"),
-                      (report.one_valid, "1-valid")):
-        if cond:
-            raise PreconditionError(f"implement-tf: language {base.name!r} is {msg}")
+    report = _hard_report(base, f"implement-tf: language {base.name!r}",
+                          two_monotone=False)
     if phi.threshold < -phi.total_weight:
         return _degenerate("implement-tf", phi, True, False)
 
@@ -275,26 +196,23 @@ def implement_tf(phi: Formula, base: ConstraintLanguage,
         apps.append(Application(f, idx, a.weight))
 
     big_w = 2 * phi.total_weight + 1
+    pins = ([(xor_constraint(2), (xt, xf))] if report.c_closed
+            else [(T, (xt,)), (F, (xf,))])
     gadget: list[Application] = []
-    if report.c_closed:
-        impl = _require_implementation(base, xor_constraint(2), max_aux, max_apps)
-        gadget += _impl_applications(impl, (xt, xf), n + 2, big_w)
-        aux = impl.aux_count
-        alpha = impl.alpha
-    else:
-        t_impl = _require_implementation(base, T, max_aux, max_apps)
-        f_impl = _require_implementation(base, F, max_aux, max_apps)
-        gadget += _impl_applications(t_impl, (xt,), n + 2, big_w)
-        gadget += _impl_applications(f_impl, (xf,), n + 2 + t_impl.aux_count, big_w)
-        aux = t_impl.aux_count + f_impl.aux_count
-        alpha = t_impl.alpha + f_impl.alpha
+    aux = alpha = 0
+    for target, primaries in pins:
+        impl = _require_implementation(base, target, max_aux, max_apps)
+        gadget += _impl_applications(impl, primaries, n + 2 + aux, big_w)
+        aux += impl.aux_count
+        alpha += impl.alpha
 
     phi2 = Formula(n + 2 + aux, merge_applications(apps + gadget), RANGE_Z,
                    alpha * big_w + phi.threshold)
     m = len(gadget)
-    cert = _certificate("implement-tf", KIND_ADDITIVE, phi, phi2,
-                        (EXISTENTIAL,), var_bound=2 + aux, size_factor=m + 1,
-                        weight_factor=2 * m + 1, weight_exponent=0)
+    cert = build_certificate("implement-tf", phi, phi2, KIND_ADDITIVE,
+                             (EXISTENTIAL,), var_bound=2 + aux,
+                             size_factor=m + 1, weight_factor=2 * m + 1,
+                             weight_exponent=0)
     return phi2, cert
 
 
@@ -314,9 +232,9 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     big_w = max((-a.weight for a in base_apps if a.weight < 0), default=0)
     if big_w == 0:
         phi2 = Formula(phi.nvars, base_apps, RANGE_N, phi.threshold)
-        cert = _certificate("unsigned-lit", KIND_ADDITIVE, phi, phi2,
-                            (AFFINE, 1, 0), var_bound=0, size_factor=1,
-                            weight_factor=1, weight_exponent=0)
+        cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
+                                 (AFFINE, 1, 0), var_bound=0, size_factor=1,
+                                 weight_factor=1, weight_exponent=0)
         return phi2, cert
 
     tuples: dict[Constraint, set] = {}
@@ -340,11 +258,11 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
         raise FormatError("unsigned-lit left a negative weight")
     phi2 = Formula(phi.nvars, merged, RANGE_N, phi.threshold + shift)
     kmax = max(c.arity for c in tuples)
-    cert = _certificate("unsigned-lit", KIND_ADDITIVE, phi, phi2,
-                        (AFFINE, 1, shift), var_bound=0,
-                        size_factor=1 + (1 << kmax),
-                        weight_factor=1 + (1 << kmax) * total_tuples,
-                        weight_exponent=0)
+    cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
+                             (AFFINE, 1, shift), var_bound=0,
+                             size_factor=1 + (1 << kmax),
+                             weight_factor=1 + (1 << kmax) * total_tuples,
+                             weight_exponent=0)
     return phi2, cert
 
 
@@ -354,13 +272,8 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
     """Eliminate literals from a nonnegative formula over Gamma^{LIT}: every
     variable gets a negation-copy, negated slots are rewired to the copies,
     and weight-scaled XOR implementations link each pair."""
-    report = classify_language(base)
-    for cond, msg in ((report.trivial, "trivial"),
-                      (report.zero_valid, "0-valid"),
-                      (report.one_valid, "1-valid"),
-                      (report.two_monotone, "2-monotone")):
-        if cond:
-            raise PreconditionError(f"implement-lit: language {base.name!r} is {msg}")
+    _hard_report(base, f"implement-lit: language {base.name!r}",
+                 two_monotone=True)
     if phi.weight_range != RANGE_N:
         raise PreconditionError("implement-lit needs nonnegative weights")
     if phi.threshold < 0:
@@ -383,9 +296,11 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
     phi2 = Formula(n * (2 + q), merge_applications(apps + gadget), RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
-    cert = _certificate("implement-lit", KIND_LINEAR, phi, phi2,
-                        (EXISTENTIAL,), var_bound=2 + q, size_factor=m + 1,
-                        weight_factor=impl.alpha * m + 1, weight_exponent=1)
+    cert = build_certificate("implement-lit", phi, phi2, KIND_LINEAR,
+                             (EXISTENTIAL,), var_bound=2 + q,
+                             size_factor=m + 1,
+                             weight_factor=impl.alpha * m + 1,
+                             weight_exponent=1)
     return phi2, cert
 
 
@@ -400,15 +315,8 @@ def chain_stages(phi: Formula, source: ConstraintLanguage,
     "Z": polynomial re-expression then constant elimination) or CS(target,
     N) (mode "N": continuing with sign and literal elimination).  Returns
     the list of (label, formula, certificate) triples."""
-    report = classify_language(target)
-    if report.trivial:
-        raise PreconditionError(f"chain: target {target.name!r} is trivial")
-    if report.zero_valid:
-        raise PreconditionError(f"chain: target {target.name!r} is 0-valid")
-    if report.one_valid:
-        raise PreconditionError(f"chain: target {target.name!r} is 1-valid")
-    if mode == RANGE_N and report.two_monotone:
-        raise PreconditionError(f"chain: target {target.name!r} is 2-monotone")
+    _hard_report(target, f"chain: target {target.name!r}",
+                 two_monotone=mode == RANGE_N)
     if degree_of_language(source) > degree_of_language(target):
         raise PreconditionError(
             f"chain: deg({source.name}) > deg({target.name})")
@@ -431,11 +339,9 @@ def chain(phi: Formula, source: ConstraintLanguage,
           max_aux: int = DEFAULT_MAX_AUX, max_apps: int = DEFAULT_MAX_APPS):
     stages = chain_stages(phi, source, target, mode, max_aux, max_apps)
     final = stages[-1][1]
-    certs = tuple(c for _, _, c in stages)
-    kind = KIND_ADDITIVE if all(c.kind == KIND_ADDITIVE for c in certs) else KIND_LINEAR
-    value_map = compose_value_maps([c.value_map for c in certs])
     label = "chain-additive" if mode == RANGE_Z else "chain-linear"
-    cert = _measured_certificate(label, kind, phi, final, value_map, certs)
+    cert = build_certificate(label, phi, final,
+                             stages=tuple(c for _, _, c in stages))
     return final, cert
 
 
@@ -595,20 +501,12 @@ def kernelize(phi: Formula, language: ConstraintLanguage,
         return finish(phi2, cert, compact.monomials)
 
     phi_poly = formula_from_polynomial(poly, n, t_folded)
-    const_cert = _certificate("fold-constant", KIND_ADDITIVE, phi, phi_poly,
-                              (AFFINE, 1, t_folded - phi.threshold),
-                              var_bound=0,
-                              size_factor=max(1, -(-phi_poly.size // (phi.size + n))),
-                              weight_factor=max(1, -(-phi_poly.total_weight
-                                                     // (phi.total_weight + 1))),
-                              weight_exponent=0)
-    stages = [const_cert]
+    const_cert = build_certificate("fold-constant", phi, phi_poly, KIND_ADDITIVE,
+                                   (AFFINE, 1, t_folded - phi.threshold))
     final, chain_cert = chain(phi_poly, gamma_d_and(poly.degree), language,
                               RANGE_N, max_aux, max_apps)
-    stages.append(chain_cert)
-    cert = _measured_certificate(
-        "kernelize", chain_cert.kind, phi, final,
-        compose_value_maps([c.value_map for c in stages]), tuple(stages))
+    cert = build_certificate("kernelize", phi, final,
+                             stages=(const_cert, chain_cert))
     return finish(final, cert, compact.monomials)
 
 
@@ -665,19 +563,14 @@ class VerifyReport:
 
 
 def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
-                     oracle_cap: int = ORACLE_CAP,
-                     pointwise_cap: int = 14) -> VerifyReport:
+                     oracle_cap: int = ORACLE_CAP) -> VerifyReport:
     """Oracle-check a transformation certificate: endpoint bookkeeping, the
-    accounting inequalities, both decision equivalences, and the pointwise
-    affine relation where one is claimed."""
+    accounting inequalities, and, up to the one oracle cap, both decision
+    equivalences and the pointwise affine relation where one is claimed."""
     checks = []
 
-    endpoint_ok = (cert.n_in == phi1.nvars and cert.n_out == phi2.nvars
-                   and cert.size_in == phi1.size and cert.size_out == phi2.size
-                   and cert.weight_in == phi1.total_weight
-                   and cert.weight_out == phi2.total_weight
-                   and cert.t_in == phi1.threshold
-                   and cert.t_out == phi2.threshold)
+    endpoint_ok = all(getattr(cert, field) == value
+                      for field, value in endpoints(phi1, phi2).items())
     checks.append(ConditionCheck("endpoints", endpoint_ok))
 
     if cert.kind == KIND_ADDITIVE:
@@ -695,24 +588,17 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
     checks.append(ConditionCheck(
         "weight", phi2.total_weight <= weight_bound))
 
-    if max(phi1.nvars, phi2.nvars) <= oracle_cap:
-        geq1, eq1 = decisions(phi1, cap=oracle_cap)
-        geq2, eq2 = decisions(phi2, cap=oracle_cap)
-        checks.append(ConditionCheck("equivalence-geq", geq1 == geq2))
-        checks.append(ConditionCheck("equivalence-eq", eq1 == eq2))
-    else:
-        checks.append(ConditionCheck("equivalence-geq", None, "beyond oracle cap"))
-        checks.append(ConditionCheck("equivalence-eq", None, "beyond oracle cap"))
-
-    if cert.is_affine() and phi1.nvars == phi2.nvars:
-        if phi1.nvars <= pointwise_cap:
-            # phi2 = (p/q) phi1 + r/s, compared in integers.
-            (p, q), (r, s) = (Fraction(v).as_integer_ratio() for v in cert.value_map[1:])
-            ok = all(q * s * phi2.value(bits) == p * s * phi1.value(bits) + r * q
-                     for bits in (row_to_bits(m, phi1.nvars)
-                                  for m in range(1 << phi1.nvars)))
-            checks.append(ConditionCheck("affine-pointwise", ok))
-        else:
-            checks.append(ConditionCheck("affine-pointwise", None,
-                                         "beyond pointwise cap"))
+    affine = cert.is_affine() and phi1.nvars == phi2.nvars
+    if max(phi1.nvars, phi2.nvars) > oracle_cap:
+        names = ["equivalence-geq", "equivalence-eq"]
+        names += ["affine-pointwise"] if affine else []
+        checks += [ConditionCheck(name, None, "beyond oracle cap") for name in names]
+        return VerifyReport(tuple(checks))
+    geq1, eq1 = decisions(phi1, cap=oracle_cap)
+    geq2, eq2 = decisions(phi2, cap=oracle_cap)
+    checks.append(ConditionCheck("equivalence-geq", geq1 == geq2))
+    checks.append(ConditionCheck("equivalence-eq", eq1 == eq2))
+    if affine:
+        ok = affine_holds(phi1, phi2, *cert.value_map[1:], cap=oracle_cap)
+        checks.append(ConditionCheck("affine-pointwise", ok))
     return VerifyReport(tuple(checks))

@@ -7,7 +7,9 @@ from maxcsp.constraints import xor_constraint
 from maxcsp.errors import FormatError
 from maxcsp.formulas import Application, Formula
 from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
-                               parse_certificate, parse_instance, parse_language,
+                               parse_certificate, parse_graph,
+                               parse_implementation, parse_instance,
+                               parse_language, parse_polynomial,
                                resolve_language_spec)
 from maxcsp.languages import builtin_language
 from maxcsp.transforms import unsigned_lit
@@ -182,3 +184,34 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad.write_text("maxcsp 2 1 N 0\nOR2 -1 1 2\n")
     assert main(["solve", "--language", "2sat", "--instance", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_polynomial, "poly 2 x\n", "line 1"),
+    (parse_polynomial, "poly two 1\n1 1\n", "line 1"),
+    (parse_graph, "graph 3 z\n", "line 1"),
+    (parse_graph, "graph 3 1\n1 b\n", "line 2"),
+    (parse_implementation, "impl XOR p=2 q=x\nend\n", "line 1"),
+    (parse_implementation, "impl XOR q=0\nXOR 1 2\nend\n", "line 1"),
+    (parse_implementation, "impl XOR p=2 q=0\nXOR 1 y\nend\n", "line 2"),
+])
+def test_parsers_reject_bad_integers_with_line(parse, text, line):
+    args = ((builtin_language("xor"), xor_constraint(2))
+            if parse is parse_implementation else ())
+    with pytest.raises(FormatError, match=line):
+        parse(text, *args)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poly", "--constraint", "FOO"], "unknown standard constraint 'FOO'"),
+    (["implement", "--language", "nae3", "--target", "FOO"], "'FOO'"),
+    (["verify", "decomposition", "x"], "--base is required"),
+    (["verify", "implementation", "x", "--language", "nae3"],
+     "--target is required"),
+    (["decompose", "--base", "EX3"], "--target or --target-poly is required"),
+    (["classify"], "--language is required"),
+])
+def test_cli_unknown_names_and_missing_options_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

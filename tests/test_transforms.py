@@ -117,7 +117,7 @@ def test_apply_poly_degree_violation():
     ("2sat", "xor"), ("2sat", "nae3"), ("xor", "ex3"), ("and2", "nae3")])
 def test_apply_poly_random_equivalence(src_key, dst_key):
     src, dst = builtin_language(src_key), builtin_language(dst_key)
-    for phi in random_cases(src, 25, 6, 8, "Z", seed=hash((src_key, dst_key)) & 0xffff):
+    for phi in random_cases(src, 25, 6, 8, "Z", seed=f"{src_key}/{dst_key}"):
         phi2, cert = apply_poly(phi, src, dst)
         assert_equivalent(phi, phi2, cert)
 
@@ -157,7 +157,7 @@ def test_implement_tf_rejects_valid_languages():
 def test_implement_tf_random_equivalence(key):
     base = builtin_language(key)
     tf = closure(base, MODE_TF)
-    for phi in random_cases(tf, 25, 5, 7, "Z", seed=hash(key) & 0xffff):
+    for phi in random_cases(tf, 25, 5, 7, "Z", seed=key):
         phi2, cert = implement_tf(phi, base)
         assert_equivalent(phi, phi2, cert)
 
@@ -193,7 +193,7 @@ def test_unsigned_lit_shift_counts_tuples():
 @pytest.mark.parametrize("key", ["xor", "nae3", "ex3", "2sat"])
 def test_unsigned_lit_random_equivalence(key):
     base = builtin_language(key)
-    for phi in random_cases(base, 25, 6, 8, "Z", seed=hash(("ul", key)) & 0xffff):
+    for phi in random_cases(base, 25, 6, 8, "Z", seed=f"ul/{key}"):
         phi2, cert = unsigned_lit(phi, base)
         assert phi2.weight_range == "N"
         assert_equivalent(phi, phi2, cert)
@@ -235,7 +235,7 @@ def test_implement_lit_rejects_two_monotone_and_signed():
 def test_implement_lit_random_equivalence(key, nvars):
     base = builtin_language(key)
     lit = closure(base, MODE_LIT)
-    for phi in random_cases(lit, 25, nvars, 8, "N", seed=hash(("il", key)) & 0xffff):
+    for phi in random_cases(lit, 25, nvars, 8, "N", seed=f"il/{key}"):
         phi2, cert = implement_lit(phi, base)
         assert_equivalent(phi, phi2, cert)
 
@@ -279,7 +279,7 @@ def test_chain_additive_certificates_compose():
 @pytest.mark.parametrize("src_key,dst_key", [("2sat", "xor"), ("2sat", "nae3")])
 def test_chain_linear_random_equivalence(src_key, dst_key):
     src, dst = builtin_language(src_key), builtin_language(dst_key)
-    for phi in random_cases(src, 15, 6, 8, "Z", seed=hash((src_key, dst_key, "n")) & 0xffff):
+    for phi in random_cases(src, 15, 6, 8, "Z", seed=f"{src_key}/{dst_key}/n"):
         out, cert = chain(phi, src, dst, "N")
         assert out.weight_range == "N" and out.nvars <= 20
         assert_equivalent(phi, out, cert)
@@ -335,7 +335,7 @@ def test_kernelize_polynomial_time_languages():
     # 0-valid, 1-valid, and 2-monotone languages get solved kernels
     for key, range_ in (("eq", "N"), ("or2", "N"), ("and2t", "N"), ("eq", "Z")):
         lang = builtin_language(key)
-        for phi in random_cases(lang, 8, 5, 6, range_, seed=hash((key, range_)) & 0xffff):
+        for phi in random_cases(lang, 8, 5, 6, range_, seed=f"{key}/{range_}"):
             res = kernelize(phi, lang)
             assert res.formula.size == 0
             assert_equivalent(phi, res.formula, res.certificate)
@@ -415,21 +415,45 @@ def test_formula_polynomial_at_n80_m8000():
 
 
 def test_affine_pointwise_with_fractional_map():
-    # phi1 = 1 + 2 XOR, phi2 = 1 + 3 XOR = (3/2) phi1 - 1/2.
-    phi1 = Formula(2, (Application(T, (1,), 1), Application(F, (1,), 1),
-                       Application(XOR, (1, 2), 2)), "N", 3)
-
-    def check(xor_weight, b):
-        phi2 = Formula(2, (Application(T, (1,), 1), Application(F, (1,), 1),
-                           Application(XOR, (1, 2), xor_weight)), "N", 4)
+    def affine_check(phi1, phi2, a, b):
         cert = TransformCertificate(
-            "scale", KIND_ADDITIVE, 2, 2, 3, 3, phi1.total_weight,
-            phi2.total_weight, 3, 4, (AFFINE, Fraction(3, 2), b), 0, 1, 2, 0)
-        return {c.name: c.passed for c in verify_transform(phi1, phi2, cert).checks}
+            "scale", KIND_ADDITIVE, phi1.nvars, phi2.nvars, phi1.size, phi2.size,
+            phi1.total_weight, phi2.total_weight, phi1.threshold,
+            phi2.threshold, (AFFINE, a, b), 0, 1, 2, 0)
+        checks = verify_transform(phi1, phi2, cert).checks
+        return {c.name: c.passed for c in checks}["affine-pointwise"]
 
-    assert check(3, Fraction(-1, 2))["affine-pointwise"] is True
-    assert check(3, Fraction(-1, 3))["affine-pointwise"] is False
-    assert check(4, Fraction(-1, 2))["affine-pointwise"] is False
+    # phi1 = 1 + 2 XOR, phi2 = 1 + 3 XOR = (3/2) phi1 - 1/2.
+    def one_plus_xor(xor_weight, t):
+        return Formula(2, (Application(T, (1,), 1), Application(F, (1,), 1),
+                           Application(XOR, (1, 2), xor_weight)), "N", t)
+
+    phi1, a = one_plus_xor(2, 3), Fraction(3, 2)
+    assert affine_check(phi1, one_plus_xor(3, 4), a, Fraction(-1, 2)) is True
+    assert affine_check(phi1, one_plus_xor(3, 4), a, Fraction(-1, 3)) is False
+    assert affine_check(phi1, one_plus_xor(4, 4), a, Fraction(-1, 2)) is False
+
+    # Same-n pairs past 14 variables are checked exhaustively up to the
+    # oracle cap, not skipped.
+    phi = random_formula(gamma_d_sat(2), 18, 30, "Z", max_weight=20,
+                         seed="affine/18")
+    phi2, cert = unsigned_lit(phi, gamma_d_sat(2))
+    assert phi2.nvars == 18 and cert.value_map[2] != 0
+    report = {c.name: c.passed for c in verify_transform(phi, phi2, cert).checks}
+    assert report["affine-pointwise"] is True
+    shift = cert.value_map[2]
+    assert affine_check(phi, phi2, 1, shift + 1) is False
+    bumped = phi2.replace(applications=phi2.applications + (Application(T, (1,), 1),))
+    assert affine_check(phi, bumped, 1, shift) is False
+    assert verify_transform(phi, phi2, cert, oracle_cap=17).checks[-1].passed is None
+
+    # q*s*||phi2|| = 2**64: an int64 comparison would wrap 2**40 * 2**24
+    # and 2**64 to 0 and accept both perturbations below.
+    small = Formula(2, (Application(XOR, (1, 2), 2 ** 24),), "N", 0)
+    big = Formula(2, (Application(XOR, (1, 2), 2 ** 64),), "N", 0)
+    assert affine_check(small, big, 2 ** 40, 0) is True
+    assert affine_check(small, big, 2 ** 40, 2 ** 64) is False
+    assert affine_check(small, Formula(2, (), "N", 0), 2 ** 40, 0) is False
 
 
 def test_kernel_app_count_bound_holds_with_recorded_constant():
