@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import io_formats as io
@@ -257,7 +258,9 @@ def _add_common(p, language=True, instance=False, caps=False, verify=False):
     p.add_argument("-o", "--output")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="maxcsp",
         description="Constraint-language analysis, reductions, and "

@@ -133,6 +133,10 @@ class ConstraintLanguage:
         object.__setattr__(self, "constraints",
                            tuple(sorted(self.constraints, key=lambda c: c.name)))
         object.__setattr__(self, "_hash", hash((self.name, self.constraints)))
+        object.__setattr__(self, "_by_name", {c.name: c for c in self.constraints})
+        # Filled in reverse, so each table maps to its first member by name.
+        object.__setattr__(self, "_by_table", {
+            c.signature(): c for c in reversed(self.constraints)})
 
     def __hash__(self):
         return self._hash
@@ -141,16 +145,12 @@ class ConstraintLanguage:
         return iter(self.constraints)
 
     def get(self, name: str) -> Constraint:
-        for c in self.constraints:
-            if c.name == name:
-                return c
-        raise KeyError(f"no constraint named {name!r} in language {self.name!r}")
+        if name not in self._by_name:
+            raise KeyError(f"no constraint named {name!r} in language {self.name!r}")
+        return self._by_name[name]
 
     def by_table(self, arity: int, table: tuple[int, ...]) -> Constraint | None:
-        for c in self.constraints:
-            if c.arity == arity and c.table == table:
-                return c
-        return None
+        return self._by_table.get((arity, tuple(table)))
 
     def signatures(self) -> frozenset:
         return frozenset(c.signature() for c in self.constraints)
@@ -356,6 +356,7 @@ class ClassificationReport:
         return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def classify_language(language: ConstraintLanguage) -> ClassificationReport:
     per = tuple((c.name, classify(c)) for c in language)
     nontrivial = [flags for _, flags in per if not flags.trivial]

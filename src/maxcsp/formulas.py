@@ -4,14 +4,17 @@ A formula is a set of weighted constraint applications over variables
 1..nvars, tagged with a weight range ("Z" or "N"), a decision threshold, and
 an optional declared weight exponent c asserting ||phi|| <= nvars**c.
 Applications are kept in canonical sorted order; duplicate (constraint,
-tuple) pairs are merged only by merge_applications (which formula_sum
-uses), never implicitly.
+tuple) pairs are merged only on request, never implicitly: the reductions
+add their output weights into one dict keyed by (constraint, indices), and
+merge_applications (used by formula_sum) fills one from a list; each
+application is then built once by applications_from_weights.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace as dataclass_replace
+from operator import attrgetter
 from typing import Sequence
 
 from .constraints import Constraint, ConstraintLanguage
@@ -19,6 +22,8 @@ from .errors import FormatError
 
 RANGE_Z = "Z"
 RANGE_N = "N"
+
+_SORT_KEY = attrgetter("constraint.name", "indices", "weight")
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,6 @@ class Application:
             raise FormatError(
                 f"{self.constraint.name} has arity {self.constraint.arity}, "
                 f"got indices {self.indices}")
-
-    def sort_key(self):
-        return (self.constraint.name, self.indices, self.weight)
 
     def satisfied_by(self, bits: Sequence[int]) -> int:
         row = 0
@@ -50,12 +52,15 @@ class Formula:
     weight_range: str = RANGE_N
     threshold: int = 0
     declared_weight_exponent: int | None = None
+    # ||phi||: the sum of absolute weights, added up once by __post_init__.
+    total_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nvars < 1:
             raise FormatError("formula needs at least one variable")
         if self.weight_range not in (RANGE_Z, RANGE_N):
             raise FormatError(f"weight range must be Z or N, got {self.weight_range!r}")
+        total = 0
         for app in self.applications:
             for i in app.indices:
                 if not 1 <= i <= self.nvars:
@@ -66,23 +71,19 @@ class Formula:
                 raise FormatError(
                     f"weight range violation: negative weight {app.weight} "
                     f"under N for {app.constraint.name}{app.indices}")
+            total += abs(app.weight)
         object.__setattr__(self, "applications",
-                           tuple(sorted(self.applications, key=Application.sort_key)))
-        if self.declared_weight_exponent is not None:
-            if self.total_weight > self.nvars ** self.declared_weight_exponent:
-                raise FormatError(
-                    f"||phi|| = {self.total_weight} exceeds declared bound "
-                    f"n**{self.declared_weight_exponent}")
+                           tuple(sorted(self.applications, key=_SORT_KEY)))
+        object.__setattr__(self, "total_weight", total)
+        if (self.declared_weight_exponent is not None
+                and total > self.nvars ** self.declared_weight_exponent):
+            raise FormatError(f"||phi|| = {total} exceeds declared bound "
+                              f"n**{self.declared_weight_exponent}")
 
     @property
     def size(self) -> int:
         """|phi|: number of applications."""
         return len(self.applications)
-
-    @property
-    def total_weight(self) -> int:
-        """||phi||: sum of absolute weights."""
-        return sum(abs(a.weight) for a in self.applications)
 
     def value(self, bits: Sequence[int]) -> int:
         """phi(x): total weight of applications satisfied by the assignment."""
@@ -97,28 +98,34 @@ class Formula:
         return tuple(seen[k] for k in sorted(seen))
 
     def replace(self, **kwargs) -> "Formula":
-        data = {
-            "nvars": self.nvars,
-            "applications": self.applications,
-            "weight_range": self.weight_range,
-            "threshold": self.threshold,
-            "declared_weight_exponent": self.declared_weight_exponent,
-        }
-        data.update(kwargs)
-        return Formula(**data)
+        return dataclass_replace(self, **kwargs)
+
+
+def applications_from_weights(weights: dict, reuse=None) -> tuple[Application, ...]:
+    """One application per (constraint, indices) key, in key order, with
+    the summed weight (0 kept); `reuse` maps keys to ready applications."""
+    if reuse:
+        return tuple(reuse.get(key) or Application(key[0], key[1], w)
+                     for key, w in weights.items())
+    return tuple(Application(c, indices, w)
+                 for (c, indices), w in weights.items())
 
 
 def merge_applications(apps) -> tuple[Application, ...]:
     """Merge applications that share the same constraint and the same index
-    tuple by adding their weights; first occurrences keep their order."""
-    merged: dict[tuple, list] = {}
+    tuple by adding their weights; first occurrences keep their order, and
+    an application whose key occurs once is kept as it is."""
+    weights: dict[tuple, int] = {}
+    single: dict[tuple, Application] = {}
     for app in apps:
         key = (app.constraint, app.indices)
-        if key in merged:
-            merged[key][2] += app.weight
+        if key in weights:
+            weights[key] += app.weight
+            single.pop(key, None)
         else:
-            merged[key] = [app.constraint, app.indices, app.weight]
-    return tuple(Application(c, i, w) for c, i, w in merged.values())
+            weights[key] = app.weight
+            single[key] = app
+    return applications_from_weights(weights, single)
 
 
 def formula_sum(a: Formula, b: Formula) -> Formula:

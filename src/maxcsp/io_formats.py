@@ -360,7 +360,7 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
             except (ValueError, ZeroDivisionError) as exc:
                 _fail(num, f"bad decomposition term: {exc}")
             terms.append(CombinationTerm(pattern, constraint, indices, coeff))
-    _require_header(header, "decomposition")
+    _require_header(header, "decomposition", len(terms), "terms")
     return LinearCombination(base, header[0], tuple(terms))
 
 

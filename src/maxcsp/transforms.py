@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
                            TransformCertificate, build_certificate,
@@ -25,8 +26,8 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
                           literal_variant, recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
-from .formulas import (RANGE_N, RANGE_Z, Application, Formula, empty_formula,
-                       merge_applications)
+from .formulas import (RANGE_N, RANGE_Z, Application, Formula,
+                       applications_from_weights, empty_formula)
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
@@ -128,25 +129,30 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
             f"deg({target.name}) = {deg_f}")
     beta, combos = language_denominator(source, f)
     tf = closure(target, MODE_TF)
-    apps = []
+    # Each source member's terms as (member, 0-based index map, coefficient).
+    rewrites: dict = {}
+    for name, combo in combos.items():
+        terms = rewrites[source.get(name)] = []
+        for term in combo.terms:
+            if term.coefficient.denominator != 1:
+                raise FormatError("integerized combination has a fraction left")
+            terms.append((tf.by_table(term.constraint.arity, term.constraint.table),
+                          tuple(j - 1 for j in term.indices),
+                          term.coefficient.numerator))
+    weights: dict = {}
     for a in phi.applications:
-        if (a.constraint.name not in combos
-                or source.get(a.constraint.name).table != a.constraint.table):
+        if a.constraint not in rewrites:
             raise PreconditionError(
                 f"{a.constraint.name} is not in source language {source.name!r}")
-        for term in combos[a.constraint.name].terms:
-            coeff = term.coefficient
-            if coeff.denominator != 1:
-                raise FormatError("integerized combination has a fraction left")
-            member = tf.by_table(term.constraint.arity, term.constraint.table)
-            mapped = tuple(a.indices[j - 1] for j in term.indices)
-            apps.append(Application(member, mapped, a.weight * coeff.numerator))
-    phi2 = Formula(phi.nvars, merge_applications(apps), RANGE_Z,
+        at = a.indices.__getitem__
+        for member, index_map, coeff in rewrites[a.constraint]:
+            key = (member, tuple(map(at, index_map)))
+            weights[key] = weights.get(key, 0) + a.weight * coeff
+    phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_Z,
                    beta * phi.threshold)
-    size_factor = max([len(c.terms) for c in combos.values()] + [1])
-    weight_factor = max(
-        [sum(abs(int(t.coefficient)) for t in c.terms) for c in combos.values()]
-        + [1])
+    size_factor = max([len(terms) for terms in rewrites.values()] + [1])
+    weight_factor = max([sum(abs(c) for _, _, c in terms)
+                         for terms in rewrites.values()] + [1])
     cert = build_certificate("apply-poly", phi, phi2, KIND_ADDITIVE,
                              (AFFINE, beta, 0), var_bound=0,
                              size_factor=size_factor,
@@ -158,11 +164,36 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
 # Constant and literal elimination via implementations
 
 
-def _impl_applications(impl: Implementation, primaries: tuple[int, ...],
-                       aux_start: int, weight: int) -> list[Application]:
-    mapping = list(primaries) + [aux_start + j for j in range(1, impl.aux_count + 1)]
-    return [Application(c, tuple(mapping[v - 1] for v in idx), weight)
-            for c, idx in impl.applications]
+def _add_implementation(weights: dict, impl: Implementation, primaries: tuple,
+                        aux_start: int, weight: int) -> int:
+    """Add impl's applications at `weight` on the primaries and the
+    auxiliaries after aux_start; returns how many."""
+    mapping = primaries + tuple(range(aux_start + 1,
+                                      aux_start + impl.aux_count + 1))
+    for c, idx in impl.applications:
+        key = (c, tuple(mapping[v - 1] for v in idx))
+        weights[key] = weights.get(key, 0) + weight
+    return len(impl.applications)
+
+
+def _add_rewired(weights: dict, phi: Formula, base: ConstraintLanguage,
+                 mode: str, constants: tuple = ()) -> None:
+    """Add phi rewired onto the base by recover_pattern, read once per
+    constraint: slot s > 0 takes index s, a negated slot -s (MODE_LIT)
+    index s plus n, "1" and "0" (MODE_TF) the first and second constant."""
+    rules: dict = {}
+    for a in phi.applications:
+        rule = rules.get(a.constraint)
+        if rule is None:
+            f, pattern = recover_pattern(base, a.constraint, mode)
+            k, slots = a.constraint.arity, pattern.slots
+            rule = rules[a.constraint] = (
+                f, tuple(k if s == "1" else k + 1 if s == "0" else abs(s) - 1 for s in slots),
+                tuple(phi.nvars if isinstance(s, int) and s < 0 else 0 for s in slots))
+        f, positions, offsets = rule
+        at = (a.indices + constants).__getitem__
+        key = (f, tuple(map(add, map(at, positions), offsets)))
+        weights[key] = weights.get(key, 0) + a.weight
 
 
 def _require_implementation(language, target, max_aux, max_apps) -> Implementation:
@@ -188,27 +219,21 @@ def implement_tf(phi: Formula, base: ConstraintLanguage,
 
     n = phi.nvars
     xt, xf = n + 1, n + 2
-    apps = []
-    for a in phi.applications:
-        f, pattern = recover_pattern(base, a.constraint, MODE_TF)
-        idx = tuple(xt if s == "1" else xf if s == "0" else a.indices[s - 1]
-                    for s in pattern.slots)
-        apps.append(Application(f, idx, a.weight))
+    weights: dict = {}
+    _add_rewired(weights, phi, base, MODE_TF, (xt, xf))
 
     big_w = 2 * phi.total_weight + 1
     pins = ([(xor_constraint(2), (xt, xf))] if report.c_closed
             else [(T, (xt,)), (F, (xf,))])
-    gadget: list[Application] = []
-    aux = alpha = 0
+    aux = alpha = m = 0
     for target, primaries in pins:
         impl = _require_implementation(base, target, max_aux, max_apps)
-        gadget += _impl_applications(impl, primaries, n + 2 + aux, big_w)
+        m += _add_implementation(weights, impl, primaries, n + 2 + aux, big_w)
         aux += impl.aux_count
         alpha += impl.alpha
 
-    phi2 = Formula(n + 2 + aux, merge_applications(apps + gadget), RANGE_Z,
+    phi2 = Formula(n + 2 + aux, applications_from_weights(weights), RANGE_Z,
                    alpha * big_w + phi.threshold)
-    m = len(gadget)
     cert = build_certificate("implement-tf", phi, phi2, KIND_ADDITIVE,
                              (EXISTENTIAL,), var_bound=2 + aux,
                              size_factor=m + 1, weight_factor=2 * m + 1,
@@ -222,41 +247,41 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     added at the magnitude of the most negative weight, which contributes
     the same |J_f| * |f| to every assignment."""
     lit = closure(base, MODE_LIT)
+    # A formula is a set of applications; merge repeats first so the most
+    # negative weight is measured on the merged instance.
+    weights: dict = {}
     for a in phi.applications:
         if base.by_table(a.constraint.arity, a.constraint.table) is None:
             raise PreconditionError(
                 f"{a.constraint.name} not in base language {base.name!r}")
-    # A formula is a set of applications; merge repeats first so the most
-    # negative weight is measured on the merged instance.
-    base_apps = merge_applications(phi.applications)
-    big_w = max((-a.weight for a in base_apps if a.weight < 0), default=0)
+        key = (a.constraint, a.indices)
+        weights[key] = weights.get(key, 0) + a.weight
+    big_w = max((-w for w in weights.values() if w < 0), default=0)
     if big_w == 0:
-        phi2 = Formula(phi.nvars, base_apps, RANGE_N, phi.threshold)
+        phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_N,
+                       phi.threshold)
         cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                                  (AFFINE, 1, 0), var_bound=0, size_factor=1,
                                  weight_factor=1, weight_exponent=0)
         return phi2, cert
 
-    tuples: dict[Constraint, set] = {}
-    for a in base_apps:
-        tuples.setdefault(a.constraint, set()).add(a.indices)
-    apps = list(base_apps)
-    shift = 0
-    total_tuples = 0
+    tuples: dict[Constraint, list] = {}
+    for c, idx in weights:
+        tuples.setdefault(c, []).append(idx)
+    shift, total_tuples = 0, len(weights)
     for c in sorted(tuples, key=lambda c: c.name):
         js = sorted(tuples[c])
-        total_tuples += len(js)
         shift += big_w * len(js) * c.satisfying_count()
         variants = [lit.by_table(c.arity, literal_variant(c, frozenset(
             i + 1 for i in range(c.arity) if mask >> i & 1)).table)
             for mask in range(1 << c.arity)]
         for idx in js:
             for v in variants:
-                apps.append(Application(v, idx, big_w))
-    merged = merge_applications(apps)
-    if any(a.weight < 0 for a in merged):
+                weights[v, idx] = weights.get((v, idx), 0) + big_w
+    if any(w < 0 for w in weights.values()):
         raise FormatError("unsigned-lit left a negative weight")
-    phi2 = Formula(phi.nvars, merged, RANGE_N, phi.threshold + shift)
+    phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_N,
+                   phi.threshold + shift)
     kmax = max(c.arity for c in tuples)
     cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                              (AFFINE, 1, shift), var_bound=0,
@@ -280,20 +305,15 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
         return _degenerate("implement-lit", phi, True, False, KIND_LINEAR)
 
     n = phi.nvars
-    apps = []
-    for a in phi.applications:
-        f, pattern = recover_pattern(base, a.constraint, MODE_LIT)
-        idx = tuple(a.indices[s - 1] if s > 0 else n + a.indices[-s - 1]
-                    for s in pattern.slots)
-        apps.append(Application(f, idx, a.weight))
+    weights: dict = {}
+    _add_rewired(weights, phi, base, MODE_LIT)
 
     impl = _require_implementation(base, xor_constraint(2), max_aux, max_apps)
     q = impl.aux_count
     big_w = phi.total_weight + 1
-    gadget = []
     for i in range(1, n + 1):
-        gadget += _impl_applications(impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
-    phi2 = Formula(n * (2 + q), merge_applications(apps + gadget), RANGE_N,
+        _add_implementation(weights, impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
+    phi2 = Formula(n * (2 + q), applications_from_weights(weights), RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
     cert = build_certificate("implement-lit", phi, phi2, KIND_LINEAR,

@@ -40,6 +40,7 @@ KERNEL_LANGS = ("2sat", "3sat", "nae3lit")
 DIGESTS = {
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
+    "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
     "solve-exact-stdout": "68236828693df5f451c9601333331890ffacddffe7a97335c5d32995e91b3bf2",
     "transform-stdout/apply-poly": "05451be0d92da4119bb1bd8633a504c528632b286e47976eacf7fc11abffddc4",
     "transform-stdout/chain-n": "a2887066592c43dc66129cec7a0a433509f6e9689955fe4c490bc8e8663cc472",
@@ -111,6 +112,13 @@ def _outputs(tmp):
             rc, out, err = _run(argv + ["--instance", inst])
             assert rc == 0, (group, key, err)
             add(group, out)
+        # At n = 20 the monomials overlap heavily, so the chain stages merge
+        # many duplicate applications.
+        inst = _instance(tmp / f"k20-{key}.maxcsp", f"kernel20/{key}", key,
+                         20, 500, "N", 1000, half=True)
+        rc, out, err = _run(["kernelize", "--language", key, "--instance", inst])
+        assert rc == 0, ("kernelize n=20", key, err)
+        add("kernelize-stdout/n20", out)
     return groups
 
 

@@ -118,6 +118,26 @@ def test_classify_language_verdicts():
     assert classify_language(trivial).verdict == "poly_time_solvable"
 
 
+def test_classify_language_is_memoized():
+    xor = builtin_language("xor")
+    assert classify_language(xor) is classify_language(builtin_language("xor"))
+
+
+def test_language_lookups_by_name_and_table():
+    # Two members share a table: the first in name order answers by_table.
+    lang = ConstraintLanguage("dup", (Constraint("ZOR", 2, (0, 1, 1, 1)),
+                                      Constraint("OR2", 2, (0, 1, 1, 1)),
+                                      Constraint("AOR", 2, (0, 1, 1, 1)),
+                                      xor_constraint(2)))
+    assert lang.by_table(2, (0, 1, 1, 1)).name == "AOR"
+    assert lang.by_table(2, (0, 1, 1, 0)) == xor_constraint(2)
+    assert lang.by_table(2, (1, 0, 0, 0)) is None
+    assert lang.by_table(1, (0, 1)) is None
+    assert lang.get("OR2").name == "OR2"
+    with pytest.raises(KeyError, match="no constraint named 'NOPE' in language 'dup'"):
+        lang.get("NOPE")
+
+
 def test_apply_pattern_nae3_to_or2():
     g = apply_pattern(nae_constraint(3),
                       SubstitutionPattern(2, (1, 2, "0"), MODE_CONSTANTS))

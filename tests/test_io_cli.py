@@ -2,13 +2,13 @@
 
 import pytest
 
-from maxcsp.cli import main
-from maxcsp.constraints import xor_constraint
+from maxcsp.cli import build_parser, main
+from maxcsp.constraints import ex_constraint, xor_constraint
 from maxcsp.errors import FormatError
 from maxcsp.formulas import Application, Formula
 from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
-                               parse_certificate, parse_graph,
-                               parse_implementation, parse_instance,
+                               parse_certificate, parse_decomposition,
+                               parse_graph, parse_implementation, parse_instance,
                                parse_language, parse_polynomial,
                                resolve_language_spec)
 from maxcsp.languages import builtin_language
@@ -179,6 +179,21 @@ def test_cli_random_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_parser_is_built_once_and_kept_clean(capsys):
+    assert build_parser() is build_parser()
+    argv = ["random", "--language", "nae3", "--nvars", "5", "--napps", "6"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    # A call that sets --seed and then fails on a bad option must not leave
+    # its values behind in the shared parser.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "9", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.maxcsp"
     bad.write_text("maxcsp 2 1 N 0\nOR2 -1 1 2\n")
@@ -194,10 +209,14 @@ def test_cli_error_exit_code(tmp_path, capsys):
     (parse_implementation, "impl XOR p=2 q=x\nend\n", "line 1"),
     (parse_implementation, "impl XOR q=0\nXOR 1 2\nend\n", "line 1"),
     (parse_implementation, "impl XOR p=2 q=0\nXOR 1 y\nend\n", "line 2"),
+    (parse_decomposition, "decomposition EX3 2 x\nend\n", "line 1"),
+    # The header's term count is checked like the other parsers' counts.
+    (parse_decomposition, "decomposition EX3 2 5\n1/2 x1,0,0 1\nend\n",
+     "declares 5 terms, found 1"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
-    args = ((builtin_language("xor"), xor_constraint(2))
-            if parse is parse_implementation else ())
+    args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),
+            parse_decomposition: (ex_constraint(3),)}.get(parse, ())
     with pytest.raises(FormatError, match=line):
         parse(text, *args)
 

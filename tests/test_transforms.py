@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from maxcsp.constraints import (MODE_LIT, MODE_TF, T, F, and_constraint, closure,
-                                or_constraint, row_to_bits, xor_constraint)
+from maxcsp.constraints import (MODE_LIT, MODE_TF, T, F, and_constraint,
+                                classify_language, closure, literal_variant,
+                                or_constraint, recover_pattern, row_to_bits,
+                                xor_constraint)
 from maxcsp.errors import FormatError, PreconditionError
+from maxcsp.expressibility import language_denominator, max_degree_member
 from maxcsp.formulas import Application, Formula, random_formula
-from maxcsp.languages import builtin_language, gamma_d_sat
+from maxcsp.implementations import search_implementation
+from maxcsp.languages import builtin_language, gamma_d_and, gamma_d_sat
 from maxcsp.polynomials import characteristic_polynomial, from_terms
 from maxcsp.solver import brute_force, check_equivalence, decide
 from maxcsp.transforms import (AFFINE, KIND_ADDITIVE, TransformCertificate,
@@ -283,6 +287,156 @@ def test_chain_linear_random_equivalence(src_key, dst_key):
         out, cert = chain(phi, src, dst, "N")
         assert out.weight_range == "N" and out.nvars <= 20
         assert_equivalent(phi, out, cert)
+
+
+# -- chain stages against the list-then-merge construction -------------------
+#
+# Each stage adds its output terms into one dict keyed by (constraint,
+# indices). The references below build the list of every output application
+# first and merge it afterwards, with member lookups by linear scan.
+
+
+def _ref_merge(apps):
+    merged = {}
+    for a in apps:
+        key = (a.constraint, a.indices)
+        if key in merged:
+            merged[key][2] += a.weight
+        else:
+            merged[key] = [a.constraint, a.indices, a.weight]
+    return tuple(Application(c, i, w) for c, i, w in merged.values())
+
+
+def _ref_member(language, c):
+    return next(m for m in language if m.signature() == c.signature())
+
+
+def _ref_gadget(impl, primaries, aux_start, weight):
+    mapping = list(primaries) + [aux_start + j
+                                 for j in range(1, impl.aux_count + 1)]
+    return [Application(c, tuple(mapping[v - 1] for v in idx), weight)
+            for c, idx in impl.applications]
+
+
+def _ref_apply_poly(phi, source, target):
+    beta, combos = language_denominator(source, max_degree_member(target))
+    tf = closure(target, MODE_TF)
+    apps = [Application(_ref_member(tf, term.constraint),
+                        tuple(a.indices[j - 1] for j in term.indices),
+                        a.weight * int(term.coefficient))
+            for a in phi.applications
+            for term in combos[a.constraint.name].terms]
+    return Formula(phi.nvars, _ref_merge(apps), "Z", beta * phi.threshold)
+
+
+def _ref_implement_tf(phi, base):
+    n = phi.nvars
+    xt, xf = n + 1, n + 2
+    apps = []
+    for a in phi.applications:
+        f, pattern = recover_pattern(base, a.constraint, MODE_TF)
+        apps.append(Application(f, tuple(
+            xt if s == "1" else xf if s == "0" else a.indices[s - 1]
+            for s in pattern.slots), a.weight))
+    big_w = 2 * sum(abs(a.weight) for a in phi.applications) + 1
+    pins = ([(XOR, (xt, xf))] if classify_language(base).c_closed
+            else [(T, (xt,)), (F, (xf,))])
+    aux = alpha = 0
+    for target, primaries in pins:
+        impl = search_implementation(base, target)
+        apps += _ref_gadget(impl, primaries, n + 2 + aux, big_w)
+        aux += impl.aux_count
+        alpha += impl.alpha
+    return Formula(n + 2 + aux, _ref_merge(apps), "Z",
+                   alpha * big_w + phi.threshold)
+
+
+def _ref_unsigned_lit(phi, base):
+    lit = closure(base, MODE_LIT)
+    base_apps = _ref_merge(phi.applications)
+    big_w = max([-a.weight for a in base_apps if a.weight < 0] + [0])
+    if big_w == 0:
+        return Formula(phi.nvars, base_apps, "N", phi.threshold)
+    tuples = {}
+    for a in base_apps:
+        tuples.setdefault(a.constraint, set()).add(a.indices)
+    apps = list(base_apps)
+    shift = 0
+    for c in sorted(tuples, key=lambda c: c.name):
+        shift += big_w * len(tuples[c]) * sum(c.table)
+        variants = [_ref_member(lit, literal_variant(c, frozenset(
+            i + 1 for i in range(c.arity) if mask >> i & 1)))
+            for mask in range(1 << c.arity)]
+        apps += [Application(v, idx, big_w)
+                 for idx in sorted(tuples[c]) for v in variants]
+    return Formula(phi.nvars, _ref_merge(apps), "N", phi.threshold + shift)
+
+
+def _ref_implement_lit(phi, base):
+    n = phi.nvars
+    apps = []
+    for a in phi.applications:
+        f, pattern = recover_pattern(base, a.constraint, MODE_LIT)
+        apps.append(Application(f, tuple(
+            a.indices[s - 1] if s > 0 else n + a.indices[-s - 1]
+            for s in pattern.slots), a.weight))
+    impl = search_implementation(base, XOR)
+    q = impl.aux_count
+    big_w = sum(abs(a.weight) for a in phi.applications) + 1
+    for i in range(1, n + 1):
+        apps += _ref_gadget(impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
+    return Formula(n * (2 + q), _ref_merge(apps), "N",
+                   n * impl.alpha * big_w + phi.threshold)
+
+
+REFERENCES = {"apply-poly": _ref_apply_poly, "implement-tf": _ref_implement_tf,
+              "unsigned-lit": _ref_unsigned_lit,
+              "implement-lit": _ref_implement_lit}
+
+
+def test_chain_stages_match_list_then_merge_reference():
+    and2 = gamma_d_and(2).get("AND2")
+    or2 = builtin_language("2sat").get("OR2")
+    cases = [
+        # d-AND kernels over few variables: many overlapping monomials.
+        (phi, gamma_d_and(d), builtin_language(key))
+        for d, key in ((2, "2sat"), (3, "3sat"), (2, "nae3lit"))
+        for phi in random_cases(gamma_d_and(d), 6, 4, 30, "Z",
+                                seed=f"ref/{key}", max_weight=5)
+    ] + [
+        (phi, builtin_language(src), builtin_language(dst))
+        for src, dst in (("2sat", "nae3"), ("xor", "ex3"), ("and2", "nae3"))
+        for phi in random_cases(builtin_language(src), 6, 4, 20, "Z",
+                                seed=f"ref/{src}/{dst}", max_weight=3)
+    ] + [
+        # Repeated applications whose weights and images cancel.
+        (Formula(3, (Application(and2, (1, 2), 2), Application(and2, (1, 2), -2),
+                     Application(and2, (2, 3), -1)), "Z", 0),
+         gamma_d_and(2), builtin_language("2sat")),
+    ]
+    stages_seen = set()
+    zero_weights = 0
+    for phi, source, target in cases:
+        cur = phi.replace(threshold=0)  # no stage takes its degenerate exit
+        for label, out, _ in chain_stages(cur, source, target, "N"):
+            languages = (source, target) if label == "apply-poly" else (target,)
+            assert out == REFERENCES[label](cur, *languages), label
+            stages_seen.add(label)
+            zero_weights += sum(a.weight == 0 for a in out.applications)
+            cur = out
+    assert stages_seen == set(REFERENCES)
+    assert zero_weights > 0
+
+    # unsigned-lit merges repeated input applications before measuring the
+    # most negative weight: here -3 + 1 and -1 + 5.
+    base = builtin_language("2sat")
+    phi = Formula(3, (Application(or2, (1, 2), -3), Application(or2, (2, 3), -1),
+                      Application(or2, (1, 2), 1), Application(or2, (2, 3), 5),
+                      Application(or2, (3, 1), 2)), "Z", 1)
+    out, cert = unsigned_lit(phi, base)
+    assert out == _ref_unsigned_lit(phi, base)
+    assert cert.value_map == ("affine", 1, 2 * 3 * 3)
+    assert_equivalent(phi, out, cert)
 
 
 # -- exp cycle ----------------------------------------------------------------
