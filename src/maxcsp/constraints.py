@@ -153,7 +153,7 @@ class ConstraintLanguage:
         return self._by_table.get((arity, tuple(table)))
 
     def signatures(self) -> frozenset:
-        return frozenset(c.signature() for c in self.constraints)
+        return frozenset(self._by_table)
 
     def non_trivial(self) -> tuple[Constraint, ...]:
         return tuple(c for c in self.constraints if not c.is_trivial())

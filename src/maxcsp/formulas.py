@@ -101,31 +101,21 @@ class Formula:
         return dataclass_replace(self, **kwargs)
 
 
-def applications_from_weights(weights: dict, reuse=None) -> tuple[Application, ...]:
+def applications_from_weights(weights: dict) -> tuple[Application, ...]:
     """One application per (constraint, indices) key, in key order, with
-    the summed weight (0 kept); `reuse` maps keys to ready applications."""
-    if reuse:
-        return tuple(reuse.get(key) or Application(key[0], key[1], w)
-                     for key, w in weights.items())
+    the summed weight (0 kept)."""
     return tuple(Application(c, indices, w)
                  for (c, indices), w in weights.items())
 
 
 def merge_applications(apps) -> tuple[Application, ...]:
     """Merge applications that share the same constraint and the same index
-    tuple by adding their weights; first occurrences keep their order, and
-    an application whose key occurs once is kept as it is."""
+    tuple by adding their weights; first occurrences keep their order."""
     weights: dict[tuple, int] = {}
-    single: dict[tuple, Application] = {}
     for app in apps:
         key = (app.constraint, app.indices)
-        if key in weights:
-            weights[key] += app.weight
-            single.pop(key, None)
-        else:
-            weights[key] = app.weight
-            single[key] = app
-    return applications_from_weights(weights, single)
+        weights[key] = weights.get(key, 0) + app.weight
+    return applications_from_weights(weights)
 
 
 def formula_sum(a: Formula, b: Formula) -> Formula:
