@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, FormatError, PreconditionError
 
-# Materialized closures refuse member constraints above this arity: the
-# pattern space is exponential in the arity and nothing downstream needs
-# closures of large constraints, only patterns on demand.
+# Closures, and the member sources that recover_pattern reads, refuse
+# member constraints above this arity: the pattern space is exponential in
+# the arity and nothing downstream needs closures of large constraints.
 CLOSURE_ARITY_CAP = 8
 
 MODE_CONSTANTS = "constants"   # slots are variables or constants 0/1
@@ -414,55 +414,55 @@ def _closure_patterns(f: Constraint, mode: str):
 
 
 @lru_cache(maxsize=None)
+def _sources(language: ConstraintLanguage, mode: str) -> dict:
+    """(arity, table) -> (closure member, base constraint, pattern) over the
+    TF or LIT pattern space: the originals under the identity, then the
+    first pattern over name-sorted members in canonical order."""
+    sources = {c.signature(): (c, c, identity_pattern(c.arity))
+               for c in reversed(language.constraints)}
+    for c in language:
+        if c.arity > CLOSURE_ARITY_CAP:
+            raise CapExceededError(
+                f"cannot materialize closure of {c.name}: arity {c.arity} "
+                f"exceeds cap {CLOSURE_ARITY_CAP}")
+        for pattern in _closure_patterns(c, mode):
+            g = apply_pattern(c, pattern)
+            sources.setdefault(g.signature(), (g, c, pattern))
+    return sources
+
+
+@lru_cache(maxsize=None)
 def closure(language: ConstraintLanguage, mode: str) -> ConstraintLanguage:
     """Materialize Gamma^{T,F}, Gamma^{LIT}, or Gamma^{NEG}.
 
-    Results are deduplicated by (arity, table); the first constraint found
-    in canonical enumeration order names each table, with the original
-    members always kept under their own names.
+    Every original member is kept under its own name; each other table is
+    named by the first constraint found in canonical enumeration order.
     """
     if mode not in (MODE_TF, MODE_LIT, MODE_NEG):
         raise FormatError(f"unknown closure mode {mode!r}")
-    seen: dict[tuple, Constraint] = {}
-    for c in language:
-        seen.setdefault(c.signature(), c)
-    if mode == MODE_NEG:
-        for c in sorted(language, key=lambda c: c.name):
-            neg = c.negation()
-            seen.setdefault(neg.signature(), neg)
-    else:
-        for c in sorted(language, key=lambda c: c.name):
-            if c.arity > CLOSURE_ARITY_CAP:
-                raise CapExceededError(
-                    f"cannot materialize closure of {c.name}: arity {c.arity} "
-                    f"exceeds cap {CLOSURE_ARITY_CAP}")
-            for pattern in _closure_patterns(c, mode):
-                g = apply_pattern(c, pattern)
-                seen.setdefault(g.signature(), g)
-    return ConstraintLanguage(f"{language.name}^{mode}", tuple(seen.values()))
+    derived = ([c.negation() for c in language] if mode == MODE_NEG
+               else [g for g, _, _ in _sources(language, mode).values()])
+    first = {g.signature(): g for g in reversed(derived)}  # first one wins
+    own = language.signatures()
+    return ConstraintLanguage(f"{language.name}^{mode}", language.constraints
+                              + tuple(g for k, g in first.items() if k not in own))
 
 
 @lru_cache(maxsize=None)
 def recover_pattern(language: ConstraintLanguage, target: Constraint,
                     mode: str) -> tuple[Constraint, SubstitutionPattern]:
-    """Find f in the language and a pattern with apply_pattern(f, p) == target.
-
-    Used to rewire closure members whose provenance was lost (e.g. parsed
-    from a file).  Deterministic: first match over name-sorted members and
-    canonical pattern order.
-    """
+    """The base constraint and pattern that produced target's table in
+    closure(language, mode): a member of the language under the identity,
+    any other target read from the closure's source table."""
     direct = language.by_table(target.arity, target.table)
     if direct is not None:
         return direct, identity_pattern(target.arity)
-    for f in sorted(language, key=lambda c: c.name):
-        for pattern in _closure_patterns(f, mode):
-            if pattern.target_arity != target.arity:
-                continue
-            if apply_pattern(f, pattern).table == target.table:
-                return f, pattern
-    raise PreconditionError(
-        f"{target.name} is not expressible from language {language.name!r} "
-        f"in mode {mode}")
+    found = _sources(language, mode).get(target.signature())
+    if found is None:
+        raise PreconditionError(
+            f"{target.name} is not expressible from language {language.name!r} "
+            f"in mode {mode}")
+    return found[1], found[2]
 
 
 # ---------------------------------------------------------------------------

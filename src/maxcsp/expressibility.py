@@ -189,8 +189,7 @@ def max_degree_member(language: ConstraintLanguage) -> Constraint:
     if not candidates:
         raise PreconditionError(f"language {language.name!r} is trivial")
     best = max(degree_of_constraint(c) for c in candidates)
-    return sorted((c for c in candidates if degree_of_constraint(c) == best),
-                  key=lambda c: c.name)[0]
+    return next(c for c in candidates if degree_of_constraint(c) == best)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +200,7 @@ def language_denominator(source: ConstraintLanguage, f: Constraint
     Memoized; the mapping is read-only because every caller shares it."""
     combos = {}
     denominators = [1]
-    for g in sorted(source, key=lambda c: c.name):
+    for g in source:
         combo = decompose(characteristic_polynomial(g), f)
         combos[g.name] = combo
         denominators.extend(t.coefficient.denominator for t in combo.terms)

@@ -181,7 +181,7 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
             if remapped is not None and remapped.strict:
                 return remapped
     p = target.arity
-    members = [c for c in sorted(language, key=lambda c: c.name) if c.arity >= 1]
+    members = [c for c in language if c.arity >= 1]
     for q in range(max_aux + 1):
         tot = p + q
         space = [(c, idx) for c in members

@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .certificates import AFFINE, EXISTENTIAL, TransformCertificate
+from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
+                           TransformCertificate)
 from .constraints import (MODE_CONSTANTS, Constraint, ConstraintLanguage,
                           MODE_LIT, MODE_NEG, MODE_TF, apply_pattern, closure,
                           make_constraint, parse_pattern, render_pattern)
@@ -224,6 +225,12 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
             label = parts[1]
         elif parts[0] == "end":
             break
+        elif parts[0] in fields:
+            _fail(num, f"repeated {parts[0]!r} line")
+        elif parts[0] == "kind" and parts[1:] not in ([KIND_ADDITIVE], [KIND_LINEAR]):
+            _fail(num, f"bad kind {line!r}")
+        elif parts[0] == "value_map" and parts[1:2] not in ([AFFINE], [EXISTENTIAL]):
+            _fail(num, f"bad value map {line!r}")
         else:
             fields[parts[0]] = parts[1:]
     if label is None:
@@ -357,7 +364,7 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
                            else tuple(int(p) for p in parts[2].split(",")))
                 pattern = parse_pattern(parts[1], len(indices), MODE_CONSTANTS)
                 constraint = apply_pattern(base, pattern)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, FormatError) as exc:
                 _fail(num, f"bad decomposition term: {exc}")
             terms.append(CombinationTerm(pattern, constraint, indices, coeff))
     _require_header(header, "decomposition", len(terms), "terms")

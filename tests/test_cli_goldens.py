@@ -14,8 +14,9 @@ import io
 import random
 
 from maxcsp.cli import main
+from maxcsp.constraints import ConstraintLanguage, standard_constraint
 from maxcsp.formulas import random_formula
-from maxcsp.io_formats import emit_instance, resolve_language_spec
+from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
 # Every affine pair here keeps n <= 14, so its verify report was complete
@@ -36,11 +37,15 @@ PREFIX = {"neg-to-base": "neg:", "unsign-neg": "neg:", "implement-tf": "tf:",
           "implement-lit": "lit:"}
 SEEDS = (0, 1, 2)
 KERNEL_LANGS = ("2sat", "3sat", "nae3lit")
+# One-member languages read from a file, whose closures have members of
+# arity 4 and 5: (constraint, weights, nvars, napps).
+WIDE_KERNELS = (("EX4", "N", 10, 40), ("EX4", "Z", 10, 40), ("NAE5", "N", 8, 30))
 
 DIGESTS = {
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
     "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
+    "kernelize-stdout/wide": "ecb0ba4cd3ed89914d9dfda485135c911df11dc561fa6143a0efecf6b6721ad7",
     "solve-exact-stdout": "68236828693df5f451c9601333331890ffacddffe7a97335c5d32995e91b3bf2",
     "transform-stdout/apply-poly": "05451be0d92da4119bb1bd8633a504c528632b286e47976eacf7fc11abffddc4",
     "transform-stdout/chain-n": "a2887066592c43dc66129cec7a0a433509f6e9689955fe4c490bc8e8663cc472",
@@ -119,6 +124,18 @@ def _outputs(tmp):
         rc, out, err = _run(["kernelize", "--language", key, "--instance", inst])
         assert rc == 0, ("kernelize n=20", key, err)
         add("kernelize-stdout/n20", out)
+
+    for name, weights, n, m in WIDE_KERNELS:
+        lang = tmp / f"{name.lower()}.lang"
+        lang.write_text(emit_language(
+            ConstraintLanguage(name.lower(), (standard_constraint(name),))))
+        inst = _instance(tmp / f"w-{name}-{weights}.maxcsp",
+                         f"wide/{name}/{weights}", str(lang), n, m, weights,
+                         1000, half=True)
+        rc, out, err = _run(["kernelize", "--language", str(lang),
+                             "--instance", inst])
+        assert rc == 0, ("kernelize wide", name, weights, err)
+        add("kernelize-stdout/wide", out)
     return groups
 
 

@@ -5,16 +5,18 @@ import random
 
 import pytest
 
-from maxcsp.constraints import (MODE_CONSTANTS, MODE_LIT, MODE_LITERALS,
-                                MODE_NEG, MODE_TF, Constraint,
+from maxcsp import constraints
+from maxcsp.constraints import (CLOSURE_ARITY_CAP, MODE_CONSTANTS, MODE_LIT,
+                                MODE_LITERALS, MODE_NEG, MODE_TF, Constraint,
                                 ConstraintLanguage, SubstitutionPattern,
                                 apply_pattern, classify, classify_language,
-                                closure, literal_variant, make_constraint,
-                                nae_constraint, or_constraint, and_constraint,
-                                xor_constraint, ex_constraint, eq_constraint,
-                                dicut_constraint, recover_pattern, T, F)
-from maxcsp.errors import CapExceededError, FormatError
-from maxcsp.languages import builtin_language
+                                closure, identity_pattern, literal_variant,
+                                make_constraint, nae_constraint, or_constraint,
+                                and_constraint, xor_constraint, ex_constraint,
+                                eq_constraint, dicut_constraint, recover_pattern,
+                                recursive_nae, T, F)
+from maxcsp.errors import CapExceededError, FormatError, PreconditionError
+from maxcsp.languages import CATALOG_LANGUAGE_KEYS, builtin_language
 
 
 def test_make_constraint_or2():
@@ -196,6 +198,21 @@ def test_closure_idempotent(key, mode):
     assert once.signatures() == twice.signatures()
 
 
+@pytest.mark.parametrize("mode", [MODE_TF, MODE_LIT, MODE_NEG])
+def test_closure_keeps_members_with_equal_tables(mode):
+    xor = xor_constraint(2)
+    dup = ConstraintLanguage("dup", (Constraint("B", 2, xor.table),
+                                     Constraint("A", 2, xor.table)))
+    once = closure(dup, mode)
+    assert once.get("A").table == once.get("B").table == xor.table
+    assert once.by_table(2, xor.table).name == "A"
+    single = closure(ConstraintLanguage("dup", (dup.get("A"),)), mode)
+    assert once.signatures() == single.signatures()
+    assert {c.name for c in once} == {c.name for c in single} | {"B"}
+    assert recover_pattern(dup, once.get("B"), mode) == (
+        dup.get("A"), identity_pattern(2))
+
+
 def test_closure_arity_cap():
     big = ConstraintLanguage("big", (nae_constraint(9),))
     with pytest.raises(CapExceededError):
@@ -218,6 +235,41 @@ def test_literal_variant_count_invariant():
             assert sum(v.value(bits) for v in variants) == c.satisfying_count()
 
 
+def test_recover_pattern_reads_the_closure_sources(monkeypatch):
+    lang = ConstraintLanguage("ex4", (ex_constraint(4),))
+    members = closure(lang, MODE_LIT).constraints
+    recover_pattern.cache_clear()
+
+    def no_search(*args):
+        raise AssertionError("recover_pattern applied a pattern")
+    monkeypatch.setattr(constraints, "apply_pattern", no_search)
+    for member in members:
+        assert recover_pattern(lang, member, MODE_LIT)[0] == lang.get("EX4")
+
+
+def _first_pattern(language, target, mode):
+    """Reference for recover_pattern: the first member by name with target's
+    table under the identity, else the first surjective slot tuple over the
+    name-sorted members, in itertools.product order."""
+    d = target.arity
+    for f in sorted(language, key=lambda c: c.name):
+        if f.table == target.table:
+            return f, identity_pattern(d)
+    variables = list(range(1, d + 1))
+    if mode == MODE_TF:
+        alphabet, pmode = variables + ["0", "1"], MODE_CONSTANTS
+    else:
+        alphabet, pmode = variables + [-i for i in variables], MODE_LITERALS
+    for f in sorted(language, key=lambda c: c.name):
+        for slots in itertools.product(alphabet, repeat=f.arity):
+            if {abs(s) for s in slots if isinstance(s, int)} != set(variables):
+                continue
+            pattern = SubstitutionPattern(d, slots, pmode)
+            if apply_pattern(f, pattern).table == target.table:
+                return f, pattern
+    return None
+
+
 def test_recover_pattern_round_trip():
     lang = builtin_language("ex3")
     base = lang.get("EX3")
@@ -226,3 +278,20 @@ def test_recover_pattern_round_trip():
         target = apply_pattern(base, SubstitutionPattern(arity, slots, MODE_CONSTANTS))
         f, pat = recover_pattern(lang, target, MODE_TF)
         assert apply_pattern(f, pat).table == target.table
+    # Every closure member resolves to the reference's first match.
+    languages = [builtin_language(k) for k in CATALOG_LANGUAGE_KEYS]
+    languages.append(ConstraintLanguage("ex4", (ex_constraint(4),)))
+    for lang in languages:
+        for mode in (MODE_TF, MODE_LIT):
+            for member in closure(lang, mode):
+                found = recover_pattern(lang, member, mode)
+                assert found == _first_pattern(lang, member, mode)
+                assert apply_pattern(*found).table == member.table
+    # Past the closure cap only direct members resolve; no pattern search.
+    wide = ConstraintLanguage("wide", (recursive_nae(2), xor_constraint(2)))
+    assert recover_pattern(wide, wide.get("RNAE2"), MODE_TF) == (
+        wide.get("RNAE2"), identity_pattern(9))
+    with pytest.raises(CapExceededError, match=f"cap {CLOSURE_ARITY_CAP}"):
+        recover_pattern(wide, T, MODE_TF)
+    with pytest.raises(PreconditionError, match="not expressible"):
+        recover_pattern(builtin_language("xor"), or_constraint(2), MODE_LIT)

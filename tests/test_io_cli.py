@@ -26,6 +26,18 @@ constraint T 1
 end
 """
 
+CERT_TEXT = """\
+certificate unsigned-lit
+kind additive
+vars 2 2
+sizes 1 2
+weights 3 9
+thresholds -1 5
+value_map affine 1 6
+bounds 0 5 5 0
+end
+"""
+
 
 def test_parse_language_round_trip():
     lang = parse_language(LANG_TEXT, name="toy")
@@ -87,6 +99,7 @@ def test_certificate_round_trip():
     assert parsed_cert.value_map == cert.value_map
     assert parsed_cert.t_out == cert.t_out
     assert parse_certificate(emit_certificate(cert)).label == cert.label
+    assert emit_certificate(cert) == CERT_TEXT
 
 
 def test_resolve_language_spec_closures(tmp_path):
@@ -213,6 +226,15 @@ def test_cli_error_exit_code(tmp_path, capsys):
     # The header's term count is checked like the other parsers' counts.
     (parse_decomposition, "decomposition EX3 2 5\n1/2 x1,0,0 1\nend\n",
      "declares 5 terms, found 1"),
+    (parse_decomposition, "decomposition EX3 2 1\n1 x1,x2 1,2\nend\n",
+     "line 2: .*2 slots but EX3 has arity 3"),
+    # Certificate fields: a misspelt kind or value map, and a repeated line.
+    (parse_certificate, CERT_TEXT.replace("kind additive", "kind addative"),
+     "line 2: bad kind"),
+    (parse_certificate, CERT_TEXT.replace("value_map affine", "value_map afine"),
+     "line 7: bad value map"),
+    (parse_certificate, CERT_TEXT.replace("end", "bounds 9 9 9 9\nend"),
+     "line 9: repeated 'bounds' line"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),
