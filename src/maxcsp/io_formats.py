@@ -197,6 +197,7 @@ _CERT_PAIRS = (("vars", "n_in", "n_out"), ("sizes", "size_in", "size_out"),
                ("weights", "weight_in", "weight_out"),
                ("thresholds", "t_in", "t_out"))
 _CERT_BOUNDS = ("var_bound", "size_factor", "weight_factor", "weight_exponent")
+_CERT_ARITY = {key: 2 for key, _, _ in _CERT_PAIRS} | {"bounds": len(_CERT_BOUNDS)}
 
 
 def emit_certificate(cert: TransformCertificate) -> str:
@@ -229,8 +230,11 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
             _fail(num, f"repeated {parts[0]!r} line")
         elif parts[0] == "kind" and parts[1:] not in ([KIND_ADDITIVE], [KIND_LINEAR]):
             _fail(num, f"bad kind {line!r}")
-        elif parts[0] == "value_map" and parts[1:2] not in ([AFFINE], [EXISTENTIAL]):
+        elif parts[0] == "value_map" and not (parts[1:2] == [AFFINE] and len(parts) == 4
+                                              or parts[1:] == [EXISTENTIAL]):
             _fail(num, f"bad value map {line!r}")
+        elif len(parts) - 1 != _CERT_ARITY.get(parts[0], len(parts) - 1):
+            _fail(num, f"expected {_CERT_ARITY[parts[0]]} values in {line!r}")
         else:
             fields[parts[0]] = parts[1:]
     if label is None:

@@ -33,7 +33,7 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
 from .languages import gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, add_composed,
                           characteristic_polynomial, degree_of_language)
-from .solver import ORACLE_CAP, affine_holds, decide_exact, decisions
+from .solver import ORACLE_CAP, affine_decisions, decide_exact, decisions
 
 
 def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
@@ -614,11 +614,10 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
         names += ["affine-pointwise"] if affine else []
         checks += [ConditionCheck(name, None, "beyond oracle cap") for name in names]
         return VerifyReport(tuple(checks))
-    geq1, eq1 = decisions(phi1, cap=oracle_cap)
-    geq2, eq2 = decisions(phi2, cap=oracle_cap)
-    checks.append(ConditionCheck("equivalence-geq", geq1 == geq2))
-    checks.append(ConditionCheck("equivalence-eq", eq1 == eq2))
-    if affine:
-        ok = affine_holds(phi1, phi2, *cert.value_map[1:], cap=oracle_cap)
-        checks.append(ConditionCheck("affine-pointwise", ok))
+    d1, d2, pointwise = (affine_decisions(phi1, phi2, *cert.value_map[1:], cap=oracle_cap)
+                         if affine else (decisions(phi1, cap=oracle_cap),
+                                         decisions(phi2, cap=oracle_cap), None))
+    checks.append(ConditionCheck("equivalence-geq", d1[0] == d2[0]))
+    checks.append(ConditionCheck("equivalence-eq", d1[1] == d2[1]))
+    checks += [ConditionCheck("affine-pointwise", pointwise)] if affine else []
     return VerifyReport(tuple(checks))

@@ -1,13 +1,20 @@
 """Formula algebra and the brute-force oracle."""
 
+import ast
+import dataclasses
+import itertools
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxcsp.solver
 from maxcsp.cli import main
-from maxcsp.constraints import (T, F, Constraint, or_constraint, xor_constraint,
-                               row_to_bits)
+from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
+                               closure, ex_constraint, nae_constraint,
+                               or_constraint, xor_constraint, row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
 from maxcsp.formulas import (Application, Formula, empty_formula, formula_sum,
                              random_formula, scalar_mul)
@@ -244,6 +251,115 @@ def test_one_sweep_per_formula(monkeypatch, tmp_path, capsys):
                  "--exact"]) == 0
     assert len(calls) == 3
     assert capsys.readouterr().out.endswith("exact yes\n")
+
+
+def test_affine_verify_builds_each_formula_once(monkeypatch):
+    phi = random_formula(builtin_language("e2lin"), 5, 8, "Z", seed=4)
+    phi2, cert = neg_to_base(phi, builtin_language("xor"))
+    builds = []
+    blocks = maxcsp.solver._value_blocks
+    monkeypatch.setattr(maxcsp.solver, "_value_blocks",
+                        lambda f, cap: builds.append(f) or blocks(f, cap))
+    report = verify_transform(phi, phi2, cert)
+    assert builds == [phi, phi2]
+    assert report.all_passed
+    assert [c.name for c in report.checks[-3:]] == [
+        "equivalence-geq", "equivalence-eq", "affine-pointwise"]
+    # The fused pass still catches a wrong affine map.
+    bad = dataclasses.replace(cert, value_map=(cert.value_map[0], cert.value_map[1],
+                                               cert.value_map[2] + 1))
+    checks = {c.name: c.passed for c in verify_transform(phi, phi2, bad).checks}
+    assert checks["affine-pointwise"] is False and checks["equivalence-geq"]
+
+
+def _broadcast_values(phi):
+    """phi's values as the (2,)*n array the broadcasting engine built: each
+    application's table, folded onto its distinct variables, added in by
+    broadcasting.  Its blocks are this array's 2**20-entry slices."""
+    n = phi.nvars
+    values = np.zeros((2,) * n, dtype=np.int64)
+    for a in phi.applications:
+        support = sorted(set(a.indices))
+        table = np.zeros((2,) * len(support), dtype=np.int64)
+        for bits in itertools.product((0, 1), repeat=len(support)):
+            x = dict(zip(support, bits))
+            table[bits] = a.weight * a.constraint.table[
+                int("".join(str(x[i]) for i in a.indices) or "0", 2)]
+        values += table.reshape([2 if v in support else 1 for v in range(1, n + 1)])
+    return values.reshape(-1)
+
+
+def test_oracle_two_blocks_match_reference():
+    # 21 variables: two blocks, each built from the monomials whose x1 part
+    # lies inside the block's setting of x1.
+    rng = random.Random(2021)
+    for name in ("3sat", "nae3lit"):
+        phi = random_formula(builtin_language(name), 21, 63, "Z",
+                             seed=rng.randrange(10 ** 9))
+        blocks = list(maxcsp.solver._value_blocks(phi, 24))
+        assert [start for start, _ in blocks] == [0, 1 << 20]
+        for start, flat in blocks:
+            for i in rng.sample(range(len(flat)), 40):
+                assert flat[i] == phi.value(row_to_bits(start + i, 21))
+        ref = _broadcast_values(phi)
+        assert np.array_equal(np.concatenate([flat for _, flat in blocks]), ref)
+        res = brute_force(phi)
+        assert res.optimum == ref.max()
+        assert res.witness == row_to_bits(int(ref.argmax()), 21)
+        assert res.exact == bool((ref == phi.threshold).any())
+
+
+def test_oracle_exact_when_partial_sums_pass_int64():
+    # ||phi|| < 2**62, but EX3's x1x2x3 coefficient is 3 * w > 2**63, so the
+    # blocks hold Python ints.  A cancelling unary term keeps ||phi|| low.
+    w = 3 * (1 << 60) - 5
+    phi = Formula(4, (Application(ex_constraint(3), (2, 1, 3), w),
+                      Application(T, (1,), 7 - (1 << 60)),
+                      Application(XOR, (3, 4), 3)), "Z", w)
+    assert phi.total_weight < 1 << 62 <= phi.total_weight << 3
+    (_, flat), = maxcsp.solver._value_blocks(phi, 24)
+    assert [int(v) for v in flat] == [phi.value(row_to_bits(m, 4))
+                                      for m in range(16)]
+    _assert_matches_reference(phi, w)
+    _assert_matches_reference(phi, w - (1 << 60) + 7)
+
+
+def test_oracle_wide_closure_members():
+    # Members of arity 4 and 5 take the Moebius transform past k = 3.
+    rng = random.Random(45)
+    ex4_lit = closure(ConstraintLanguage("ex4", (ex_constraint(4),)), MODE_LIT)
+    nae5 = ConstraintLanguage("nae5", (nae_constraint(5),))
+    for lang in (ex4_lit, nae5):
+        for nvars in (5, 8):
+            for weight_range in ("N", "Z"):
+                phi = random_formula(lang, nvars, 2 * nvars, weight_range,
+                                     seed=rng.randrange(10 ** 9))
+                assert max(a.constraint.arity for a in phi.applications) >= 4
+                _assert_matches_reference(phi, rng.randint(-8, 8))
+
+
+def test_oracle_imports_nothing_it_checks():
+    # The oracle stays independent of the polynomial machinery it validates.
+    allowed = {"maxcsp.constraints": {"row_to_bits"}, "maxcsp.errors": None,
+               "maxcsp.formulas": None}
+    tree = ast.parse(Path(maxcsp.solver.__file__).read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1
+            module = f"maxcsp.{node.module}"
+            assert module in allowed, module
+            names = allowed[module]
+            assert names is None or {a.name for a in node.names} <= names
+            continue
+        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                   else [node.module])
+        for module in modules:
+            root = module.split(".")[0]
+            assert (root == "numpy" or root in sys.stdlib_module_names
+                    or module in allowed), module
 
 
 def test_random_formula_deterministic():

@@ -235,10 +235,22 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "line 7: bad value map"),
     (parse_certificate, CERT_TEXT.replace("end", "bounds 9 9 9 9\nend"),
      "line 9: repeated 'bounds' line"),
+    # Field lines with too few or too many values.
+    (parse_certificate, CERT_TEXT.replace("vars 2 2", "vars 2"),
+     "line 3: expected 2 values"),
+    (parse_certificate, CERT_TEXT.replace("sizes 1 2", "sizes 1 2 3"),
+     "line 4: expected 2 values"),
+    (parse_certificate, CERT_TEXT.replace("bounds 0 5 5 0", "bounds 0 5 5"),
+     "line 8: expected 4 values"),
+    (parse_certificate, CERT_TEXT.replace("value_map affine 1 6", "value_map affine 1"),
+     "line 7: bad value map"),
+    (parse_instance, "maxcsp 2 1 N 0\nXOR 1 1 2\ncertificate x\nkind additive\nvars 2\n",
+     "line 5: expected 2 values"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),
-            parse_decomposition: (ex_constraint(3),)}.get(parse, ())
+            parse_decomposition: (ex_constraint(3),),
+            parse_instance: (builtin_language("xor"),)}.get(parse, ())
     with pytest.raises(FormatError, match=line):
         parse(text, *args)
 
