@@ -12,7 +12,7 @@ Instance files:     maxcsp <n> <m> <Z|N> <t> followed by m lines
                     <name> <weight> <i1> ... <ik>, then an optional
                     certificate block.
 Polynomials:        poly <nvars> <nterms>, then <coeff> <i1> <i2> ...
-                    per term with '-' marking the constant term.
+                    per term, indices in 1..nvars, '-' for the constant.
 Graphs:             graph <n> <e> followed by e lines <u> <v>.
 """
 
@@ -55,12 +55,18 @@ def _require_header(header, keyword: str, found: int | None = None,
         raise FormatError(f"header declares {header[1]} {what}, found {found}")
 
 
-def _int(num: int, text: str, what: str) -> int:
-    """An integer field of line `num`; `what` names it in the error."""
+def _int(num: int, text: str, what: str, kind=int) -> int:
+    """A field of line `num` read as `kind`; `what` names it in the error."""
     try:
-        return int(text)
-    except ValueError:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
         _fail(num, f"bad {what} {text!r}")
+
+
+def _end(lines) -> None:
+    """A block's 'end' line: refuse any line left after it."""
+    for num, _ in lines:
+        _fail(num, "unexpected line after 'end'")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,6 @@ def parse_instance(text: str, language: ConstraintLanguage
     header = None
     apps: list[Application] = []
     cert_lines: list[tuple[int, str]] = []
-    in_cert = False
     for num, line in _lines(text):
         parts = line.split()
         if header is None:
@@ -152,8 +157,7 @@ def parse_instance(text: str, language: ConstraintLanguage
             if parts[3] not in (RANGE_Z, RANGE_N):
                 _fail(num, f"weight range must be Z or N, got {parts[3]!r}")
             header = (n, m, parts[3], t)
-        elif in_cert or parts[0] == "certificate":
-            in_cert = True
+        elif cert_lines or parts[0] == "certificate":
             cert_lines.append((num, line))
         else:
             if len(parts) < 2:
@@ -166,10 +170,7 @@ def parse_instance(text: str, language: ConstraintLanguage
             idx = tuple(_int(num, p, "index") for p in parts[2:])
             if len(idx) != c.arity:
                 _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
-            try:
-                apps.append(Application(c, idx, weight))
-            except FormatError as exc:
-                _fail(num, str(exc))
+            apps.append(Application(c, idx, weight))
     _require_header(header, "maxcsp", len(apps), "applications")
     n, _, weight_range, t = header
     phi = Formula(n, tuple(apps), weight_range, t)
@@ -218,37 +219,39 @@ def emit_certificate(cert: TransformCertificate) -> str:
 def _parse_certificate_lines(lines) -> TransformCertificate:
     fields: dict = {}
     label = None
+    lines = iter(lines)
     for num, line in lines:
-        parts = line.split()
-        if parts[0] == "certificate":
-            if len(parts) != 2:
+        key, *vals = line.split()
+        if key == "certificate":
+            if len(vals) != 1:
                 _fail(num, "expected 'certificate <label>'")
-            label = parts[1]
-        elif parts[0] == "end":
-            break
-        elif parts[0] in fields:
-            _fail(num, f"repeated {parts[0]!r} line")
-        elif parts[0] == "kind" and parts[1:] not in ([KIND_ADDITIVE], [KIND_LINEAR]):
+            label = vals[0]
+        elif key == "end":
+            _end(lines)
+        elif key in fields:
+            _fail(num, f"repeated {key!r} line")
+        elif key == "kind" and vals not in ([KIND_ADDITIVE], [KIND_LINEAR]):
             _fail(num, f"bad kind {line!r}")
-        elif parts[0] == "value_map" and not (parts[1:2] == [AFFINE] and len(parts) == 4
-                                              or parts[1:] == [EXISTENTIAL]):
+        elif key == "value_map" and not (vals[:1] == [AFFINE] and len(vals) == 3
+                                         or vals == [EXISTENTIAL]):
             _fail(num, f"bad value map {line!r}")
-        elif len(parts) - 1 != _CERT_ARITY.get(parts[0], len(parts) - 1):
-            _fail(num, f"expected {_CERT_ARITY[parts[0]]} values in {line!r}")
+        elif len(vals) != _CERT_ARITY.get(key, len(vals)):
+            _fail(num, f"expected {_CERT_ARITY[key]} values in {line!r}")
+        elif key == "value_map":
+            fields[key] = (vals[0], *(_int(num, v, "value map", Fraction) for v in vals[1:]))
         else:
-            fields[parts[0]] = parts[1:]
+            fields[key] = ([_int(num, v, f"{key} value") for v in vals]
+                           if key in _CERT_ARITY else vals)
     if label is None:
         raise FormatError("certificate block missing its header")
     try:
-        values = {"label": label, "kind": fields["kind"][0]}
+        values = {"label": label, "kind": fields["kind"][0],
+                  "value_map": fields["value_map"]}
         for key, a, b in _CERT_PAIRS:
-            values[a], values[b] = map(int, fields[key])
-        values.update(zip(_CERT_BOUNDS, map(int, fields["bounds"]), strict=True))
-        vm = fields["value_map"]
-        values["value_map"] = ((AFFINE, Fraction(vm[1]), Fraction(vm[2]))
-                               if vm[0] == "affine" else (EXISTENTIAL,))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise FormatError(f"malformed certificate block: {exc}")
+            values[a], values[b] = fields[key]
+        values.update(zip(_CERT_BOUNDS, fields["bounds"]))
+    except KeyError as exc:
+        raise FormatError(f"malformed certificate block: missing {exc} line")
     return TransformCertificate(**values)
 
 
@@ -286,6 +289,8 @@ def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
                         else frozenset(int(p) for p in parts[1:]))
             except (ValueError, ZeroDivisionError):
                 _fail(num, f"bad term {line!r}")
+            if not all(1 <= i <= header[0] for i in mono):
+                _fail(num, f"index outside 1..{header[0]} in {line!r}")
             if mono in terms:
                 _fail(num, f"duplicate monomial in {line!r}")
             terms[mono] = coeff
@@ -310,7 +315,8 @@ def parse_implementation(text: str, language: ConstraintLanguage,
                          target: Constraint) -> Implementation:
     header = None
     apps = []
-    for num, line in _lines(text):
+    lines = _lines(text)
+    for num, line in lines:
         parts = line.split()
         if header is None:
             if parts[0] != "impl" or len(parts) < 2:
@@ -321,7 +327,7 @@ def parse_implementation(text: str, language: ConstraintLanguage,
             if parts[1] != target.name:
                 _fail(num, f"implementation targets {parts[1]!r}, not {target.name!r}")
         elif line == "end":
-            break
+            _end(lines)
         else:
             try:
                 c = language.get(parts[0])
@@ -348,7 +354,8 @@ def emit_decomposition(combo: LinearCombination) -> str:
 def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
     header = None
     terms = []
-    for num, line in _lines(text):
+    lines = _lines(text)
+    for num, line in lines:
         parts = line.split()
         if header is None:
             if parts[0] != "decomposition" or len(parts) != 4:
@@ -358,7 +365,7 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
             header = (_int(num, parts[2], "variable count"),
                       _int(num, parts[3], "term count"))
         elif line == "end":
-            break
+            _end(lines)
         else:
             if len(parts) != 3:
                 _fail(num, f"expected '<alpha> <pattern> <indices>', got {line!r}")

@@ -6,19 +6,21 @@ satisfied applications, straight from the truth tables.  It derives its own
 monomial coefficients and shares no code with the polynomial machinery it
 is used to validate.
 
-Each application's table is folded onto its sorted distinct variables and
-the folded tables are summed per variable set; a Moebius transform in
-Python ints (k * 2**k additions for k variables) gives each sum's monomial
-coefficients.  They are scattered into a zeroed array at the index whose
-bits are the monomial's variables (x1 is the top bit), and one in-place
-subset-sum pass per variable gives every value: n * 2**(n-1) additions.
-Past 20 variables each block of 2**20 entries, one per setting p of the top
-variables, takes the monomials whose top variables lie inside p.  Partial
-sums are coefficients of restrictions, at most 2**kmax * ||phi|| for the
-largest variable set kmax: int64 below 2**62 of that, Python ints above.  A
-same-n affine check builds each formula's blocks once, and one pass
-compares them and feeds both formulas' decisions.  The witness is the
-lexicographically smallest maximizer, the first index argmax finds.
+Each application's table, read through the map from its arguments to its
+sorted distinct variables, has its Moebius coefficients taken in Python
+ints (k * 2**k additions for k variables) once per (table, map); weighted
+and summed, they are phi's monomial coefficients, keyed by the mask whose
+bits are the monomial's variables (x1 is the top bit).  They are scattered
+into a zeroed array, and one in-place subset-sum pass per variable gives
+every value: n * 2**(n-1) additions.  Past 20 variables each block of 2**20
+entries, one per setting p of the top variables, takes the monomials whose
+top variables lie inside p.  Partial sums are coefficients of restrictions,
+at most 2**kmax * ||phi|| for the largest variable set kmax: int64 below
+2**62 of that, Python ints above.  A function on {0,1}^n has exactly one
+multilinear polynomial, so phi2 = a * phi1 + b holds on every assignment
+exactly when the coefficients satisfy it: affine_holds compares them, with
+no cap.  The witness is the lexicographically smallest maximizer, the first
+index argmax finds.
 """
 
 from __future__ import annotations
@@ -45,9 +47,42 @@ class SolveResult:
 
 
 @lru_cache(maxsize=None)
-def _moebius_steps(k: int) -> tuple[tuple[int, int], ...]:
-    # The in-place Moebius transform on k bits: acc[s] -= acc[s minus one bit].
-    return tuple((s, s ^ 1 << j) for j in range(k) for s in range(1 << k) if s >> j & 1)
+def _folded_moebius(table: tuple[int, ...], shifts: tuple[int, ...]) -> tuple:
+    """The nonzero Moebius coefficients (s, c) of `table` read with argument
+    j taken from bit shifts[j] of s, over every setting s of the bits."""
+    k = len(set(shifts))
+    acc = []
+    for s in range(1 << k):
+        r = 0
+        for sh in shifts:
+            r = (r << 1) | ((s >> sh) & 1)
+        acc.append(table[r])
+    for j in range(k):
+        for s in range(1 << k):
+            if s >> j & 1:
+                acc[s] -= acc[s ^ 1 << j]
+    return tuple((s, c) for s, c in enumerate(acc) if c)
+
+
+@lru_cache(maxsize=2)
+def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
+    """({mask: c}, kmax): phi's nonzero monomial coefficients and the size
+    of its largest variable set, at any n.  The two formulas of a verify
+    stay cached, so their blocks and affine_holds share one build each."""
+    n = phi.nvars
+    coeffs: dict[int, int] = {}
+    kmax = 0
+    for a in phi.applications:
+        support = sorted(set(a.indices))
+        k = len(support)
+        kmax = max(kmax, k)
+        masks = [0]  # masks[s]: the variables of the support bits set in s
+        for v in reversed(support):
+            masks += [m | 1 << (n - v) for m in masks]
+        shifts = tuple(k - 1 - support.index(i) for i in a.indices)
+        for s, c in _folded_moebius(a.constraint.table, shifts):
+            coeffs[masks[s]] = coeffs.get(masks[s], 0) + a.weight * c
+    return {mask: c for mask, c in coeffs.items() if c}, kmax
 
 
 def _value_blocks(phi: Formula, cap: int):
@@ -56,30 +91,7 @@ def _value_blocks(phi: Formula, cap: int):
     n = phi.nvars
     if n > cap:
         raise CapExceededError(f"oracle: {n} variables exceeds cap {cap}")
-    sums: dict[tuple[int, ...], list[int]] = {}
-    for a in phi.applications:
-        support = tuple(sorted(set(a.indices)))
-        k = len(support)
-        shifts = [k - 1 - support.index(i) for i in a.indices]
-        acc = sums.setdefault(support, [0] * (1 << k))
-        for s in range(1 << k):
-            r = 0
-            for sh in shifts:
-                r = (r << 1) | ((s >> sh) & 1)
-            if a.constraint.table[r]:
-                acc[s] += a.weight
-
-    coeffs: dict[int, int] = {}
-    for support, acc in sums.items():
-        for s, t in _moebius_steps(len(support)):
-            acc[s] -= acc[t]
-        masks = [0]
-        for v in reversed(support):
-            masks += [m | 1 << (n - v) for m in masks]
-        for mask, c in zip(masks, acc):
-            if c:
-                coeffs[mask] = coeffs.get(mask, 0) + c
-    kmax = max(map(len, sums), default=0)
+    coeffs, kmax = _coefficients(phi)
     dtype = object if phi.total_weight << kmax >= 1 << 62 else np.int64
 
     low = min(n, _BLOCK_BITS)
@@ -94,47 +106,31 @@ def _value_blocks(phi: Formula, cap: int):
         yield p << low, values
 
 
-def _scan(phi: Formula, t_exact: int | None, blocks):
-    """Per value block: (index of its first maximizer, its maximum, whether
-    some entry is worth t_exact, False when t_exact is None)."""
-    check_exact = t_exact is not None and abs(t_exact) <= phi.total_weight
-    for start, flat in blocks:
-        i = int(flat.argmax())
-        yield start + i, int(flat[i]), check_exact and bool((flat == t_exact).any())
-
-
-def _sweep(phi: Formula, t_exact: int | None, cap: int,
-           scans=None) -> tuple[int, int, bool]:
+def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]:
     """(optimum, index of the first maximizer, whether some assignment is
-    worth t_exact) from phi's value blocks, or from `scans` taken from them."""
-    scans = list(_scan(phi, t_exact, _value_blocks(phi, cap)) if scans is None else scans)
-    best = max(value for _, value, _ in scans)
-    return (best, next(i for i, value, _ in scans if value == best),
-            any(hit for _, _, hit in scans))
+    worth t_exact, False when t_exact is None) from phi's value blocks."""
+    check_exact = t_exact is not None and abs(t_exact) <= phi.total_weight
+    best, index, hit = None, None, False
+    for start, flat in _value_blocks(phi, cap):
+        i = int(flat.argmax())
+        if best is None or flat[i] > best:
+            best, index = int(flat[i]), start + i
+        hit = hit or check_exact and bool((flat == t_exact).any())
+    return best, index, hit
 
 
-def affine_decisions(phi1: Formula, phi2: Formula, a, b, cap: int = ORACLE_CAP):
-    """(`decisions` of phi1, `decisions` of phi2, whether phi2(x) = a *
-    phi1(x) + b on every assignment), from one build of each formula's
-    blocks.  With a = p/q and b = r/s that is q*s*phi2 == p*s*phi1 + r*q,
-    compared in int64 when no term can reach 2**62, else in Python ints."""
+def affine_holds(phi1: Formula, phi2: Formula, a, b) -> bool:
+    """Does phi2(x) = a * phi1(x) + b hold on every assignment?  Each side
+    has one multilinear polynomial, so with a = p/q and b = r/s this is
+    q*s*c2 == p*s*c1 (+ r*q on the constant) for every monomial's
+    coefficients c1, c2, compared in Python ints at any n."""
     if phi1.nvars != phi2.nvars:
         raise ValueError("a pointwise relation needs the same variables")
     (p, q), (r, s) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
-    wide = max(q * s * max(phi2.total_weight, 1),
-               abs(p) * s * max(phi1.total_weight, 1) + abs(r) * q) >= 1 << 62
-    scans2, holds = [], []
-
-    def paired_blocks():  # phi1's blocks; phi2's are scanned and compared
-        for (start, v1), (_, v2) in zip(_value_blocks(phi1, cap),
-                                        _value_blocks(phi2, cap)):
-            scans2.extend(_scan(phi2, phi2.threshold, [(start, v2)]))
-            w1, w2 = (v1.astype(object), v2.astype(object)) if wide else (v1, v2)
-            holds.append(np.array_equal(q * s * w2, p * s * w1 + r * q))
-            yield start, v1
-
-    first = decisions(phi1, None, cap, _scan(phi1, phi1.threshold, paired_blocks()))
-    return first, decisions(phi2, None, cap, scans2), all(holds)
+    rhs = {mask: p * s * c for mask, c in _coefficients(phi1)[0].items()}
+    rhs[0] = rhs.get(0, 0) + r * q
+    return ({mask: q * s * c for mask, c in _coefficients(phi2)[0].items()}
+            == {mask: c for mask, c in rhs.items() if c})
 
 
 def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
@@ -144,12 +140,11 @@ def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
     return SolveResult(optimum, row_to_bits(index, phi.nvars), exact)
 
 
-def decisions(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP,
-              scans=None) -> tuple[bool, bool]:
-    """Both decision modes from one enumeration: (exists phi(x) >= t,
-    exists phi(x) = t).  `scans` is as for `_sweep`, taken at t."""
+def decisions(phi: Formula, t: int | None = None,
+              cap: int = ORACLE_CAP) -> tuple[bool, bool]:
+    """(exists phi(x) >= t, exists phi(x) = t), from one enumeration."""
     t = phi.threshold if t is None else t
-    optimum, _, exact = _sweep(phi, t, cap, scans)
+    optimum, _, exact = _sweep(phi, t, cap)
     return optimum >= t, exact
 
 

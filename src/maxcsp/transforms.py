@@ -33,7 +33,7 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
 from .languages import gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, add_composed,
                           characteristic_polynomial, degree_of_language)
-from .solver import ORACLE_CAP, affine_decisions, decide_exact, decisions
+from .solver import ORACLE_CAP, affine_holds, decide_exact, decisions
 
 
 def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
@@ -585,8 +585,9 @@ class VerifyReport:
 def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
                      oracle_cap: int = ORACLE_CAP) -> VerifyReport:
     """Oracle-check a transformation certificate: endpoint bookkeeping, the
-    accounting inequalities, and, up to the one oracle cap, both decision
-    equivalences and the pointwise affine relation where one is claimed."""
+    accounting inequalities, both decision equivalences up to the one oracle
+    cap, and, at any n, the pointwise affine relation where one is claimed
+    (compared on the two formulas' monomial coefficients)."""
     checks = []
 
     endpoint_ok = all(getattr(cert, field) == value
@@ -608,16 +609,13 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
     checks.append(ConditionCheck(
         "weight", phi2.total_weight <= weight_bound))
 
-    affine = cert.is_affine() and phi1.nvars == phi2.nvars
+    names = ("equivalence-geq", "equivalence-eq")
     if max(phi1.nvars, phi2.nvars) > oracle_cap:
-        names = ["equivalence-geq", "equivalence-eq"]
-        names += ["affine-pointwise"] if affine else []
         checks += [ConditionCheck(name, None, "beyond oracle cap") for name in names]
-        return VerifyReport(tuple(checks))
-    d1, d2, pointwise = (affine_decisions(phi1, phi2, *cert.value_map[1:], cap=oracle_cap)
-                         if affine else (decisions(phi1, cap=oracle_cap),
-                                         decisions(phi2, cap=oracle_cap), None))
-    checks.append(ConditionCheck("equivalence-geq", d1[0] == d2[0]))
-    checks.append(ConditionCheck("equivalence-eq", d1[1] == d2[1]))
-    checks += [ConditionCheck("affine-pointwise", pointwise)] if affine else []
+    else:
+        pairs = zip(decisions(phi1, cap=oracle_cap), decisions(phi2, cap=oracle_cap))
+        checks += [ConditionCheck(name, d1 == d2) for name, (d1, d2) in zip(names, pairs)]
+    if cert.is_affine() and phi1.nvars == phi2.nvars:
+        checks.append(ConditionCheck(
+            "affine-pointwise", affine_holds(phi1, phi2, *cert.value_map[1:])))
     return VerifyReport(tuple(checks))

@@ -19,8 +19,8 @@ from maxcsp.formulas import random_formula
 from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
-# Every affine pair here keeps n <= 14, so its verify report was complete
-# (no SKIP) before and after the affine check moved onto the oracle.
+# Every pair here is below the oracle cap, so its verify report is
+# complete (no SKIP) however the affine check is made.
 TRANSFORM_KINDS = (
     [("neg-to-base", k, None, 7) for k in ("xor", "nae3", "ex3")]
     + [("unsign-neg", k, None, 7) for k in ("xor", "nae3", "ex3")]

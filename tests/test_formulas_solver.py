@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,10 @@ from maxcsp.errors import CapExceededError, FormatError
 from maxcsp.formulas import (Application, Formula, empty_formula, formula_sum,
                              random_formula, scalar_mul)
 from maxcsp.languages import builtin_language, gamma_d_sat
-from maxcsp.solver import (brute_force, check_equivalence, decide, decide_exact,
-                           decisions)
-from maxcsp.transforms import neg_to_base, vc_reduce, verify_transform
+from maxcsp.solver import (affine_holds, brute_force, check_equivalence, decide,
+                           decide_exact, decisions)
+from maxcsp.transforms import (formula_polynomial, neg_to_base, vc_reduce,
+                               verify_transform)
 
 XOR = xor_constraint(2)
 OR2 = or_constraint(2)
@@ -336,6 +338,64 @@ def test_oracle_wide_closure_members():
                                      seed=rng.randrange(10 ** 9))
                 assert max(a.constraint.arity for a in phi.applications) >= 4
                 _assert_matches_reference(phi, rng.randint(-8, 8))
+
+
+def _affine_reference(phi1, phi2, a, b):
+    return all(phi2.value(x) == a * phi1.value(x) + b
+               for x in itertools.product((0, 1), repeat=phi1.nvars))
+
+
+def test_affine_holds_matches_pointwise_reference():
+    rng = random.Random(88)
+    langs = [builtin_language(k) for k in ("xor", "2sat", "3sat", "nae3lit", "ex3")]
+    langs.append(closure(ConstraintLanguage("ex4", (ex_constraint(4),)), MODE_LIT))
+    checked = {True: 0, False: 0}
+    for lang in langs:
+        for nvars in (1, 3, 5):
+            phi = random_formula(lang, nvars, 2 * nvars + 2, "Z", max_weight=9,
+                                 seed=rng.randrange(10 ** 9))
+            k, c = rng.choice((-3, -1, 2, 5)), rng.randint(-7, 7)
+            # phi2 = k * phi + c, with the constant as T + F on x1 and a
+            # cancelling pair of applications that leaves no coefficient.
+            a0 = phi.applications[0]
+            phi2 = Formula(nvars, tuple(dataclasses.replace(a, weight=k * a.weight)
+                                        for a in phi.applications)
+                           + (Application(T, (1,), c), Application(F, (1,), c),
+                              a0, dataclasses.replace(a0, weight=-a0.weight)), "Z")
+            other = random_formula(lang, nvars, 2 * nvars + 2, "Z", max_weight=9,
+                                   seed=rng.randrange(10 ** 9))
+            bumped = phi2.replace(applications=phi2.applications[1:] + (
+                dataclasses.replace(phi2.applications[0],
+                                    weight=phi2.applications[0].weight + 1),))
+            for f1, f2, a, b in (
+                    (phi, phi2, k, c), (phi2, phi, Fraction(1, k), Fraction(-c, k)),
+                    (phi, phi2, k + 1, c), (phi, phi2, k, c + Fraction(1, 2)),
+                    (phi2, phi, Fraction(1, k), Fraction(1 - c, k)),
+                    (phi, bumped, k, c), (phi, other, 1, 0), (phi, phi, 1, 0)):
+                expected = _affine_reference(f1, f2, a, b)
+                assert affine_holds(f1, f2, a, b) is expected
+                checked[expected] += 1
+    assert min(checked.values()) >= 3 * len(langs)
+    with pytest.raises(ValueError):
+        affine_holds(Formula(2, ()), Formula(3, ()), 1, 0)
+
+
+def test_oracle_coefficients_match_formula_polynomial():
+    # Two independent routes to phi's monomial coefficients: the oracle's
+    # folded Moebius tables and the characteristic polynomials.
+    rng = random.Random(89)
+    langs = [builtin_language(k) for k in ("xor", "2sat", "3sat", "nae3lit", "ex3")]
+    langs += [closure(ConstraintLanguage("ex4", (ex_constraint(4),)), MODE_LIT),
+              ConstraintLanguage("nae5", (nae_constraint(5),))]
+    for lang in langs:
+        for nvars in (2, 6, 30):
+            phi = random_formula(lang, nvars, 3 * nvars, "Z", max_weight=50,
+                                 seed=rng.randrange(10 ** 9))
+            coeffs, kmax = maxcsp.solver._coefficients(phi)
+            assert all(coeffs.values())
+            assert {frozenset(v for v in range(1, nvars + 1) if mask >> (nvars - v) & 1): c
+                    for mask, c in coeffs.items()} == formula_polynomial(phi).terms
+            assert kmax == max(len(set(a.indices)) for a in phi.applications)
 
 
 def test_oracle_imports_nothing_it_checks():

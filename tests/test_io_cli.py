@@ -11,6 +11,7 @@ from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
                                parse_graph, parse_implementation, parse_instance,
                                parse_language, parse_polynomial,
                                resolve_language_spec)
+from maxcsp.formulas import random_formula
 from maxcsp.languages import builtin_language
 from maxcsp.transforms import unsigned_lit
 
@@ -37,6 +38,7 @@ value_map affine 1 6
 bounds 0 5 5 0
 end
 """
+INST_TEXT = "maxcsp 2 1 N 0\nXOR 1 1 2\n" + CERT_TEXT
 
 
 def test_parse_language_round_trip():
@@ -165,6 +167,29 @@ def test_cli_transform_verify_and_replay(tmp_path, capsys):
                  "--language", "xor", "--out-language", "lit:xor"]) == 1
 
 
+def test_cli_affine_verify_past_oracle_cap(tmp_path, capsys):
+    # At n = 30 the equivalences are beyond the oracle cap, but the affine
+    # relation is checked on the monomial coefficients.  The report is the
+    # one the pointwise check gave with its SKIP line made a PASS.
+    phi = random_formula(resolve_language_spec("neg:xor"), 30, 40, "Z",
+                         max_weight=50, seed=30)
+    inst, out = tmp_path / "in.maxcsp", tmp_path / "out.maxcsp"
+    inst.write_text(emit_instance(phi))
+    assert main(["transform", "--op", "neg-to-base", "--language", "xor",
+                 "--instance", str(inst), "--verify", "-o", str(out)]) == 0
+    report = ("PASS endpoints\nPASS vars-additive  (30 <= 30 + 0)\nPASS size\n"
+              "PASS weight\nSKIP equivalence-geq  (beyond oracle cap)\n"
+              "SKIP equivalence-eq  (beyond oracle cap)\nPASS affine-pointwise\n")
+    assert capsys.readouterr().err == report
+    # Flip one weight's sign: ||phi2|| and every other check stay the same.
+    text = out.read_text()
+    assert "\nXOR -4 1 5\n" in text
+    out.write_text(text.replace("\nXOR -4 1 5\n", "\nXOR 4 1 5\n"))
+    assert main(["verify", "transform", str(inst), str(out), "--language",
+                 "neg:xor", "--out-language", "xor"]) == 1
+    assert capsys.readouterr().err == report.replace("PASS affine", "FAIL affine")
+
+
 def test_cli_kernelize_verify(tmp_path):
     inst = tmp_path / "in.maxcsp"
     inst.write_text("maxcsp 4 3 N 5\nXOR 3 1 2\nXOR 2 2 3\nXOR 1 1 4\n")
@@ -246,6 +271,26 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "line 7: bad value map"),
     (parse_instance, "maxcsp 2 1 N 0\nXOR 1 1 2\ncertificate x\nkind additive\nvars 2\n",
      "line 5: expected 2 values"),
+    # Field values that are not numbers.
+    (parse_certificate, CERT_TEXT.replace("vars 2 2", "vars 2 x"),
+     "line 3: bad vars value 'x'"),
+    (parse_certificate, CERT_TEXT.replace("value_map affine 1 6", "value_map affine 1 z"),
+     "line 7: bad value map 'z'"),
+    (parse_instance, INST_TEXT.replace("vars 2 2", "vars 2 x"),
+     "line 5: bad vars value 'x'"),
+    (parse_instance, INST_TEXT.replace("value_map affine 1 6", "value_map affine 1 z"),
+     "line 9: bad value map 'z'"),
+    # Lines after a block's 'end'.
+    (parse_certificate, CERT_TEXT + "bounds 9 9 9 9\n",
+     "line 10: unexpected line after 'end'"),
+    (parse_instance, INST_TEXT + "XOR 5 1 2\n", "line 12: unexpected line after 'end'"),
+    (parse_implementation, "impl XOR p=2 q=0\nXOR 1 2\nend\nXOR 9 9\n",
+     "line 4: unexpected line after 'end'"),
+    (parse_decomposition, "decomposition EX3 2 1\n1 x1,x2,0 1,2\nend\n"
+     "1 x1,x2,0 1,2\n", "line 4: unexpected line after 'end'"),
+    # Polynomial indices outside the header's 1..nvars.
+    (parse_polynomial, "poly 2 1\n1 0\n", "line 2: index outside 1..2"),
+    (parse_polynomial, "poly 2 2\n1 1\n-1 2 5\n", "line 3: index outside 1..2"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),

@@ -1,11 +1,12 @@
 """Lemma-level transforms, chains, kernelization, the VC gadget."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from maxcsp.constraints import (MODE_LIT, MODE_TF, T, F, and_constraint,
+from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, T, F, and_constraint,
                                 classify_language, closure, literal_variant,
                                 or_constraint, recover_pattern, row_to_bits,
                                 xor_constraint)
@@ -587,8 +588,7 @@ def test_affine_pointwise_with_fractional_map():
     assert affine_check(phi1, one_plus_xor(3, 4), a, Fraction(-1, 3)) is False
     assert affine_check(phi1, one_plus_xor(4, 4), a, Fraction(-1, 2)) is False
 
-    # Same-n pairs past 14 variables are checked exhaustively up to the
-    # oracle cap, not skipped.
+    # Same-n pairs are checked at any n, past the oracle cap as well.
     phi = random_formula(gamma_d_sat(2), 18, 30, "Z", max_weight=20,
                          seed="affine/18")
     phi2, cert = unsigned_lit(phi, gamma_d_sat(2))
@@ -599,7 +599,9 @@ def test_affine_pointwise_with_fractional_map():
     assert affine_check(phi, phi2, 1, shift + 1) is False
     bumped = phi2.replace(applications=phi2.applications + (Application(T, (1,), 1),))
     assert affine_check(phi, bumped, 1, shift) is False
-    assert verify_transform(phi, phi2, cert, oracle_cap=17).checks[-1].passed is None
+    assert verify_transform(phi, phi2, cert, oracle_cap=17).checks[-1].passed is True
+    wrong = dataclasses.replace(cert, value_map=(AFFINE, 1, shift + 1))
+    assert verify_transform(phi, phi2, wrong, oracle_cap=17).checks[-1].passed is False
 
     # q*s*||phi2|| = 2**64: an int64 comparison would wrap 2**40 * 2**24
     # and 2**64 to 0 and accept both perturbations below.
@@ -608,6 +610,47 @@ def test_affine_pointwise_with_fractional_map():
     assert affine_check(small, big, 2 ** 40, 0) is True
     assert affine_check(small, big, 2 ** 40, 2 ** 64) is False
     assert affine_check(small, Formula(2, (), "N", 0), 2 ** 40, 0) is False
+
+
+PAST_CAP_OPS = {
+    "neg-to-base": ("xor", lambda phi, lang: neg_to_base(phi, lang)),
+    "unsign-neg": ("xor", lambda phi, lang: signed_to_unsigned_neg(
+        phi, closure(lang, MODE_NEG))),
+    "apply-poly": ("2sat", lambda phi, lang: apply_poly(phi, lang,
+                                                        builtin_language("nae3"))),
+    "unsigned-lit": ("3sat", lambda phi, lang: unsigned_lit(phi, lang)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(PAST_CAP_OPS))
+def test_affine_pointwise_checked_past_oracle_cap(op):
+    key, run = PAST_CAP_OPS[op]
+    lang = builtin_language(key)
+    source = closure(lang, MODE_NEG) if op in ("neg-to-base", "unsign-neg") else lang
+    phi = random_formula(source, 30, 60, "Z", max_weight=20, seed=f"past-cap/{op}")
+    phi2, cert = run(phi, lang)
+    assert phi2.nvars == 30 and cert.is_affine()
+    _, a, b = cert.value_map
+    for bits in sampled_assignments(30, 20, op):
+        assert phi2.value(bits) == a * phi.value(bits) + b
+
+    def report(phi2, value_map):
+        checks = verify_transform(phi, phi2, dataclasses.replace(
+            cert, value_map=value_map)).checks
+        return {c.name: c.passed for c in checks if c.name in (
+            "equivalence-geq", "equivalence-eq", "affine-pointwise")}
+
+    assert report(phi2, cert.value_map) == {
+        "equivalence-geq": None, "equivalence-eq": None, "affine-pointwise": True}
+    assert report(phi2, (AFFINE, a + 1, b))["affine-pointwise"] is False
+    assert report(phi2, (AFFINE, a, b - 1))["affine-pointwise"] is False
+    # Bump an application on distinct variables: XOR(x, x) would not notice.
+    i = next(i for i, app in enumerate(phi2.applications)
+             if len(set(app.indices)) == app.constraint.arity > 1)
+    apps = list(phi2.applications)
+    apps[i] = dataclasses.replace(apps[i], weight=apps[i].weight + 1)
+    bumped = phi2.replace(applications=tuple(apps))
+    assert report(bumped, cert.value_map)["affine-pointwise"] is False
 
 
 def test_kernel_app_count_bound_holds_with_recorded_constant():
