@@ -23,10 +23,6 @@ from .errors import CapExceededError, FormatError, PreconditionError
 # the arity and nothing downstream needs closures of large constraints.
 CLOSURE_ARITY_CAP = 8
 
-MODE_CONSTANTS = "constants"   # slots are variables or constants 0/1
-MODE_LITERALS = "literals"     # slots are variables or negated variables
-MODE_ANY = "any"
-
 VERDICT_POLY = "poly_time_solvable"
 VERDICT_NP_HARD = "np_hard"
 
@@ -174,7 +170,6 @@ class SubstitutionPattern:
 
     target_arity: int
     slots: tuple
-    mode: str = MODE_ANY
 
     def __post_init__(self):
         if self.target_arity < 0:
@@ -183,14 +178,10 @@ class SubstitutionPattern:
             if isinstance(s, str):
                 if s not in ("0", "1"):
                     raise FormatError(f"bad constant slot {s!r}")
-                if self.mode == MODE_LITERALS:
-                    raise FormatError("constant slot in literals-only pattern")
             elif isinstance(s, int) and s != 0:
                 if abs(s) > self.target_arity:
                     raise FormatError(
                         f"slot {s} references variable beyond arity {self.target_arity}")
-                if s < 0 and self.mode == MODE_CONSTANTS:
-                    raise FormatError("negated slot in constants-only pattern")
             else:
                 raise FormatError(f"bad slot {s!r}")
 
@@ -218,13 +209,29 @@ def render_pattern(p: SubstitutionPattern) -> str:
     return ",".join(render_slot(s) for s in p.slots) if p.slots else "-"
 
 
-def parse_pattern(text: str, target_arity: int, mode: str = MODE_ANY) -> SubstitutionPattern:
+def parse_pattern(text: str, target_arity: int) -> SubstitutionPattern:
     slots = () if text == "-" else tuple(parse_slot(t) for t in text.split(","))
-    return SubstitutionPattern(target_arity, slots, mode)
+    return SubstitutionPattern(target_arity, slots)
 
 
 def identity_pattern(arity: int) -> SubstitutionPattern:
-    return SubstitutionPattern(arity, tuple(range(1, arity + 1)), MODE_CONSTANTS)
+    return SubstitutionPattern(arity, tuple(range(1, arity + 1)))
+
+
+def _substitute(table: tuple[int, ...], slots: tuple, d: int) -> tuple[int, ...]:
+    """The d-ary table that ``table`` gives when read through ``slots``: row
+    r reads row flip ^ (OR of masks[v] over the variables v set in r), where
+    masks[v] marks the slots of x_v and flip the negated and constant-1 slots."""
+    flip, masks = 0, [0] * (d + 1)
+    for j, s in enumerate(reversed(slots)):
+        if isinstance(s, int):
+            masks[abs(s)] |= 1 << j
+        if s == "1" or isinstance(s, int) and s < 0:
+            flip |= 1 << j
+    rows = [0]
+    for m in masks[1:]:
+        rows = [r | b for r in rows for b in (0, m)]
+    return tuple(table[flip ^ r] for r in rows)
 
 
 def apply_pattern(f: Constraint, p: SubstitutionPattern,
@@ -233,29 +240,14 @@ def apply_pattern(f: Constraint, p: SubstitutionPattern,
     if len(p.slots) != f.arity:
         raise FormatError(
             f"pattern has {len(p.slots)} slots but {f.name} has arity {f.arity}")
-    d = p.target_arity
-    table = []
-    for row in range(1 << d):
-        bits = row_to_bits(row, d)
-        fr = 0
-        for s in p.slots:
-            if s == "0":
-                b = 0
-            elif s == "1":
-                b = 1
-            elif s > 0:
-                b = bits[s - 1]
-            else:
-                b = 1 - bits[-s - 1]
-            fr = (fr << 1) | b
-        table.append(f.table[fr])
-    return Constraint(name or f"{f.name}|{render_pattern(p)}", d, tuple(table))
+    return Constraint(name or f"{f.name}|{render_pattern(p)}", p.target_arity,
+                      _substitute(f.table, p.slots, p.target_arity))
 
 
 def literal_variant(f: Constraint, negated: frozenset[int] | set[int]) -> Constraint:
     """f^S: the literals-only variant negating argument positions in S."""
     slots = tuple(-i if i in negated else i for i in range(1, f.arity + 1))
-    return apply_pattern(f, SubstitutionPattern(f.arity, slots, MODE_LITERALS))
+    return apply_pattern(f, SubstitutionPattern(f.arity, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -390,34 +382,29 @@ MODE_LIT = "LIT"
 MODE_NEG = "NEG"
 
 
-def _pattern_alphabet(d: int, mode: str) -> list:
-    if mode == MODE_TF:
-        return list(range(1, d + 1)) + ["0", "1"]
-    return list(range(1, d + 1)) + [-i for i in range(1, d + 1)]
-
-
-def _closure_patterns(f: Constraint, mode: str):
-    """All surjective patterns over f, smallest target arity first.
+def _closure_slots(k: int, mode: str):
+    """(d, slots) for every surjective slot tuple of length k, smallest
+    target arity d first: variables and constants 0/1 under TF, variables
+    and their negations under LIT.
 
     Surjective = every target variable appears in some slot; this keeps the
     closure finite (no padding with unused variables) while staying closed
     under composition, so the closures are idempotent.
     """
-    k = f.arity
-    lo = 0 if mode == MODE_TF else 1
-    for d in range(lo, k + 1):
-        pmode = MODE_CONSTANTS if mode == MODE_TF else MODE_LITERALS
-        for slots in itertools.product(_pattern_alphabet(d, mode), repeat=k):
-            used = {abs(s) for s in slots if isinstance(s, int)}
-            if len(used) == d:
-                yield SubstitutionPattern(d, slots, pmode)
+    for d in range(0 if mode == MODE_TF else 1, k + 1):
+        variables = list(range(1, d + 1))
+        extra = ["0", "1"] if mode == MODE_TF else [-i for i in variables]
+        for slots in itertools.product(variables + extra, repeat=k):
+            if len({abs(s) for s in slots if isinstance(s, int)}) == d:
+                yield d, slots
 
 
 @lru_cache(maxsize=None)
 def _sources(language: ConstraintLanguage, mode: str) -> dict:
     """(arity, table) -> (closure member, base constraint, pattern) over the
     TF or LIT pattern space: the originals under the identity, then the
-    first pattern over name-sorted members in canonical order."""
+    first pattern over name-sorted members in canonical order.  Only that
+    first pattern of each table is built into a member."""
     sources = {c.signature(): (c, c, identity_pattern(c.arity))
                for c in reversed(language.constraints)}
     for c in language:
@@ -425,9 +412,11 @@ def _sources(language: ConstraintLanguage, mode: str) -> dict:
             raise CapExceededError(
                 f"cannot materialize closure of {c.name}: arity {c.arity} "
                 f"exceeds cap {CLOSURE_ARITY_CAP}")
-        for pattern in _closure_patterns(c, mode):
-            g = apply_pattern(c, pattern)
-            sources.setdefault(g.signature(), (g, c, pattern))
+        for d, slots in _closure_slots(c.arity, mode):
+            key = (d, _substitute(c.table, slots, d))
+            if key not in sources:
+                pattern = SubstitutionPattern(d, slots)
+                sources[key] = (apply_pattern(c, pattern), c, pattern)
     return sources
 
 

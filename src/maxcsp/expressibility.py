@@ -30,9 +30,8 @@ from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 
-from .constraints import (MODE_CONSTANTS, Constraint, ConstraintLanguage,
-                          SubstitutionPattern, apply_pattern, identity_pattern,
-                          row_to_bits)
+from .constraints import (Constraint, ConstraintLanguage, SubstitutionPattern,
+                          apply_pattern, identity_pattern, row_to_bits)
 from .errors import MaxCspError, PreconditionError
 from .polynomials import (MultilinearPolynomial, add_composed,
                           characteristic_polynomial, degree_of_constraint,
@@ -84,7 +83,7 @@ def _compose_steps(k: int, steps) -> SubstitutionPattern:
     for step in steps:
         slots = [step[s - 1] if isinstance(s, int) else s for s in slots]
     arity = max((s for s in slots if isinstance(s, int)), default=0)
-    return SubstitutionPattern(arity, tuple(slots), MODE_CONSTANTS)
+    return SubstitutionPattern(arity, tuple(slots))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +171,7 @@ def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination
         if const:
             sat = f.satisfying_rows()[0]
             slots = tuple(str(b) for b in row_to_bits(sat, f.arity))
-            pattern = SubstitutionPattern(0, slots, MODE_CONSTANTS)
+            pattern = SubstitutionPattern(0, slots)
             constraint = apply_pattern(f, pattern)
             terms.append(CombinationTerm(pattern, constraint, (), Fraction(const)))
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
                            TransformCertificate)
-from .constraints import (MODE_CONSTANTS, Constraint, ConstraintLanguage,
-                          MODE_LIT, MODE_NEG, MODE_TF, apply_pattern, closure,
+from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, Constraint,
+                          ConstraintLanguage, apply_pattern, closure,
                           make_constraint, parse_pattern, render_pattern)
 from .errors import FormatError
 from .expressibility import CombinationTerm, LinearCombination
@@ -199,6 +199,7 @@ _CERT_PAIRS = (("vars", "n_in", "n_out"), ("sizes", "size_in", "size_out"),
                ("thresholds", "t_in", "t_out"))
 _CERT_BOUNDS = ("var_bound", "size_factor", "weight_factor", "weight_exponent")
 _CERT_ARITY = {key: 2 for key, _, _ in _CERT_PAIRS} | {"bounds": len(_CERT_BOUNDS)}
+_CERT_KEYS = ("certificate", "kind", "value_map", "stages", *_CERT_ARITY)
 
 
 def emit_certificate(cert: TransformCertificate) -> str:
@@ -218,18 +219,17 @@ def emit_certificate(cert: TransformCertificate) -> str:
 
 def _parse_certificate_lines(lines) -> TransformCertificate:
     fields: dict = {}
-    label = None
     lines = iter(lines)
     for num, line in lines:
         key, *vals = line.split()
-        if key == "certificate":
-            if len(vals) != 1:
-                _fail(num, "expected 'certificate <label>'")
-            label = vals[0]
-        elif key == "end":
+        if key == "end":
             _end(lines)
+        elif key not in _CERT_KEYS:
+            _fail(num, f"unknown key {key!r}")
         elif key in fields:
             _fail(num, f"repeated {key!r} line")
+        elif key == "certificate" and len(vals) != 1:
+            _fail(num, "expected 'certificate <label>'")
         elif key == "kind" and vals not in ([KIND_ADDITIVE], [KIND_LINEAR]):
             _fail(num, f"bad kind {line!r}")
         elif key == "value_map" and not (vals[:1] == [AFFINE] and len(vals) == 3
@@ -242,10 +242,10 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
         else:
             fields[key] = ([_int(num, v, f"{key} value") for v in vals]
                            if key in _CERT_ARITY else vals)
-    if label is None:
+    if "certificate" not in fields:
         raise FormatError("certificate block missing its header")
     try:
-        values = {"label": label, "kind": fields["kind"][0],
+        values = {"label": fields["certificate"][0], "kind": fields["kind"][0],
                   "value_map": fields["value_map"]}
         for key, a, b in _CERT_PAIRS:
             values[a], values[b] = fields[key]
@@ -285,10 +285,12 @@ def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
         else:
             try:
                 coeff = Fraction(parts[0])
-                mono = (frozenset() if parts[1:] == ["-"]
-                        else frozenset(int(p) for p in parts[1:]))
+                indices = [] if parts[1:] == ["-"] else [int(p) for p in parts[1:]]
             except (ValueError, ZeroDivisionError):
                 _fail(num, f"bad term {line!r}")
+            mono = frozenset(indices)
+            if len(mono) != len(indices):
+                _fail(num, f"repeated index in {line!r}")
             if not all(1 <= i <= header[0] for i in mono):
                 _fail(num, f"index outside 1..{header[0]} in {line!r}")
             if mono in terms:
@@ -373,7 +375,9 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
                 coeff = Fraction(parts[0])
                 indices = (() if parts[2] == "-"
                            else tuple(int(p) for p in parts[2].split(",")))
-                pattern = parse_pattern(parts[1], len(indices), MODE_CONSTANTS)
+                pattern = parse_pattern(parts[1], len(indices))
+                if any(isinstance(s, int) and s < 0 for s in pattern.slots):
+                    raise FormatError("negated slot in constants-only pattern")
                 constraint = apply_pattern(base, pattern)
             except (ValueError, ZeroDivisionError, FormatError) as exc:
                 _fail(num, f"bad decomposition term: {exc}")

@@ -23,7 +23,7 @@ from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
                            endpoints)
 from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
                           ConstraintLanguage, classify_language, closure,
-                          literal_variant, recover_pattern, xor_constraint, T, F)
+                          recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
 from .formulas import (RANGE_N, RANGE_Z, Application, Formula,
@@ -272,9 +272,10 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     for c in sorted(tuples, key=lambda c: c.name):
         js = sorted(tuples[c])
         shift += big_w * len(js) * c.satisfying_count()
-        variants = [lit.by_table(c.arity, literal_variant(c, frozenset(
-            i + 1 for i in range(c.arity) if mask >> i & 1)).table)
-            for mask in range(1 << c.arity)]
+        # f^S reads row r ^ s of f, s the mask of the negated positions.
+        rows = range(1 << c.arity)
+        variants = [lit.by_table(c.arity, tuple(c.table[r ^ s] for r in rows))
+                    for s in rows]
         for idx in js:
             for v in variants:
                 weights[v, idx] = weights.get((v, idx), 0) + big_w

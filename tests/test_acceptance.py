@@ -11,10 +11,10 @@ import random
 import time
 from fractions import Fraction
 
-from maxcsp.constraints import (MODE_CONSTANTS, MODE_LITERALS, Constraint,
-                                SubstitutionPattern, apply_pattern, classify,
-                                ex_constraint, nae_constraint, or_constraint,
-                                recursive_nae, xor_constraint, T, F)
+from maxcsp.constraints import (Constraint, SubstitutionPattern, apply_pattern,
+                                classify, ex_constraint, nae_constraint,
+                                or_constraint, recursive_nae, xor_constraint,
+                                T, F)
 from maxcsp.expressibility import CombinationTerm, LinearCombination, decompose
 from maxcsp.formulas import random_formula
 from maxcsp.implementations import search_implementation, verify_implementation
@@ -66,7 +66,7 @@ def test_criterion_1_characteristic_polynomial_goldens():
             ([1], 1), ([2], 1), ([3], 1),
             ([1, 2], -2), ([1, 3], -2), ([2, 3], -2), ([1, 2, 3], 3))
         substituted = apply_pattern(
-            or_constraint(3), SubstitutionPattern(3, (1, 2, -3), MODE_LITERALS))
+            or_constraint(3), SubstitutionPattern(3, (1, 2, -3)))
         assert characteristic_polynomial(substituted) == poly(
             ([], 1), ([3], -1), ([1, 3], 1), ([2, 3], 1), ([1, 2, 3], -1))
 
@@ -88,13 +88,13 @@ def test_criterion_3_decomposition_soundness():
                    "ours and the published coefficient vector", 1.0):
         ex3 = ex_constraint(3)
         target = characteristic_polynomial(apply_pattern(
-            or_constraint(3), SubstitutionPattern(3, (1, 2, -3), MODE_LITERALS)))
+            or_constraint(3), SubstitutionPattern(3, (1, 2, -3))))
         ours = decompose(target, ex3)
         assert ours.expand() == target
 
         def term(coeff, slots, indices):
             arity = len(indices)
-            pattern = SubstitutionPattern(arity, slots, MODE_CONSTANTS)
+            pattern = SubstitutionPattern(arity, slots)
             return CombinationTerm(pattern, apply_pattern(ex3, pattern),
                                    indices, Fraction(coeff))
 

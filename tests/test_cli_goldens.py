@@ -17,6 +17,7 @@ from maxcsp.cli import main
 from maxcsp.constraints import ConstraintLanguage, standard_constraint
 from maxcsp.formulas import random_formula
 from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
+from maxcsp.languages import CATALOG_LANGUAGE_KEYS
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
 # Every pair here is below the oracle cap, so its verify report is
@@ -42,6 +43,7 @@ KERNEL_LANGS = ("2sat", "3sat", "nae3lit")
 WIDE_KERNELS = (("EX4", "N", 10, 40), ("EX4", "Z", 10, 40), ("NAE5", "N", 8, 30))
 
 DIGESTS = {
+    "classify-stdout/closures": "279eeb486733844e976ac96b9e57e49917089d2be081790b43fe4cf5ed4b9784",
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
     "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
@@ -136,6 +138,16 @@ def _outputs(tmp):
                              "--instance", inst])
         assert rc == 0, ("kernelize wide", name, weights, err)
         add("kernelize-stdout/wide", out)
+
+    # classify prints every member's name, so these pin the closure names.
+    specs = [f"{mode}:{key}" for key in CATALOG_LANGUAGE_KEYS
+             for mode in ("tf", "lit", "neg")]
+    specs += [f"{mode}:{tmp / name}.lang" for name in ("ex4", "nae5")
+              for mode in ("tf", "lit")]
+    for spec in specs:
+        rc, out, err = _run(["classify", "--language", spec])
+        assert rc == 0, ("classify", spec, err)
+        add("classify-stdout/closures", out)
     return groups
 
 

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from maxcsp import constraints
-from maxcsp.constraints import (CLOSURE_ARITY_CAP, MODE_CONSTANTS, MODE_LIT,
-                                MODE_LITERALS, MODE_NEG, MODE_TF, Constraint,
+from maxcsp.constraints import (CLOSURE_ARITY_CAP, MODE_LIT, MODE_NEG,
+                                MODE_TF, Constraint,
                                 ConstraintLanguage, SubstitutionPattern,
                                 apply_pattern, classify, classify_language,
                                 closure, identity_pattern, literal_variant,
@@ -96,7 +96,7 @@ def test_classify_symmetric_invariant_under_permutation():
         c = Constraint("c", k, table)
         perm = list(range(1, k + 1))
         rng.shuffle(perm)
-        permuted = apply_pattern(c, SubstitutionPattern(k, tuple(perm), MODE_CONSTANTS))
+        permuted = apply_pattern(c, SubstitutionPattern(k, tuple(perm)))
         assert classify(c).symmetric == classify(permuted).symmetric
 
 
@@ -142,32 +142,28 @@ def test_language_lookups_by_name_and_table():
 
 def test_apply_pattern_nae3_to_or2():
     g = apply_pattern(nae_constraint(3),
-                      SubstitutionPattern(2, (1, 2, "0"), MODE_CONSTANTS))
+                      SubstitutionPattern(2, (1, 2, "0")))
     assert g.table == or_constraint(2).table
 
 
 def test_apply_pattern_or3_negated_slot():
     g = apply_pattern(or_constraint(3),
-                      SubstitutionPattern(3, (1, 2, -3), MODE_LITERALS))
+                      SubstitutionPattern(3, (1, 2, -3)))
     # x1 OR x2 OR ~x3 fails only at (0, 0, 1)
     assert g.table == (1, 0, 1, 1, 1, 1, 1, 1)
 
 
 def test_apply_pattern_identity():
     c = nae_constraint(3)
-    g = apply_pattern(c, SubstitutionPattern(3, (1, 2, 3), MODE_CONSTANTS))
+    g = apply_pattern(c, SubstitutionPattern(3, (1, 2, 3)))
     assert g.table == c.table
 
 
 def test_apply_pattern_errors():
     with pytest.raises(FormatError):
-        SubstitutionPattern(2, (1, 3), MODE_CONSTANTS)  # variable beyond arity
+        SubstitutionPattern(2, (1, 3))  # variable beyond arity
     with pytest.raises(FormatError):
         apply_pattern(or_constraint(2), SubstitutionPattern(2, (1, 2, 1)))
-    with pytest.raises(FormatError):
-        SubstitutionPattern(2, (1, -2), MODE_CONSTANTS)
-    with pytest.raises(FormatError):
-        SubstitutionPattern(2, (1, "0"), MODE_LITERALS)
 
 
 def test_closure_neg_adds_complement():
@@ -219,6 +215,22 @@ def test_closure_arity_cap():
         closure(big, MODE_TF)
 
 
+@pytest.mark.parametrize("key", ["2sat", "3sat", "nae3lit"])
+def test_closure_builds_only_kept_members(key, monkeypatch):
+    # Every other pattern is compared by its table alone.
+    lang = builtin_language(key)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_pattern(*args)
+    constraints._sources.cache_clear()
+    closure.cache_clear()
+    monkeypatch.setattr(constraints, "apply_pattern", counting)
+    members = closure(lang, MODE_TF)
+    assert len(calls) == len(members.constraints) - len(lang.constraints) > 0
+
+
 def test_literal_variant_count_invariant():
     # For every assignment, the number of S with f^S(x) = 1 is |f|.
     catalog = [T, F, xor_constraint(2), nae_constraint(3), ex_constraint(3),
@@ -257,14 +269,14 @@ def _first_pattern(language, target, mode):
             return f, identity_pattern(d)
     variables = list(range(1, d + 1))
     if mode == MODE_TF:
-        alphabet, pmode = variables + ["0", "1"], MODE_CONSTANTS
+        alphabet = variables + ["0", "1"]
     else:
-        alphabet, pmode = variables + [-i for i in variables], MODE_LITERALS
+        alphabet = variables + [-i for i in variables]
     for f in sorted(language, key=lambda c: c.name):
         for slots in itertools.product(alphabet, repeat=f.arity):
             if {abs(s) for s in slots if isinstance(s, int)} != set(variables):
                 continue
-            pattern = SubstitutionPattern(d, slots, pmode)
+            pattern = SubstitutionPattern(d, slots)
             if apply_pattern(f, pattern).table == target.table:
                 return f, pattern
     return None
@@ -275,7 +287,7 @@ def test_recover_pattern_round_trip():
     base = lang.get("EX3")
     for slots in [(1, 2, "0"), ("1", "0", 1), (1, 1, 2), ("0", "0", "1")]:
         arity = max((s for s in slots if isinstance(s, int)), default=0)
-        target = apply_pattern(base, SubstitutionPattern(arity, slots, MODE_CONSTANTS))
+        target = apply_pattern(base, SubstitutionPattern(arity, slots))
         f, pat = recover_pattern(lang, target, MODE_TF)
         assert apply_pattern(f, pat).table == target.table
     # Every closure member resolves to the reference's first match.

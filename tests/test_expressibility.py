@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from maxcsp.constraints import (MODE_LITERALS, ConstraintLanguage,
-                                SubstitutionPattern, apply_pattern,
+from maxcsp.constraints import (ConstraintLanguage, SubstitutionPattern,
+                                apply_pattern,
                                 and_constraint, dicut_constraint, ex_constraint,
                                 nae_constraint, or_constraint, render_pattern,
                                 xor_constraint, T, F)
@@ -20,7 +20,7 @@ from maxcsp.polynomials import (characteristic_polynomial, degree_of_constraint,
 
 def or3_negated():
     return apply_pattern(or_constraint(3),
-                         SubstitutionPattern(3, (1, 2, -3), MODE_LITERALS))
+                         SubstitutionPattern(3, (1, 2, -3)))
 
 
 def test_witness_nae3_degree2():
@@ -71,8 +71,9 @@ def test_decompose_paper_target():
     target = characteristic_polynomial(or3_negated())
     combo = decompose(target, ex_constraint(3))
     assert combo.expand() == target
-    # every term is a constants-only pattern over EX3
-    assert all(t.pattern.mode == "constants" for t in combo.terms)
+    # every term is a constants-only pattern over EX3: no slot is negated
+    assert all(not (isinstance(s, int) and s < 0)
+               for t in combo.terms for s in t.pattern.slots)
 
 
 def test_decompose_self_is_single_identity_term():

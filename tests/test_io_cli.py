@@ -253,6 +253,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "declares 5 terms, found 1"),
     (parse_decomposition, "decomposition EX3 2 1\n1 x1,x2 1,2\nend\n",
      "line 2: .*2 slots but EX3 has arity 3"),
+    # A decomposition substitutes constants, never literals.
+    (parse_decomposition, "decomposition EX3 2 1\n1 x1,~x2,0 1,2\nend\n",
+     "line 2: bad decomposition term: negated slot"),
     # Certificate fields: a misspelt kind or value map, and a repeated line.
     (parse_certificate, CERT_TEXT.replace("kind additive", "kind addative"),
      "line 2: bad kind"),
@@ -260,6 +263,11 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "line 7: bad value map"),
     (parse_certificate, CERT_TEXT.replace("end", "bounds 9 9 9 9\nend"),
      "line 9: repeated 'bounds' line"),
+    # A second header and a key the format does not have.
+    (parse_certificate, CERT_TEXT.replace("end", "certificate b\nend"),
+     "line 9: repeated 'certificate' line"),
+    (parse_certificate, CERT_TEXT.replace("end", "foo 1 2 3\nend"),
+     "line 9: unknown key 'foo'"),
     # Field lines with too few or too many values.
     (parse_certificate, CERT_TEXT.replace("vars 2 2", "vars 2"),
      "line 3: expected 2 values"),
@@ -291,6 +299,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
     # Polynomial indices outside the header's 1..nvars.
     (parse_polynomial, "poly 2 1\n1 0\n", "line 2: index outside 1..2"),
     (parse_polynomial, "poly 2 2\n1 1\n-1 2 5\n", "line 3: index outside 1..2"),
+    # A repeated index within one term.
+    (parse_polynomial, "poly 3 1\n1 2 2\n", "line 2: repeated index"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),

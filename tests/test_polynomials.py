@@ -9,8 +9,7 @@ from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, Constraint,
                                 ConstraintLanguage, and_constraint, closure,
                                 ex_constraint, nae_constraint, or_constraint,
                                 recursive_nae, xor_constraint,
-                                SubstitutionPattern, MODE_LITERALS,
-                                apply_pattern)
+                                SubstitutionPattern, apply_pattern)
 from maxcsp.errors import CapExceededError
 from maxcsp.io_formats import emit_polynomial, parse_polynomial
 from maxcsp.polynomials import (characteristic_polynomial,
@@ -40,7 +39,7 @@ def test_ex3_golden():
 
 
 def test_or3_substituted_golden():
-    g = apply_pattern(or_constraint(3), SubstitutionPattern(3, (1, 2, -3), MODE_LITERALS))
+    g = apply_pattern(or_constraint(3), SubstitutionPattern(3, (1, 2, -3)))
     assert characteristic_polynomial(g) == poly(
         ([], 1), ([3], -1), ([1, 3], 1), ([2, 3], 1), ([1, 2, 3], -1))
 
