@@ -10,17 +10,22 @@ Each application's table, read through the map from its arguments to its
 sorted distinct variables, has its Moebius coefficients taken in Python
 ints (k * 2**k additions for k variables) once per (table, map); weighted
 and summed, they are phi's monomial coefficients, keyed by the mask whose
-bits are the monomial's variables (x1 is the top bit).  They are scattered
-into a zeroed array, and one in-place subset-sum pass per variable gives
-every value: n * 2**(n-1) additions.  Past 20 variables each block of 2**20
-entries, one per setting p of the top variables, takes the monomials whose
-top variables lie inside p.  Partial sums are coefficients of restrictions,
-at most 2**kmax * ||phi|| for the largest variable set kmax: int64 below
-2**62 of that, Python ints above.  A function on {0,1}^n has exactly one
-multilinear polynomial, so phi2 = a * phi1 + b holds on every assignment
-exactly when the coefficients satisfy it: affine_holds compares them, with
-no cap.  The witness is the lexicographically smallest maximizer, the first
-index argmax finds.
+bits are the monomial's variables (x1 is the top bit).  One in-place
+subset-sum pass per variable turns them into every value: at most
+n * 2**(n-1) additions.  Past 20 variables each block of 2**20 entries, one
+per setting p of the top variables, takes the monomials whose top variables
+lie inside p.  The passes for the block's low 8 bits run on a compact array
+of the rows of 2**8 entries that hold a coefficient; those rows go into a
+zeroed block, and the passes for the other bits run over the whole block.
+The passes commute, and a row with no coefficient stays zero under the low
+ones, so the block is the one that all passes over the whole block give.
+numpy is imported by a sweep only, so the CLI starts without it.  Partial
+sums are coefficients of restrictions, at most 2**kmax * ||phi|| for the
+largest variable set kmax: int64 below 2**62 of that, Python ints above.
+A function on {0,1}^n has exactly one multilinear polynomial, so
+phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
+satisfy it: affine_holds compares them, with no cap.  The witness is the
+lexicographically smallest maximizer, the first index argmax finds.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .constraints import row_to_bits
 from .errors import CapExceededError
 from .formulas import Formula
 
 ORACLE_CAP = 24
 _BLOCK_BITS = 20
+_ROW_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,30 @@ def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
     n = phi.nvars
     coeffs: dict[int, int] = {}
     kmax = 0
+    layouts = {}  # indices: (masks, shifts), built once per call
     for a in phi.applications:
-        support = sorted(set(a.indices))
-        k = len(support)
-        kmax = max(kmax, k)
-        masks = [0]  # masks[s]: the variables of the support bits set in s
-        for v in reversed(support):
-            masks += [m | 1 << (n - v) for m in masks]
-        shifts = tuple(k - 1 - support.index(i) for i in a.indices)
+        layout = layouts.get(a.indices)
+        if layout is None:
+            support = sorted(set(a.indices))
+            k = len(support)
+            kmax = max(kmax, k)
+            masks = [0]  # masks[s]: the variables of the support bits set in s
+            for v in reversed(support):
+                masks += [m | 1 << (n - v) for m in masks]
+            shifts = tuple(k - 1 - support.index(i) for i in a.indices)
+            layout = layouts[a.indices] = masks, shifts
+        masks, shifts = layout
         for s, c in _folded_moebius(a.constraint.table, shifts):
             coeffs[masks[s]] = coeffs.get(masks[s], 0) + a.weight * c
     return {mask: c for mask, c in coeffs.items() if c}, kmax
+
+
+def _subset_sums(values, bits) -> None:
+    """In place, for each bit b: add each entry of the flat array whose
+    index has bit b clear into the entry with that bit set."""
+    for b in bits:
+        v = values.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
 
 
 def _value_blocks(phi: Formula, cap: int):
@@ -91,18 +108,26 @@ def _value_blocks(phi: Formula, cap: int):
     n = phi.nvars
     if n > cap:
         raise CapExceededError(f"oracle: {n} variables exceeds cap {cap}")
+    import numpy as np  # only a sweep needs it: the CLI starts without it
+
     coeffs, kmax = _coefficients(phi)
     dtype = object if phi.total_weight << kmax >= 1 << 62 else np.int64
 
     low = min(n, _BLOCK_BITS)
+    rb = min(low, _ROW_BITS)
     for p in range(1 << (n - low)):
+        kept = [(mask & (1 << low) - 1, c) for mask, c in coeffs.items()
+                if not mask >> low & ~p]
+        # The rows of 2**rb entries holding a coefficient, by head m >> rb.
+        heads = sorted({m >> rb for m, _ in kept})
+        row = {h: i for i, h in enumerate(heads)}
+        rows = np.zeros(len(heads) << rb, dtype=dtype)
+        for m, c in kept:
+            rows[row[m >> rb] << rb | m & (1 << rb) - 1] += c
+        _subset_sums(rows, range(rb))
         values = np.zeros(1 << low, dtype=dtype)
-        for mask, c in coeffs.items():
-            if not mask >> low & ~p:
-                values[mask & (1 << low) - 1] += c
-        for b in range(low):
-            v = values.reshape(-1, 2, 1 << b)
-            v[:, 1, :] += v[:, 0, :]
+        values.reshape(-1, 1 << rb)[heads] = rows.reshape(-1, 1 << rb)
+        _subset_sums(values, range(rb, low))
         yield p << low, values
 
 

@@ -3,7 +3,9 @@
 import ast
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +16,9 @@ import pytest
 import maxcsp.solver
 from maxcsp.cli import main
 from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
-                               closure, ex_constraint, nae_constraint,
-                               or_constraint, xor_constraint, row_to_bits)
+                               and_constraint, closure, ex_constraint,
+                               nae_constraint, or_constraint, xor_constraint,
+                               row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
 from maxcsp.formulas import (Application, Formula, empty_formula, formula_sum,
                              random_formula, scalar_mul)
@@ -340,6 +343,98 @@ def test_oracle_wide_closure_members():
                 _assert_matches_reference(phi, rng.randint(-8, 8))
 
 
+def _reference_blocks(phi):
+    """phi's value blocks as the one-array build made them: every kept
+    coefficient scattered into a zeroed 2**20-entry block, then one
+    subset-sum pass per bit over the whole block."""
+    n = phi.nvars
+    coeffs, kmax = maxcsp.solver._coefficients(phi)
+    dtype = object if phi.total_weight << kmax >= 1 << 62 else np.int64
+    low = min(n, 20)
+    for p in range(1 << (n - low)):
+        values = np.zeros(1 << low, dtype=dtype)
+        for mask, c in coeffs.items():
+            if not mask >> low & ~p:
+                values[mask & (1 << low) - 1] += c
+        for b in range(low):
+            v = values.reshape(-1, 2, 1 << b)
+            v[:, 1, :] += v[:, 0, :]
+        yield p << low, values
+
+
+def _assert_blocks_match_reference(phi):
+    blocks = list(maxcsp.solver._value_blocks(phi, 24))
+    ref = list(_reference_blocks(phi))
+    assert [start for start, _ in blocks] == [start for start, _ in ref]
+    for (_, flat), (_, expected) in zip(blocks, ref):
+        assert flat.dtype == expected.dtype and flat.shape == expected.shape
+        assert np.array_equal(flat, expected)
+
+
+def _row_heads(phi):
+    return {mask >> maxcsp.solver._ROW_BITS
+            for mask in maxcsp.solver._coefficients(phi)[0]}
+
+
+def test_row_blocks_match_reference_around_row_bits():
+    rng = random.Random(1108)
+    r = maxcsp.solver._ROW_BITS
+    for name in ("2sat", "3sat", "nae3lit", "xor"):
+        for nvars in (r - 3, r, r + 1, 21):
+            for weight_range in ("N", "Z"):
+                phi = random_formula(builtin_language(name), nvars, 3 * nvars,
+                                     weight_range, seed=rng.randrange(10 ** 9))
+                _assert_blocks_match_reference(phi)
+
+
+def test_row_blocks_empty_single_and_every_row():
+    r = maxcsp.solver._ROW_BITS
+    n = r + 4
+    AND2 = and_constraint(2)
+    # No coefficient: no row is held, and every value is 0.
+    for nvars in (1, n):
+        empty = Formula(nvars, (), "Z")
+        assert not _row_heads(empty)
+        _assert_blocks_match_reference(empty)
+    # x1 AND x_v for every v in the low bits: every monomial is x1 x_v, in
+    # the one row whose head is x1's bit.
+    single = Formula(n, tuple(Application(AND2, (1, v), v - 3)
+                              for v in range(5, n + 1)), "N")
+    assert _row_heads(single) == {1 << 3}
+    _assert_blocks_match_reference(single)
+    # The AND of every nonempty subset of x1..x4, and F on x_n for the
+    # constant: the four row bits take every setting.
+    apps = [Application(and_constraint(k), vs, sum(vs)) for k in range(1, 5)
+            for vs in itertools.combinations(range(1, 5), k)]
+    apps += [Application(F, (n,), 5), Application(XOR, (n - 1, n), -2)]
+    every = Formula(n, tuple(apps), "Z")
+    assert _row_heads(every) == set(range(16))
+    _assert_blocks_match_reference(every)
+
+
+def test_row_blocks_object_dtype():
+    rng = random.Random(1109)
+    for nvars in (5, maxcsp.solver._ROW_BITS + 1, 13):
+        phi = random_formula(builtin_language("3sat"), nvars, 2 * nvars, "Z",
+                             max_weight=1 << 61, seed=rng.randrange(10 ** 9))
+        (_, flat), = maxcsp.solver._value_blocks(phi, 24)
+        assert flat.dtype == object
+        _assert_blocks_match_reference(phi)
+
+
+def test_row_bits_do_not_change_blocks(monkeypatch):
+    rng = random.Random(1110)
+    phis = [random_formula(builtin_language(name), nvars, 3 * nvars, "Z",
+                           seed=rng.randrange(10 ** 9))
+            for name, nvars in (("3sat", 6), ("2sat", 12), ("nae3lit", 21))]
+    phis.append(random_formula(builtin_language("2sat"), 9, 20, "Z",
+                               max_weight=1 << 61, seed=rng.randrange(10 ** 9)))
+    for row_bits in (1, 30):
+        monkeypatch.setattr(maxcsp.solver, "_ROW_BITS", row_bits)
+        for phi in phis:
+            _assert_blocks_match_reference(phi)
+
+
 def _affine_reference(phi1, phi2, a, b):
     return all(phi2.value(x) == a * phi1.value(x) + b
                for x in itertools.product((0, 1), repeat=phi1.nvars))
@@ -420,6 +515,23 @@ def test_oracle_imports_nothing_it_checks():
             root = module.split(".")[0]
             assert (root == "numpy" or root in sys.stdlib_module_names
                     or module in allowed), module
+
+
+def test_cli_kernelize_leaves_numpy_unloaded(tmp_path):
+    # Only a sweep imports numpy: a kernelize that runs no oracle starts
+    # without it.
+    inst = tmp_path / "in.maxcsp"
+    inst.write_text("maxcsp 4 3 N 2\n"
+                    "OR3 1 1 2 3\nOR3 2 2 3 4\nOR3 1 1 3 4\n")
+    code = ("import sys\n"
+            "from maxcsp.cli import main\n"
+            f"assert main(['kernelize', '--language', '3sat', '--instance', {str(inst)!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    src = str(Path(maxcsp.solver.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_random_formula_deterministic():
