@@ -123,21 +123,17 @@ def cmd_implement(args) -> int:
 
 
 # op -> (closure mode of the language the instance is over, or None,
-#        whether --target-language is needed, runner(phi, source, target, args))
+#        whether --target-language is needed, runner(phi, source, target))
 _TRANSFORM_OPS = {
-    "neg-to-base": (io.MODE_NEG, False, lambda phi, s, t, a: neg_to_base(phi, s)),
-    "unsign-neg": (io.MODE_NEG, False, lambda phi, s, t, a: signed_to_unsigned_neg(
+    "neg-to-base": (io.MODE_NEG, False, lambda phi, s, t: neg_to_base(phi, s)),
+    "unsign-neg": (io.MODE_NEG, False, lambda phi, s, t: signed_to_unsigned_neg(
         phi, io.closure(s, io.MODE_NEG))),
-    "apply-poly": (None, True, lambda phi, s, t, a: apply_poly(phi, s, t)),
-    "implement-tf": (io.MODE_TF, False, lambda phi, s, t, a: implement_tf(
-        phi, s, a.max_aux, a.max_apps)),
-    "unsigned-lit": (None, False, lambda phi, s, t, a: unsigned_lit(phi, s)),
-    "implement-lit": (io.MODE_LIT, False, lambda phi, s, t, a: implement_lit(
-        phi, s, a.max_aux, a.max_apps)),
-    "chain-z": (None, True, lambda phi, s, t, a: chain(
-        phi, s, t, RANGE_Z, a.max_aux, a.max_apps)),
-    "chain-n": (None, True, lambda phi, s, t, a: chain(
-        phi, s, t, RANGE_N, a.max_aux, a.max_apps)),
+    "apply-poly": (None, True, lambda phi, s, t: apply_poly(phi, s, t)),
+    "implement-tf": (io.MODE_TF, False, lambda phi, s, t: implement_tf(phi, s)),
+    "unsigned-lit": (None, False, lambda phi, s, t: unsigned_lit(phi, s)),
+    "implement-lit": (io.MODE_LIT, False, lambda phi, s, t: implement_lit(phi, s)),
+    "chain-z": (None, True, lambda phi, s, t: chain(phi, s, t, RANGE_Z)),
+    "chain-n": (None, True, lambda phi, s, t: chain(phi, s, t, RANGE_N)),
 }
 
 
@@ -150,7 +146,7 @@ def cmd_transform(args) -> int:
                        if args.target_language else None)
     phi, _ = io.parse_instance(
         _read(args.instance), language if mode is None else io.closure(language, mode))
-    phi2, cert = run(phi, language, target_language, args)
+    phi2, cert = run(phi, language, target_language)
     _write(args, io.emit_instance(phi2, cert))
     return _verify(phi, phi2, cert, args.oracle_cap) if args.verify else 0
 
@@ -168,7 +164,7 @@ def _verify(phi1, phi2, cert, oracle_cap) -> int:
 def cmd_kernelize(args) -> int:
     language = _language(args)
     phi, _ = io.parse_instance(_read(args.instance), language)
-    result = kernelize(phi, language, args.oracle_cap, args.max_aux, args.max_apps)
+    result = kernelize(phi, language, args.oracle_cap)
     rep = result.report
     text = io.emit_instance(result.formula, result.certificate)
     text += (f"# kernel degree={rep.degree} monomials={rep.monomials}"
@@ -244,17 +240,10 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _add_common(p, language=True, instance=False, caps=False, verify=False):
-    if language:
-        p.add_argument("--language", help="builtin key, tf:/lit:/neg: closure, or file")
+def _add_common(p, instance=False):
+    p.add_argument("--language", help="builtin key, tf:/lit:/neg: closure, or file")
     if instance:
         p.add_argument("--instance", required=True)
-    if caps:
-        p.add_argument("--max-aux", type=int, default=DEFAULT_MAX_AUX)
-        p.add_argument("--max-apps", type=int, default=DEFAULT_MAX_APPS)
-    if verify:
-        p.add_argument("--verify", action="store_true")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.add_argument("-o", "--output")
 
 
@@ -289,18 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("implement", help="search a strict implementation")
-    _add_common(p, caps=True)
+    _add_common(p)
+    p.add_argument("--max-aux", type=int, default=DEFAULT_MAX_AUX)
+    p.add_argument("--max-apps", type=int, default=DEFAULT_MAX_APPS)
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_implement)
 
     p = sub.add_parser("transform", help="apply one reduction step or chain")
-    _add_common(p, instance=True, caps=True, verify=True)
+    _add_common(p, instance=True)
+    p.add_argument("--verify", action="store_true")
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.add_argument("--op", choices=_TRANSFORM_OPS, required=True)
     p.add_argument("--target-language")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("kernelize", help="full kernelization pipeline")
-    _add_common(p, instance=True, caps=True, verify=True)
+    _add_common(p, instance=True)
+    p.add_argument("--verify", action="store_true")
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("compress", help="monomial-coefficient compression")
@@ -309,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exhaustive reference solver")
     _add_common(p, instance=True)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_solve)
 

@@ -79,8 +79,8 @@ class Constraint:
     def is_trivial(self) -> bool:
         return all(v == self.table[0] for v in self.table)
 
-    def negation(self, name: str | None = None) -> "Constraint":
-        return Constraint(name or f"~{self.name}", self.arity,
+    def negation(self) -> "Constraint":
+        return Constraint(f"~{self.name}", self.arity,
                           tuple(1 - v for v in self.table))
 
     def signature(self) -> tuple[int, tuple[int, ...]]:
@@ -234,13 +234,12 @@ def _substitute(table: tuple[int, ...], slots: tuple, d: int) -> tuple[int, ...]
     return tuple(table[flip ^ r] for r in rows)
 
 
-def apply_pattern(f: Constraint, p: SubstitutionPattern,
-                  name: str | None = None) -> Constraint:
+def apply_pattern(f: Constraint, p: SubstitutionPattern) -> Constraint:
     """Evaluate f under the substitution, yielding a target_arity-ary constraint."""
     if len(p.slots) != f.arity:
         raise FormatError(
             f"pattern has {len(p.slots)} slots but {f.name} has arity {f.arity}")
-    return Constraint(name or f"{f.name}|{render_pattern(p)}", p.target_arity,
+    return Constraint(f"{f.name}|{render_pattern(p)}", p.target_arity,
                       _substitute(f.table, p.slots, p.target_arity))
 
 

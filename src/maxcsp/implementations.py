@@ -169,13 +169,16 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
                           use_catalog: bool = True) -> Implementation | None:
     """First verified strict implementation in canonical enumeration order
     (catalog first, then exhaustive search over application multisets);
-    None when the caps are too small."""
+    None when the caps are too small.  The identity and catalog answers
+    are held to the caps too."""
     direct = language.by_table(target.arity, target.table)
-    if direct is not None:
+    if direct is not None and max_apps >= 1:
         return identity_implementation(direct)
     if use_catalog:
         for entry in catalog():
-            if entry.target.signature() != target.signature():
+            if (entry.target.signature() != target.signature()
+                    or entry.aux_count > max_aux
+                    or len(entry.applications) > max_apps):
                 continue
             remapped = _remap_to_language(entry, language)
             if remapped is not None and remapped.strict:

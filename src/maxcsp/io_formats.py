@@ -263,9 +263,8 @@ def parse_certificate(text: str) -> TransformCertificate:
 # Polynomials
 
 
-def emit_polynomial(poly: MultilinearPolynomial, nvars: int | None = None) -> str:
-    n = poly.max_index() if nvars is None else nvars
-    out = [f"poly {n} {len(poly.terms)}"]
+def emit_polynomial(poly: MultilinearPolynomial, nvars: int) -> str:
+    out = [f"poly {nvars} {len(poly.terms)}"]
     for mono, coeff in poly.sorted_terms():
         body = " ".join(str(i) for i in sorted(mono)) if mono else "-"
         out.append(f"{coeff} {body}")

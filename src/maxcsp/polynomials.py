@@ -155,15 +155,15 @@ def from_terms(pairs) -> MultilinearPolynomial:
 
 
 @lru_cache(maxsize=None)
-def characteristic_polynomial(f: Constraint, cap: int = DEGREE_CAP) -> MultilinearPolynomial:
+def characteristic_polynomial(f: Constraint) -> MultilinearPolynomial:
     """The unique multilinear polynomial agreeing with f on {0,1}^k.
 
     Computed by an in-place subset Moebius transform of the truth table;
     coefficients are always integers.
     """
-    if f.arity > cap:
+    if f.arity > DEGREE_CAP:
         raise CapExceededError(
-            f"{f.name}: arity {f.arity} exceeds characteristic-polynomial cap {cap}")
+            f"{f.name}: arity {f.arity} exceeds characteristic-polynomial cap {DEGREE_CAP}")
     k = f.arity
     coeffs = list(f.table)
     for b in range(k):

@@ -196,18 +196,16 @@ def _add_rewired(weights: dict, phi: Formula, base: ConstraintLanguage,
         weights[key] = weights.get(key, 0) + a.weight
 
 
-def _require_implementation(language, target, max_aux, max_apps) -> Implementation:
-    impl = search_implementation(language, target, max_aux, max_apps)
+def _require_implementation(language, target) -> Implementation:
+    impl = search_implementation(language, target)
     if impl is None:
         raise PreconditionError(
             f"no strict implementation of {target.name} from {language.name!r} "
-            f"within caps (aux<={max_aux}, apps<={max_apps})")
+            f"within caps (aux<={DEFAULT_MAX_AUX}, apps<={DEFAULT_MAX_APPS})")
     return impl
 
 
-def implement_tf(phi: Formula, base: ConstraintLanguage,
-                 max_aux: int = DEFAULT_MAX_AUX,
-                 max_apps: int = DEFAULT_MAX_APPS):
+def implement_tf(phi: Formula, base: ConstraintLanguage):
     """Eliminate constants from a formula over Gamma^{T,F}: constants become
     the fresh variables x_T, x_F, pinned by weight-scaled implementations
     (T and F separately, or XOR of the pair when the language is
@@ -227,7 +225,7 @@ def implement_tf(phi: Formula, base: ConstraintLanguage,
             else [(T, (xt,)), (F, (xf,))])
     aux = alpha = m = 0
     for target, primaries in pins:
-        impl = _require_implementation(base, target, max_aux, max_apps)
+        impl = _require_implementation(base, target)
         m += _add_implementation(weights, impl, primaries, n + 2 + aux, big_w)
         aux += impl.aux_count
         alpha += impl.alpha
@@ -292,9 +290,7 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     return phi2, cert
 
 
-def implement_lit(phi: Formula, base: ConstraintLanguage,
-                  max_aux: int = DEFAULT_MAX_AUX,
-                  max_apps: int = DEFAULT_MAX_APPS):
+def implement_lit(phi: Formula, base: ConstraintLanguage):
     """Eliminate literals from a nonnegative formula over Gamma^{LIT}: every
     variable gets a negation-copy, negated slots are rewired to the copies,
     and weight-scaled XOR implementations link each pair."""
@@ -309,7 +305,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
     weights: dict = {}
     _add_rewired(weights, phi, base, MODE_LIT)
 
-    impl = _require_implementation(base, xor_constraint(2), max_aux, max_apps)
+    impl = _require_implementation(base, xor_constraint(2))
     q = impl.aux_count
     big_w = phi.total_weight + 1
     for i in range(1, n + 1):
@@ -330,8 +326,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage,
 
 
 def chain_stages(phi: Formula, source: ConstraintLanguage,
-                 target: ConstraintLanguage, mode: str = RANGE_Z,
-                 max_aux: int = DEFAULT_MAX_AUX, max_apps: int = DEFAULT_MAX_APPS):
+                 target: ConstraintLanguage, mode: str = RANGE_Z):
     """The composed reduction from CS(source, Z) into CS(target, Z) (mode
     "Z": polynomial re-expression then constant elimination) or CS(target,
     N) (mode "N": continuing with sign and literal elimination).  Returns
@@ -345,20 +340,19 @@ def chain_stages(phi: Formula, source: ConstraintLanguage,
     stages = []
     cur, cert = apply_poly(phi, source, target)
     stages.append(("apply-poly", cur, cert))
-    cur, cert = implement_tf(cur, target, max_aux, max_apps)
+    cur, cert = implement_tf(cur, target)
     stages.append(("implement-tf", cur, cert))
     if mode == RANGE_N:
         cur, cert = unsigned_lit(cur, target)
         stages.append(("unsigned-lit", cur, cert))
-        cur, cert = implement_lit(cur, target, max_aux, max_apps)
+        cur, cert = implement_lit(cur, target)
         stages.append(("implement-lit", cur, cert))
     return stages
 
 
 def chain(phi: Formula, source: ConstraintLanguage,
-          target: ConstraintLanguage, mode: str = RANGE_Z,
-          max_aux: int = DEFAULT_MAX_AUX, max_apps: int = DEFAULT_MAX_APPS):
-    stages = chain_stages(phi, source, target, mode, max_aux, max_apps)
+          target: ConstraintLanguage, mode: str = RANGE_Z):
+    stages = chain_stages(phi, source, target, mode)
     final = stages[-1][1]
     label = "chain-additive" if mode == RANGE_Z else "chain-linear"
     cert = build_certificate(label, phi, final,
@@ -366,8 +360,7 @@ def chain(phi: Formula, source: ConstraintLanguage,
     return final, cert
 
 
-def exp_cycle(phi: Formula, gamma: ConstraintLanguage,
-              max_aux: int = DEFAULT_MAX_AUX, max_apps: int = DEFAULT_MAX_APPS):
+def exp_cycle(phi: Formula, gamma: ConstraintLanguage):
     """The reduction cycle tying CS(Gamma_dsat, *) and CS(Gamma, Z) together
     for d = deg(Gamma): signs out via literal variants, across to
     Gamma^NEG, negations folded into signed weights, and back to d-SAT.
@@ -380,11 +373,11 @@ def exp_cycle(phi: Formula, gamma: ConstraintLanguage,
     stages = []
     cur, cert = unsigned_lit(phi, dsat)
     stages.append(("unsigned-lit", cur, cert))
-    cur, cert = chain(cur, dsat, neg, RANGE_Z, max_aux, max_apps)
+    cur, cert = chain(cur, dsat, neg, RANGE_Z)
     stages.append(("chain-to-neg", cur, cert))
     cur, cert = neg_to_base(cur, gamma)
     stages.append(("neg-to-base", cur, cert))
-    cur, cert = chain(cur, gamma, dsat, RANGE_Z, max_aux, max_apps)
+    cur, cert = chain(cur, gamma, dsat, RANGE_Z)
     stages.append(("chain-to-dsat", cur, cert))
     return stages
 
@@ -487,9 +480,7 @@ def _solved_kernel(label, phi, report, oracle_cap):
 
 
 def kernelize(phi: Formula, language: ConstraintLanguage,
-              oracle_cap: int = ORACLE_CAP,
-              max_aux: int = DEFAULT_MAX_AUX,
-              max_apps: int = DEFAULT_MAX_APPS) -> KernelResult:
+              oracle_cap: int = ORACLE_CAP) -> KernelResult:
     """Compress the instance to its monomial coefficients, then re-express
     the resulting d-AND formula back over the original language with
     nonnegative weights; for polynomial-time languages the kernel is the
@@ -524,8 +515,7 @@ def kernelize(phi: Formula, language: ConstraintLanguage,
     phi_poly = formula_from_polynomial(poly, n, t_folded)
     const_cert = build_certificate("fold-constant", phi, phi_poly, KIND_ADDITIVE,
                                    (AFFINE, 1, t_folded - phi.threshold))
-    final, chain_cert = chain(phi_poly, gamma_d_and(poly.degree), language,
-                              RANGE_N, max_aux, max_apps)
+    final, chain_cert = chain(phi_poly, gamma_d_and(poly.degree), language, RANGE_N)
     cert = build_certificate("kernelize", phi, final,
                              stages=(const_cert, chain_cert))
     return finish(final, cert, compact.monomials)

@@ -147,6 +147,37 @@ def test_cli_implement_and_verify(tmp_path, capsys):
     assert "valid=1" in capsys.readouterr().err
 
 
+EX3_XOR_GADGET = ("impl XOR p=2 q=2 alpha=2 strict=1\n"
+                  "EX3 1 2 3\nEX3 3 3 4\nend\n")
+
+
+@pytest.mark.parametrize("language,caps,expected", [
+    # The catalog's ex3 gadget has q=2 and the 2sat one two applications:
+    # neither fits, and the search finds nothing smaller.
+    ("ex3", ("0", "1"), "not-found\n"),
+    ("2sat", ("0", "1"), "not-found\n"),
+    ("ex3", ("2", "4"), EX3_XOR_GADGET),
+    # XOR is a member of xor, but its one-application identity is too many.
+    ("xor", ("0", "0"), "not-found\n"),
+])
+def test_cli_implement_caps_bound_catalog_answers(language, caps, expected, capsys):
+    assert main(["implement", "--language", language, "--target", "XOR",
+                 "--max-aux", caps[0], "--max-apps", caps[1]]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_language_file_may_hold_arity_0_members(tmp_path, capsys):
+    # An emitted closure names its constant members; it reads back whole.
+    closed = resolve_language_spec("tf:xor")
+    assert any(c.arity == 0 for c in closed)
+    path = tmp_path / "closed.lang"
+    path.write_text(emit_language(closed))
+    assert main(["classify", "--language", "tf:xor"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["classify", "--language", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_transform_verify_and_replay(tmp_path, capsys):
     inst = tmp_path / "in.maxcsp"
     inst.write_text("maxcsp 3 2 Z 1\nXOR -2 1 2\nXOR 3 2 3\n")
@@ -323,3 +354,56 @@ def test_cli_unknown_names_and_missing_options_exit_2(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# Every command with a value for each option it offers.
+CLI_SURFACE = {
+    "classify": ["--language", "xor", "-o", "x"],
+    "degree": ["--language", "xor", "-o", "x", "--per-constraint"],
+    "poly": ["--language", "xor", "-o", "x", "--constraint", "OR2"],
+    "decompose": ["--language", "xor", "-o", "x", "--base", "EX3",
+                  "--target", "OR2", "--target-poly", "p"],
+    "implement": ["--language", "xor", "-o", "x", "--max-aux", "1",
+                  "--max-apps", "3", "--target", "XOR"],
+    "transform": ["--language", "xor", "--instance", "i", "-o", "x", "--verify",
+                  "--oracle-cap", "5", "--op", "chain-z",
+                  "--target-language", "2sat"],
+    "kernelize": ["--language", "xor", "--instance", "i", "-o", "x", "--verify",
+                  "--oracle-cap", "5"],
+    "compress": ["--language", "xor", "--instance", "i", "-o", "x"],
+    "solve": ["--language", "xor", "--instance", "i", "-o", "x",
+              "--oracle-cap", "5", "--exact"],
+    "verify": ["transform", "a", "b", "--language", "xor", "--out-language", "lit:xor",
+               "--base", "EX3", "--target", "XOR", "--target-poly", "p",
+               "--oracle-cap", "5"],
+    "vc-reduce": ["--graph", "g", "--k", "2", "-o", "x"],
+    "random": ["--language", "xor", "-o", "x", "--nvars", "3", "--napps", "2",
+               "--weight-range", "Z", "--max-weight", "4", "--seed", "1",
+               "--threshold", "0"],
+}
+
+
+def test_cli_surface_is_exactly_the_options_each_command_reads():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(CLI_SURFACE)
+    count = 0
+    for command, argv in CLI_SURFACE.items():
+        offered = {a.option_strings[0] for a in sub.choices[command]._actions
+                   if a.option_strings and a.dest != "help"}
+        assert offered == {t for t in argv if t.startswith("-")}, command
+        count += len(offered)
+        build_parser().parse_args([command, *argv])
+    assert count == 55
+
+
+@pytest.mark.parametrize("command,option,value", [
+    *((c, "--oracle-cap", "5") for c in ("classify", "degree", "poly", "decompose",
+                                         "implement", "compress", "random")),
+    *((c, o, "1") for c in ("transform", "kernelize")
+      for o in ("--max-aux", "--max-apps")),
+])
+def test_cli_removed_options_exit_2(command, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CLI_SURFACE[command], option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err

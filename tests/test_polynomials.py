@@ -99,7 +99,7 @@ def test_moebius_equals_expansion():
 
 def test_arity_cap():
     with pytest.raises(CapExceededError):
-        characteristic_polynomial(and_constraint(5), cap=4)
+        characteristic_polynomial(and_constraint(17))
 
 
 @pytest.mark.parametrize("kind,builder", [
