@@ -13,14 +13,12 @@ from .errors import (CapExceededError, FormatError, MaxCspError,
                      PreconditionError)
 from .expressibility import (DegreeWitness, LinearCombination, decompose,
                              find_degree_witness, language_denominator)
-from .formulas import (Application, Formula, empty_formula, formula_sum,
-                       random_formula, scalar_mul)
-from .implementations import (Implementation, compose_implementations,
-                              search_implementation, verify_implementation)
+from .formulas import Application, Formula, empty_formula, random_formula
+from .implementations import (Implementation, search_implementation,
+                              verify_implementation)
 from .languages import builtin_language, gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, characteristic_polynomial,
-                          degree_of_constraint, degree_of_language,
-                          symmetric_formula)
+                          degree_of_constraint, degree_of_language)
 from .solver import (SolveResult, brute_force, check_equivalence, decide,
                      decide_exact)
 from .transforms import (KernelResult, TransformCertificate, apply_poly, chain,

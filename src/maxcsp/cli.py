@@ -31,13 +31,22 @@ from .transforms import (apply_poly, chain, compress_to_polynomial,
 
 def _write(args, text: str) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise MaxCspError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _count(least: int):
+    """An argparse type: an int no smaller than `least`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
 
 
 def _language(args):
@@ -106,7 +115,7 @@ def cmd_decompose(args) -> int:
 
 def _target_polynomial(args):
     if args.target_poly:
-        return io.parse_polynomial(_read(args.target_poly))[0]
+        return io.parse_polynomial(io.read_file(args.target_poly))[0]
     return characteristic_polynomial(
         _constraint(args.target, "--target or --target-poly"))
 
@@ -144,8 +153,8 @@ def cmd_transform(args) -> int:
         raise MaxCspError(f"--target-language is required for {args.op}")
     target_language = (io.resolve_language_spec(args.target_language)
                        if args.target_language else None)
-    phi, _ = io.parse_instance(
-        _read(args.instance), language if mode is None else io.closure(language, mode))
+    phi, _ = io.parse_instance(io.read_file(args.instance),
+                               language if mode is None else io.closure(language, mode))
     phi2, cert = run(phi, language, target_language)
     _write(args, io.emit_instance(phi2, cert))
     return _verify(phi, phi2, cert, args.oracle_cap) if args.verify else 0
@@ -163,7 +172,7 @@ def _verify(phi1, phi2, cert, oracle_cap) -> int:
 
 def cmd_kernelize(args) -> int:
     language = _language(args)
-    phi, _ = io.parse_instance(_read(args.instance), language)
+    phi, _ = io.parse_instance(io.read_file(args.instance), language)
     result = kernelize(phi, language, args.oracle_cap)
     rep = result.report
     text = io.emit_instance(result.formula, result.certificate)
@@ -178,7 +187,7 @@ def cmd_kernelize(args) -> int:
 
 def cmd_compress(args) -> int:
     language = _language(args)
-    phi, _ = io.parse_instance(_read(args.instance), language)
+    phi, _ = io.parse_instance(io.read_file(args.instance), language)
     result = compress_to_polynomial(phi)
     text = f"compress {result.nvars} {result.threshold}\n"
     text += io.emit_polynomial(result.polynomial, result.nvars)
@@ -188,7 +197,7 @@ def cmd_compress(args) -> int:
 
 def cmd_solve(args) -> int:
     language = _language(args)
-    phi, _ = io.parse_instance(_read(args.instance), language)
+    phi, _ = io.parse_instance(io.read_file(args.instance), language)
     res = brute_force(phi, args.oracle_cap)
     out = [f"optimum {res.optimum}",
            "witness " + "".join(str(b) for b in res.witness),
@@ -204,21 +213,21 @@ def cmd_verify(args) -> int:
         language = _language(args)
         out_language = (io.resolve_language_spec(args.out_language)
                         if args.out_language else language)
-        phi1, _ = io.parse_instance(_read(args.paths[0]), language)
-        phi2, cert = io.parse_instance(_read(args.paths[1]), out_language)
+        phi1, _ = io.parse_instance(io.read_file(args.paths[0]), language)
+        phi2, cert = io.parse_instance(io.read_file(args.paths[1]), out_language)
         if cert is None:
             raise MaxCspError(f"{args.paths[1]} carries no certificate block")
         return _verify(phi1, phi2, cert, args.oracle_cap)
     if args.kind == "decomposition":
         base = _constraint(args.base, "--base")
-        combo = io.parse_decomposition(_read(args.paths[0]), base)
+        combo = io.parse_decomposition(io.read_file(args.paths[0]), base)
         ok = combo.expand() == _target_polynomial(args)
         sys.stderr.write(("PASS" if ok else "FAIL") + " formal-identity\n")
         return 0 if ok else 1
     # implementation
     language = _language(args)
     target = _constraint(args.target, "--target")
-    impl = io.parse_implementation(_read(args.paths[0]), language, target)
+    impl = io.parse_implementation(io.read_file(args.paths[0]), language, target)
     res = verify_implementation(impl)
     sys.stderr.write(f"valid={int(res.valid)} alpha={res.alpha} "
                      f"strict={int(res.strict)}\n")
@@ -226,7 +235,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_vc_reduce(args) -> int:
-    n, edges = io.parse_graph(_read(args.graph))
+    n, edges = io.parse_graph(io.read_file(args.graph))
     phi = vc_reduce(n, edges, args.k)
     _write(args, io.emit_instance(phi))
     return 0
@@ -279,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("implement", help="search a strict implementation")
     _add_common(p)
-    p.add_argument("--max-aux", type=int, default=DEFAULT_MAX_AUX)
-    p.add_argument("--max-apps", type=int, default=DEFAULT_MAX_APPS)
+    p.add_argument("--max-aux", type=_count(0), default=DEFAULT_MAX_AUX)
+    p.add_argument("--max-apps", type=_count(0), default=DEFAULT_MAX_APPS)
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_implement)
 
     p = sub.add_parser("transform", help="apply one reduction step or chain")
     _add_common(p, instance=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
     p.add_argument("--op", choices=_TRANSFORM_OPS, required=True)
     p.add_argument("--target-language")
     p.set_defaults(func=cmd_transform)
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernelize", help="full kernelization pipeline")
     _add_common(p, instance=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
     p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("compress", help="monomial-coefficient compression")
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exhaustive reference solver")
     _add_common(p, instance=True)
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -317,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base")
     p.add_argument("--target")
     p.add_argument("--target-poly")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("vc-reduce", help="Vertex Cover to weighted Max 2-SAT")
@@ -328,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="seeded random instance (test utility)")
     _add_common(p)
-    p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--napps", type=int, required=True)
+    p.add_argument("--nvars", type=_count(1), required=True)
+    p.add_argument("--napps", type=_count(0), required=True)
     p.add_argument("--weight-range", choices=(RANGE_Z, RANGE_N), default=RANGE_N)
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument("--max-weight", type=_count(0), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=int, default=None)
     p.set_defaults(func=cmd_random)

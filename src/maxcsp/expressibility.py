@@ -43,7 +43,7 @@ class DegreeWitness:
     degree: int
     pattern: SubstitutionPattern
     constraint: Constraint
-    leading_coefficient: Fraction
+    leading_coefficient: int
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class CombinationTerm:
     pattern: SubstitutionPattern          # constants-only pattern over the base
     constraint: Constraint                # apply_pattern(base, pattern)
     indices: tuple[int, ...]              # variables the term is applied to
-    coefficient: Fraction
+    coefficient: Fraction                 # an int once language_denominator scales it
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,6 @@ class LinearCombination:
             add_composed(acc, characteristic_polynomial(t.constraint), t.indices,
                          t.coefficient)
         return MultilinearPolynomial(acc)
-
-    def evaluate(self, bits) -> Fraction:
-        """Pointwise value using the constraints themselves, not their
-        polynomials (the Proposition-level consequence)."""
-        total = Fraction(0)
-        for t in self.terms:
-            args = [bits[i - 1] for i in t.indices]
-            total += t.coefficient * t.constraint.value(args)
-        return total
 
 
 def _compose_steps(k: int, steps) -> SubstitutionPattern:
@@ -162,7 +153,7 @@ def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination
             witness = find_degree_witness(f, d)
             poly = characteristic_polynomial(witness.constraint)
             for mono in level:
-                alpha = residual[mono] / witness.leading_coefficient
+                alpha = Fraction(residual[mono], witness.leading_coefficient)
                 idx = tuple(sorted(mono))
                 terms.append(CombinationTerm(witness.pattern, witness.constraint,
                                              idx, alpha))
@@ -195,7 +186,7 @@ def max_degree_member(language: ConstraintLanguage) -> Constraint:
 def language_denominator(source: ConstraintLanguage, f: Constraint
                          ) -> tuple[int, MappingProxyType]:
     """The common denominator beta and, per source constraint g, the
-    combination rescaled to integer coefficients representing beta * g.
+    combination rescaled to int coefficients representing beta * g.
     Memoized; the mapping is read-only because every caller shares it."""
     combos = {}
     denominators = [1]
@@ -206,9 +197,12 @@ def language_denominator(source: ConstraintLanguage, f: Constraint
     beta = lcm(*denominators)
     scaled = {}
     for name, combo in combos.items():
-        scaled[name] = LinearCombination(
-            combo.base, combo.nvars,
-            tuple(CombinationTerm(t.pattern, t.constraint, t.indices,
-                                  t.coefficient * beta)
-                  for t in combo.terms))
+        terms = []
+        for t in combo.terms:
+            c = t.coefficient * beta
+            if c.denominator != 1:
+                raise MaxCspError("integerized combination has a fraction left")
+            terms.append(CombinationTerm(t.pattern, t.constraint, t.indices,
+                                         c.numerator))
+        scaled[name] = LinearCombination(combo.base, combo.nvars, tuple(terms))
     return beta, MappingProxyType(scaled)

@@ -1,13 +1,11 @@
-"""Weighted constraint systems (formulas) and their algebra.
+"""Weighted constraint systems (formulas).
 
 A formula is a set of weighted constraint applications over variables
-1..nvars, tagged with a weight range ("Z" or "N"), a decision threshold, and
-an optional declared weight exponent c asserting ||phi|| <= nvars**c.
+1..nvars, tagged with a weight range ("Z" or "N") and a decision threshold.
 Applications are kept in canonical sorted order; duplicate (constraint,
 tuple) pairs are merged only on request, never implicitly: the reductions
 add their output weights into one dict keyed by (constraint, indices), and
-merge_applications (used by formula_sum) fills one from a list; each
-application is then built once by applications_from_weights.
+applications_from_weights builds each application once from it.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ class Formula:
     applications: tuple[Application, ...]
     weight_range: str = RANGE_N
     threshold: int = 0
-    declared_weight_exponent: int | None = None
     # ||phi||: the sum of absolute weights, added up once by __post_init__.
     total_weight: int = field(init=False, repr=False, compare=False)
 
@@ -75,10 +72,6 @@ class Formula:
         object.__setattr__(self, "applications",
                            tuple(sorted(self.applications, key=_SORT_KEY)))
         object.__setattr__(self, "total_weight", total)
-        if (self.declared_weight_exponent is not None
-                and total > self.nvars ** self.declared_weight_exponent):
-            raise FormatError(f"||phi|| = {total} exceeds declared bound "
-                              f"n**{self.declared_weight_exponent}")
 
     @property
     def size(self) -> int:
@@ -106,36 +99,6 @@ def applications_from_weights(weights: dict) -> tuple[Application, ...]:
     the summed weight (0 kept)."""
     return tuple(Application(c, indices, w)
                  for (c, indices), w in weights.items())
-
-
-def merge_applications(apps) -> tuple[Application, ...]:
-    """Merge applications that share the same constraint and the same index
-    tuple by adding their weights; first occurrences keep their order."""
-    weights: dict[tuple, int] = {}
-    for app in apps:
-        key = (app.constraint, app.indices)
-        weights[key] = weights.get(key, 0) + app.weight
-    return applications_from_weights(weights)
-
-
-def formula_sum(a: Formula, b: Formula) -> Formula:
-    """Union of the applications, merged by merge_applications.
-
-    The variable universe is the union; the thresholds add (callers in the
-    reduction pipeline always set the threshold explicitly afterwards).
-    """
-    apps = merge_applications(a.applications + b.applications)
-    weight_range = RANGE_N if (a.weight_range == RANGE_N and b.weight_range == RANGE_N) else RANGE_Z
-    return Formula(max(a.nvars, b.nvars), apps, weight_range,
-                   a.threshold + b.threshold)
-
-
-def scalar_mul(alpha: int, phi: Formula) -> Formula:
-    """Multiply every weight (and the threshold) by an integer."""
-    apps = tuple(Application(a.constraint, a.indices, alpha * a.weight)
-                 for a in phi.applications)
-    weight_range = RANGE_N if (phi.weight_range == RANGE_N and alpha >= 0) else RANGE_Z
-    return Formula(phi.nvars, apps, weight_range, alpha * phi.threshold)
 
 
 def empty_formula(nvars: int = 1, weight_range: str = RANGE_N,

@@ -1,4 +1,4 @@
-"""Strict alpha-implementations: verification, bounded search, composition.
+"""Strict alpha-implementations: verification and bounded search.
 
 An implementation of a target constraint is a collection of unit-weight
 applications over primary variables 1..p and auxiliary variables
@@ -21,7 +21,7 @@ from functools import lru_cache
 from .constraints import (Constraint, ConstraintLanguage, dicut_constraint,
                           ex_constraint, nae_constraint, or_constraint,
                           xor_constraint, T, F, literal_variant)
-from .errors import FormatError, MaxCspError, PreconditionError
+from .errors import FormatError, MaxCspError
 
 DEFAULT_MAX_AUX = 2
 DEFAULT_MAX_APPS = 4
@@ -196,38 +196,3 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
                 if valid and strict:
                     return Implementation(target, p, q, tuple(combo), alpha, True)
     return None
-
-
-def compose_implementations(outer: Implementation,
-                            bindings: dict[Constraint, Implementation]
-                            ) -> Implementation:
-    """Substitute inner implementations for the outer applications, giving
-    each substitution fresh auxiliary variables; constraints without a
-    binding are kept as-is.  All pieces must be strict; the composite is
-    re-verified from scratch."""
-    if not outer.strict:
-        raise PreconditionError("outer implementation must be strict")
-    for c, impl in bindings.items():
-        if not impl.strict:
-            raise PreconditionError(f"binding for {c.name} must be strict")
-        if impl.target.signature() != c.signature():
-            raise PreconditionError(
-                f"binding target {impl.target.name} does not match {c.name}")
-    apps: list[tuple[Constraint, tuple[int, ...]]] = []
-    next_fresh = outer.primary_arity + outer.aux_count
-    for c, idx in outer.applications:
-        inner = bindings.get(c)
-        if inner is None:
-            apps.append((c, idx))
-            continue
-        aux_base = next_fresh
-        next_fresh += inner.aux_count
-        mapping = list(idx) + [aux_base + j + 1 for j in range(inner.aux_count)]
-        for ic, iidx in inner.applications:
-            apps.append((ic, tuple(mapping[v - 1] for v in iidx)))
-    composite = checked_implementation(
-        outer.target, outer.primary_arity,
-        next_fresh - outer.primary_arity, apps)
-    if not composite.strict:
-        raise MaxCspError("composition lost strictness")
-    return composite

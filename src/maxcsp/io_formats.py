@@ -29,7 +29,7 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, Constraint,
 from .errors import FormatError
 from .expressibility import CombinationTerm, LinearCombination
 from .formulas import RANGE_N, RANGE_Z, Application, Formula
-from .implementations import Implementation, checked_implementation
+from .implementations import Implementation
 from .languages import builtin_language
 from .polynomials import MultilinearPolynomial
 
@@ -61,6 +61,16 @@ def _int(num: int, text: str, what: str, kind=int) -> int:
         return kind(text)
     except (ValueError, ZeroDivisionError):
         _fail(num, f"bad {what} {text!r}")
+
+
+def read_file(path) -> str:
+    """The text of a file; a path that cannot be read is a FormatError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _end(lines) -> None:
@@ -133,7 +143,7 @@ def resolve_language_spec(spec: str) -> ConstraintLanguage:
     path = Path(spec)
     if not path.exists():
         raise FormatError(f"{spec!r} is neither a builtin language nor a file")
-    return parse_language(path.read_text(), name=path.stem,
+    return parse_language(read_file(path), name=path.stem,
                           allow_constants=True)
 
 
@@ -314,6 +324,9 @@ def emit_implementation(impl: Implementation) -> str:
 
 def parse_implementation(text: str, language: ConstraintLanguage,
                          target: Constraint) -> Implementation:
+    """The candidate a file states, checked for format and index ranges
+    only: alpha and strict are left 0 and False, for verify_implementation
+    to compute."""
     header = None
     apps = []
     lines = _lines(text)
@@ -334,9 +347,13 @@ def parse_implementation(text: str, language: ConstraintLanguage,
                 c = language.get(parts[0])
             except KeyError as exc:
                 _fail(num, str(exc))
-            apps.append((c, tuple(_int(num, p, "index") for p in parts[1:])))
+            idx = tuple(_int(num, p, "index") for p in parts[1:])
+            if len(idx) != c.arity or not all(1 <= i <= sum(header) for i in idx):
+                _fail(num, f"{c.name} needs {c.arity} indices in "
+                           f"1..{sum(header)}, got {line!r}")
+            apps.append((c, idx))
     _require_header(header, "impl")
-    return checked_implementation(target, header[0], header[1], apps)
+    return Implementation(target, header[0], header[1], tuple(apps), 0, False)
 
 
 # ---------------------------------------------------------------------------

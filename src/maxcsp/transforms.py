@@ -134,11 +134,8 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
     for name, combo in combos.items():
         terms = rewrites[source.get(name)] = []
         for term in combo.terms:
-            if term.coefficient.denominator != 1:
-                raise FormatError("integerized combination has a fraction left")
             terms.append((tf.by_table(term.constraint.arity, term.constraint.table),
-                          tuple(j - 1 for j in term.indices),
-                          term.coefficient.numerator))
+                          tuple(j - 1 for j in term.indices), term.coefficient))
     weights: dict = {}
     for a in phi.applications:
         if a.constraint not in rewrites:
@@ -448,7 +445,7 @@ def formula_from_polynomial(poly: MultilinearPolynomial, nvars: int,
         if not mono:
             raise FormatError("constant term must be folded before re-encoding")
         and_k = lang.get(f"AND{len(mono)}")
-        apps.append(Application(and_k, tuple(sorted(mono)), int(coeff)))
+        apps.append(Application(and_k, tuple(sorted(mono)), coeff))
     return Formula(nvars, tuple(apps), RANGE_Z, threshold)
 
 

@@ -20,8 +20,8 @@ from maxcsp.formulas import random_formula
 from maxcsp.implementations import search_implementation, verify_implementation
 from maxcsp.io_formats import resolve_language_spec
 from maxcsp.languages import builtin_language, gamma_d_sat
-from maxcsp.polynomials import (characteristic_polynomial, degree_of_constraint,
-                                from_terms)
+from maxcsp.polynomials import (MultilinearPolynomial, characteristic_polynomial,
+                                degree_of_constraint)
 from maxcsp.solver import brute_force, decide, decisions
 from maxcsp.transforms import (apply_poly, chain, exp_cycle, implement_lit,
                                implement_tf, kernelize, neg_to_base,
@@ -48,7 +48,7 @@ def report(number: int, description: str, budget: float):
 
 
 def poly(*pairs):
-    return from_terms((frozenset(m), c) for m, c in pairs)
+    return MultilinearPolynomial({frozenset(m): c for m, c in pairs})
 
 
 def equivalent_decisions(phi1, phi2) -> bool:

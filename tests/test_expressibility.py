@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from maxcsp.constraints import (ConstraintLanguage, SubstitutionPattern,
-                                apply_pattern,
+from maxcsp.constraints import (MODE_LIT, MODE_TF, ConstraintLanguage,
+                                SubstitutionPattern, apply_pattern, closure,
                                 and_constraint, dicut_constraint, ex_constraint,
                                 nae_constraint, or_constraint, render_pattern,
                                 xor_constraint, T, F)
 from maxcsp.errors import PreconditionError
 from maxcsp.expressibility import (decompose, find_degree_witness,
-                                   language_denominator)
-from maxcsp.polynomials import (characteristic_polynomial, degree_of_constraint,
-                                from_terms)
+                                   language_denominator, max_degree_member)
+from maxcsp.languages import CATALOG_LANGUAGE_KEYS, builtin_language
+from maxcsp.polynomials import (MultilinearPolynomial, characteristic_polynomial,
+                                degree_of_constraint)
 
 
 def or3_negated():
@@ -87,7 +88,7 @@ def test_decompose_self_is_single_identity_term():
 
 
 def test_decompose_constant_uses_satisfying_assignment():
-    combo = decompose(from_terms([(frozenset(), 1)]), or_constraint(2))
+    combo = decompose(MultilinearPolynomial({frozenset(): 1}), or_constraint(2))
     assert len(combo.terms) == 1
     t = combo.terms[0]
     assert t.constraint.arity == 0 and t.constraint.table == (1,)
@@ -105,11 +106,15 @@ def test_decompose_pointwise_consequence():
             size = rng.randint(0, deg_f)
             mono = frozenset(rng.sample(range(1, nvars + 1), size))
             terms[mono] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        target = from_terms(terms.items())
+        target = MultilinearPolynomial(terms)
         combo = decompose(target, f)
         assert combo.expand() == target
         for bits in itertools.product((0, 1), repeat=nvars):
-            assert combo.evaluate(bits) == target.evaluate(bits)
+            # The combination read through the constraints themselves.
+            total = sum(t.coefficient * t.constraint.value([bits[i - 1] for i in t.indices])
+                        for t in combo.terms)
+            assert total == sum(c for m, c in target.terms.items()
+                                if all(bits[i - 1] for i in m))
 
 
 def test_decompose_term_count_bound():
@@ -120,7 +125,7 @@ def test_decompose_term_count_bound():
     for trial in range(10):
         terms = {frozenset(rng.sample(range(1, nvars + 1), rng.randint(0, 3))):
                  rng.randint(-5, 5) for _ in range(10)}
-        target = from_terms(terms.items())
+        target = MultilinearPolynomial(terms)
         combo = decompose(target, f)
         bound = sum(comb(nvars, i) for i in range(target.degree + 1)) + 1
         assert len(combo.terms) <= bound
@@ -136,9 +141,10 @@ def test_language_denominator_or2_over_xor():
         ConstraintLanguage("src", (or_constraint(2),)), xor_constraint(2))
     assert beta == 2
     combo = scaled["OR2"]
-    assert all(t.coefficient.denominator == 1 for t in combo.terms)
+    assert all(type(t.coefficient) is int for t in combo.terms)
     # the scaled combination expands to beta * P_OR2
-    assert combo.expand() == characteristic_polynomial(or_constraint(2)).scale(2)
+    assert combo.expand() == MultilinearPolynomial(
+        {m: 2 * c for m, c in characteristic_polynomial(or_constraint(2)).terms.items()})
 
 
 def test_language_denominator_identity():
@@ -160,3 +166,20 @@ def test_language_denominator_is_memoized_and_read_only():
     _, combos = first
     with pytest.raises(TypeError):
         combos["OR3"] = None
+
+
+@pytest.mark.parametrize("key", CATALOG_LANGUAGE_KEYS)
+def test_number_types_across_the_catalog(key):
+    # Truth tables give int polynomials; only a decomposition divides, into
+    # Fractions (never floats), and language_denominator scales back to ints.
+    lang = builtin_language(key)
+    for member in (*lang, *closure(lang, MODE_TF), *closure(lang, MODE_LIT)):
+        assert all(type(c) is int
+                   for c in characteristic_polynomial(member).terms.values())
+    f = max_degree_member(lang)
+    for g in lang:
+        combo = decompose(characteristic_polynomial(g), f)
+        assert all(type(t.coefficient) in (Fraction, int) for t in combo.terms)
+    _, scaled = language_denominator(lang, f)
+    assert all(type(t.coefficient) is int
+               for combo in scaled.values() for t in combo.terms)

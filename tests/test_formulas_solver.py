@@ -20,8 +20,8 @@ from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
                                nae_constraint, or_constraint, xor_constraint,
                                row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
-from maxcsp.formulas import (Application, Formula, empty_formula, formula_sum,
-                             random_formula, scalar_mul)
+from maxcsp.formulas import (Application, Formula, applications_from_weights,
+                             empty_formula, random_formula)
 from maxcsp.languages import builtin_language, gamma_d_sat
 from maxcsp.solver import (affine_holds, brute_force, check_equivalence, decide,
                            decide_exact, decisions)
@@ -48,73 +48,20 @@ def test_index_bounds_enforced():
         Formula(2, (Application(XOR, (1, 3), 1),), "N", 0)
 
 
-def test_declared_weight_exponent():
-    Formula(3, (Application(XOR, (1, 2), 9),), "N", 0, declared_weight_exponent=2)
-    with pytest.raises(FormatError):
-        Formula(3, (Application(XOR, (1, 2), 10),), "N", 0,
-                declared_weight_exponent=2)
-
-
-def test_formula_sum_merges_exact_tuples():
-    a = Formula(2, (Application(XOR, (1, 2), 3),), "N", 0)
-    b = Formula(2, (Application(XOR, (1, 2), 2),), "N", 0)
-    s = formula_sum(a, b)
-    assert s.size == 1 and s.applications[0].weight == 5
-
-
 def test_merge_keys_on_constraint_value():
     # A separately built equal constraint merges; the same table under
     # another name does not, and hashing agrees with equality.
     twin = xor_constraint(2)
     renamed = Constraint("XOR_B", 2, XOR.table)
     assert twin is not XOR and hash(twin) == hash(XOR) and twin == XOR
-    a = Formula(2, (Application(XOR, (1, 2), 3),), "N", 0)
-    b = Formula(2, (Application(twin, (1, 2), 2),
-                    Application(renamed, (1, 2), 4)), "N", 0)
-    s = formula_sum(a, b)
-    assert sorted((x.constraint.name, x.weight) for x in s.applications) == \
+    weights = {}
+    for a in (Application(XOR, (1, 2), 3), Application(twin, (1, 2), 2),
+              Application(renamed, (1, 2), 4)):
+        key = (a.constraint, a.indices)
+        weights[key] = weights.get(key, 0) + a.weight
+    assert sorted((x.constraint.name, x.weight)
+                  for x in applications_from_weights(weights)) == \
         [("XOR", 5), ("XOR_B", 4)]
-
-
-def test_formula_sum_keeps_distinct_tuples():
-    a = Formula(2, (Application(XOR, (1, 2), 3),), "N", 0)
-    b = Formula(2, (Application(XOR, (2, 1), 2),), "N", 0)
-    s = formula_sum(a, b)
-    assert s.size == 2
-    # XOR is symmetric, so the merged variant has the same value everywhere
-    merged = Formula(2, (Application(XOR, (1, 2), 5),), "N", 0)
-    for row in range(4):
-        bits = row_to_bits(row, 2)
-        assert s.value(bits) == merged.value(bits)
-
-
-def test_formula_sum_value_additivity():
-    rng = random.Random(9)
-    lang = gamma_d_sat(2)
-    for _ in range(20):
-        a = random_formula(lang, 5, 6, "Z", seed=rng.randrange(10 ** 9))
-        b = random_formula(lang, 5, 6, "Z", seed=rng.randrange(10 ** 9))
-        s = formula_sum(a, b)
-        for row in range(32):
-            bits = row_to_bits(row, 5)
-            assert s.value(bits) == a.value(bits) + b.value(bits)
-
-
-def test_scalar_mul_zero_keeps_applications():
-    phi = Formula(2, (Application(XOR, (1, 2), 3),), "N", 1)
-    z = scalar_mul(0, phi)
-    assert z.size == 1 and z.applications[0].weight == 0
-    assert all(z.value(row_to_bits(r, 2)) == 0 for r in range(4))
-
-
-def test_scalar_mul_scales_optimum_for_nonnegative_alpha():
-    rng = random.Random(13)
-    lang = builtin_language("xor")
-    for _ in range(10):
-        phi = random_formula(lang, 5, 6, "N", seed=rng.randrange(10 ** 9))
-        for alpha in (0, 1, 3):
-            assert (brute_force(scalar_mul(alpha, phi)).optimum
-                    == alpha * brute_force(phi).optimum)
 
 
 def test_brute_force_empty():

@@ -1,14 +1,11 @@
-"""Implementation verification, search, catalog, composition."""
+"""Implementation verification, search, catalog."""
 
 import pytest
 
-from maxcsp.constraints import (classify_language, ex_constraint, literal_variant,
-                                nae_constraint, or_constraint, xor_constraint,
-                                T, F)
-from maxcsp.errors import PreconditionError
+from maxcsp.constraints import (classify_language, literal_variant, or_constraint,
+                                xor_constraint, T, F)
 from maxcsp.implementations import (Implementation, catalog,
                                     checked_implementation,
-                                    compose_implementations,
                                     identity_implementation,
                                     search_implementation,
                                     verify_implementation)
@@ -91,38 +88,11 @@ def test_non_c_closed_languages_implement_t_and_f(key):
         assert impl is not None and impl.strict
 
 
-def test_compose_t_f_chain_for_ex3():
-    ex3 = ex_constraint(3)
-    outer = checked_implementation(XOR, 2, 1, [(ex3, (1, 2, 3)), (F, (3,))])
-    f_inner = checked_implementation(F, 1, 1, [(ex3, (1, 1, 2))])
-    composed = compose_implementations(outer, {F: f_inner})
-    assert composed.strict and composed.alpha == 2
-    assert all(c.name == "EX3" for c, _ in composed.applications)
-    assert verify_implementation(composed).valid
-
-
-def test_compose_with_identity_binding():
-    nae = nae_constraint(3)
-    outer = checked_implementation(XOR, 2, 0, [(nae, (1, 2, 2))])
-    composed = compose_implementations(outer, {nae: identity_implementation(nae)})
-    assert composed.applications == outer.applications
-    assert composed.alpha == outer.alpha
-
-
-def test_compose_rejects_non_strict():
-    or2 = or_constraint(2)
-    # a valid but non-strict implementation of the constant-1 check:
-    # OR2(x, x) implements T strictly, so force the flag off artificially
-    impl = checked_implementation(T, 1, 0, [(or2, (1, 1))])
-    loose = Implementation(impl.target, 1, 0, impl.applications, impl.alpha, False)
-    with pytest.raises(PreconditionError):
-        compose_implementations(loose, {})
-
-
 def test_implementation_round_trip():
     lang = builtin_language("nae3")
     impl = search_implementation(lang, XOR)
     text = emit_implementation(impl)
     parsed = parse_implementation(text, lang, XOR)
     assert parsed.applications == impl.applications
-    assert parsed.alpha == impl.alpha and parsed.strict == impl.strict
+    res = verify_implementation(parsed)
+    assert res.valid and res.alpha == impl.alpha and res.strict == impl.strict

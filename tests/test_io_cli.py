@@ -1,7 +1,10 @@
 """File formats and command-line behaviour."""
 
+import types
+
 import pytest
 
+import maxcsp
 from maxcsp.cli import build_parser, main
 from maxcsp.constraints import ex_constraint, xor_constraint
 from maxcsp.errors import FormatError
@@ -147,6 +150,15 @@ def test_cli_implement_and_verify(tmp_path, capsys):
     assert "valid=1" in capsys.readouterr().err
 
 
+def test_cli_verify_reports_an_invalid_implementation(tmp_path, capsys):
+    # NAE3(x, x, x) is never satisfied: a well-formed file, but no gadget.
+    path = tmp_path / "bad.impl"
+    path.write_text("impl XOR p=2 q=0\nNAE3 1 1 1\nend\n")
+    assert main(["verify", "implementation", str(path), "--language", "nae3",
+                 "--target", "XOR"]) == 1
+    assert capsys.readouterr().err == "valid=0 alpha=0 strict=0\n"
+
+
 EX3_XOR_GADGET = ("impl XOR p=2 q=2 alpha=2 strict=1\n"
                   "EX3 1 2 3\nEX3 3 3 4\nend\n")
 
@@ -278,6 +290,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
     (parse_implementation, "impl XOR p=2 q=x\nend\n", "line 1"),
     (parse_implementation, "impl XOR q=0\nXOR 1 2\nend\n", "line 1"),
     (parse_implementation, "impl XOR p=2 q=0\nXOR 1 y\nend\n", "line 2"),
+    (parse_implementation, "impl XOR p=2 q=0\nXOR 1 3\nend\n",
+     "line 2: XOR needs 2 indices in 1..2"),
     (parse_decomposition, "decomposition EX3 2 x\nend\n", "line 1"),
     # The header's term count is checked like the other parsers' counts.
     (parse_decomposition, "decomposition EX3 2 5\n1/2 x1,0,0 1\nend\n",
@@ -383,6 +397,42 @@ CLI_SURFACE = {
 }
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["implement", "--language", "nae3", "--target", "XOR", "--max-aux", "-1"],
+     "--max-aux"),
+    (["implement", "--language", "nae3", "--target", "XOR", "--max-apps", "-3"],
+     "--max-apps"),
+    (["random", "--language", "xor", "--nvars", "0", "--napps", "2"], "--nvars"),
+    (["random", "--language", "xor", "--nvars", "3", "--napps", "-2"], "--napps"),
+    (["random", "--language", "xor", "--nvars", "3", "--napps", "2",
+      "--max-weight", "-1"], "--max-weight"),
+    (["kernelize", "--language", "xor", "--instance", "i", "--verify",
+      "--oracle-cap", "-1"], "--oracle-cap"),
+])
+def test_cli_counts_out_of_range_exit_2(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--language", "xor", "--instance", "{missing}"], "cannot read"),
+    (["verify", "decomposition", "{missing}", "--base", "EX3", "--target", "OR2"],
+     "cannot read"),
+    (["classify", "--language", "xor", "-o", "{missing}/x"], "cannot write"),
+    (["classify", "--language", "{dir}"], "cannot read"),
+    (["solve", "--language", "xor", "--instance", "{binary}"], "cannot read"),
+])
+def test_cli_unreadable_and_unwritable_paths_exit_2(argv, message, tmp_path, capsys):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path,
+             "binary": tmp_path / "binary"}
+    paths["binary"].write_bytes(b"\xff\xfe\x00")
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} {tmp_path}")
+
+
 def test_cli_surface_is_exactly_the_options_each_command_reads():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(sub.choices) == set(CLI_SURFACE)
@@ -407,3 +457,40 @@ def test_cli_removed_options_exit_2(command, option, value, capsys):
         main([command, *CLI_SURFACE[command], option, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+# What `import maxcsp` offers; a name added or dropped is an edit here.
+PUBLIC_NAMES = {
+    "Application", "CapExceededError", "ClassificationReport", "Constraint",
+    "ConstraintFlags", "ConstraintLanguage", "DegreeWitness", "FormatError",
+    "Formula", "Implementation", "KernelResult", "LinearCombination",
+    "MaxCspError", "MultilinearPolynomial", "PreconditionError", "SolveResult",
+    "SubstitutionPattern", "TransformCertificate", "apply_pattern", "apply_poly",
+    "brute_force", "builtin_language", "chain", "characteristic_polynomial",
+    "check_equivalence", "classify", "classify_language", "closure",
+    "compress_to_polynomial", "decide", "decide_exact", "decompose",
+    "degree_of_constraint", "degree_of_language", "empty_formula", "exp_cycle",
+    "find_degree_witness", "gamma_d_and", "gamma_d_sat", "implement_lit",
+    "implement_tf", "kernelize", "language_denominator", "make_constraint",
+    "neg_to_base", "random_formula", "search_implementation",
+    "signed_to_unsigned_neg", "standard_constraint", "unsigned_lit", "vc_reduce",
+    "verify_implementation", "verify_transform",
+}
+# Names the package no longer has anywhere.
+DROPPED_NAMES = ("compose_implementations", "formula_sum", "scalar_mul",
+                 "merge_applications", "symmetric_formula", "from_terms",
+                 "characteristic_polynomial_by_expansion", "leading_coefficient")
+
+
+def test_public_names_are_pinned():
+    assert {name for name, value in vars(maxcsp).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)} == PUBLIC_NAMES
+    modules = [m for m in vars(maxcsp).values() if isinstance(m, types.ModuleType)]
+    for name in DROPPED_NAMES:
+        assert not any(hasattr(m, name) for m in [maxcsp, *modules]), name
+    for method in ("__add__", "__sub__", "scale", "evaluate",
+                   "substitute_negation", "is_integral"):
+        assert not hasattr(maxcsp.MultilinearPolynomial, method), method
+    assert not hasattr(maxcsp.LinearCombination, "evaluate")
+    assert "declared_weight_exponent" not in maxcsp.Formula.__dataclass_fields__

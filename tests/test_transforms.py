@@ -15,7 +15,7 @@ from maxcsp.expressibility import language_denominator, max_degree_member
 from maxcsp.formulas import Application, Formula, random_formula
 from maxcsp.implementations import search_implementation
 from maxcsp.languages import builtin_language, gamma_d_and, gamma_d_sat
-from maxcsp.polynomials import characteristic_polynomial, from_terms
+from maxcsp.polynomials import MultilinearPolynomial, characteristic_polynomial
 from maxcsp.solver import brute_force, check_equivalence, decide
 from maxcsp.transforms import (AFFINE, KIND_ADDITIVE, TransformCertificate,
                                apply_poly, chain, chain_stages,
@@ -36,6 +36,11 @@ def assert_equivalent(phi1, phi2, cert=None):
         report = verify_transform(phi1, phi2, cert)
         failed = [c.name for c in report.checks if c.passed is False]
         assert not failed, failed
+
+
+def poly_value(p, bits):
+    """p at a 0/1 assignment, bits[i - 1] the value of x_i."""
+    return sum(c for mono, c in p.terms.items() if all(bits[i - 1] for i in mono))
 
 
 def random_cases(language, count, nvars, napps, weight_range, seed, max_weight=None):
@@ -467,9 +472,9 @@ def test_kernelize_max_cut_example():
     phi = Formula(3, (Application(XOR, (1, 2), 3), Application(XOR, (2, 1), 2),
                       Application(XOR, (1, 3), 1)), "N", 5)
     poly = formula_polynomial(phi)
-    assert poly == from_terms([
-        (frozenset([1]), 6), (frozenset([2]), 5), (frozenset([3]), 1),
-        (frozenset([1, 2]), -10), (frozenset([1, 3]), -2)])
+    assert poly == MultilinearPolynomial({
+        frozenset([1]): 6, frozenset([2]): 5, frozenset([3]): 1,
+        frozenset([1, 2]): -10, frozenset([1, 3]): -2})
     res = kernelize(phi, XORL)
     assert res.formula.weight_range == "N"
     assert_equivalent(phi, res.formula, res.certificate)
@@ -508,8 +513,8 @@ def test_compress_single_or2():
     or2 = builtin_language("or2").get("OR2")
     phi = Formula(2, (Application(or2, (1, 2), 9),), "N", 4)
     res = compress_to_polynomial(phi)
-    assert res.polynomial == from_terms([
-        (frozenset([1]), 9), (frozenset([2]), 9), (frozenset([1, 2]), -9)])
+    assert res.polynomial == MultilinearPolynomial({
+        frozenset([1]): 9, frozenset([2]): 9, frozenset([1, 2]): -9})
     assert res.threshold == 4
 
 
@@ -522,10 +527,11 @@ def test_compress_preserves_values_pointwise():
     from maxcsp.constraints import row_to_bits
     for phi in random_cases(builtin_language("nae3lit"), 10, 5, 12, "N", seed=41):
         res = compress_to_polynomial(phi)
+        assert all(type(c) is int for c in res.polynomial.terms.values())
         shift = phi.threshold - res.threshold
         for row in range(1 << phi.nvars):
             bits = row_to_bits(row, phi.nvars)
-            assert res.polynomial.evaluate(bits) + shift == phi.value(bits)
+            assert poly_value(res.polynomial, bits) + shift == phi.value(bits)
 
 
 def sampled_assignments(nvars, count, seed):
@@ -542,22 +548,24 @@ def test_formula_polynomial_matches_values_and_reference():
                          Application(or2, (3, 1), -4)), "Z", 0)
     poly = formula_polynomial(cancel)
     assert frozenset([1, 2]) not in poly.terms
-    assert poly == from_terms([(frozenset([1]), -3), (frozenset([2]), 1),
-                               (frozenset([3]), -4), (frozenset([1, 3]), 4)])
+    assert poly == MultilinearPolynomial({frozenset([1]): -3, frozenset([2]): 1,
+                                          frozenset([3]): -4, frozenset([1, 3]): 4})
     cases = [cancel]
     for key in ("3sat", "nae3lit", "ex3"):
         cases += random_cases(builtin_language(key), 4, 7, 30, "Z", seed=len(key),
                               max_weight=5)
     for phi in cases:
         poly = formula_polynomial(phi)
-        assert all(type(c) is Fraction and c for c in poly.terms.values())
-        # Reference: every mapped term summed as a Fraction by from_terms.
-        assert poly == from_terms(
-            (frozenset(a.indices[j - 1] for j in mono), a.weight * c)
-            for a in phi.applications
-            for mono, c in characteristic_polynomial(a.constraint).terms.items())
+        assert all(type(c) is int and c for c in poly.terms.values())
+        # Reference: every mapped term added into its own dict.
+        reference = {}
+        for a in phi.applications:
+            for mono, c in characteristic_polynomial(a.constraint).terms.items():
+                key = frozenset(a.indices[j - 1] for j in mono)
+                reference[key] = reference.get(key, 0) + a.weight * c
+        assert poly == MultilinearPolynomial(reference)
         for bits in sampled_assignments(phi.nvars, 20, phi.size):
-            assert poly.evaluate(bits) == phi.value(bits)
+            assert poly_value(poly, bits) == phi.value(bits)
 
 
 def test_formula_polynomial_at_n80_m8000():
@@ -566,7 +574,7 @@ def test_formula_polynomial_at_n80_m8000():
     assert res.monomials <= 1 + 80 + 80 * 79 // 2
     shift = phi.threshold - res.threshold
     for bits in sampled_assignments(80, 10, 8000):
-        assert res.polynomial.evaluate(bits) + shift == phi.value(bits)
+        assert poly_value(res.polynomial, bits) + shift == phi.value(bits)
 
 
 def test_affine_pointwise_with_fractional_map():
