@@ -231,7 +231,12 @@ def cmd_verify(args) -> int:
     res = verify_implementation(impl)
     sys.stderr.write(f"valid={int(res.valid)} alpha={res.alpha} "
                      f"strict={int(res.strict)}\n")
-    return 0 if res.valid else 1
+    wrong = " ".join(f"{k}={stated}" for k, stated, real in (
+        ("alpha", impl.alpha, res.alpha), ("strict", impl.strict, res.strict))
+        if stated not in (None, real))
+    if wrong:
+        sys.stderr.write(f"FAIL stated {wrong}\n")
+    return 0 if res.valid and not wrong else 1
 
 
 def cmd_vc_reduce(args) -> int:

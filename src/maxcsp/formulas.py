@@ -5,7 +5,8 @@ A formula is a set of weighted constraint applications over variables
 Applications are kept in canonical sorted order; duplicate (constraint,
 tuple) pairs are merged only on request, never implicitly: the reductions
 add their output weights into one dict keyed by (constraint, indices), and
-applications_from_weights builds each application once from it.
+a formula built from that dict checks it at once but builds its sorted
+applications only when they are first read.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dataclass_replace
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constraints import Constraint, ConstraintLanguage
 from .errors import FormatError
@@ -24,17 +25,10 @@ RANGE_N = "N"
 _SORT_KEY = attrgetter("constraint.name", "indices", "weight")
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(NamedTuple):
     constraint: Constraint
     indices: tuple[int, ...]
     weight: int
-
-    def __post_init__(self):
-        if len(self.indices) != self.constraint.arity:
-            raise FormatError(
-                f"{self.constraint.name} has arity {self.constraint.arity}, "
-                f"got indices {self.indices}")
 
     def satisfied_by(self, bits: Sequence[int]) -> int:
         row = 0
@@ -45,6 +39,8 @@ class Application:
 
 @dataclass(frozen=True)
 class Formula:
+    """`applications` is a sequence of Applications or a (constraint,
+    indices) -> weight dict, which the formula keeps: do not change it."""
     nvars: int
     applications: tuple[Application, ...]
     weight_range: str = RANGE_N
@@ -57,26 +53,47 @@ class Formula:
             raise FormatError("formula needs at least one variable")
         if self.weight_range not in (RANGE_Z, RANGE_N):
             raise FormatError(f"weight range must be Z or N, got {self.weight_range!r}")
+        apps = self.applications
+        object.__setattr__(self, "_weights", apps if isinstance(apps, dict) else None)
+        n, nonneg = self.nvars, self.weight_range == RANGE_N
         total = 0
-        for app in self.applications:
-            for i in app.indices:
-                if not 1 <= i <= self.nvars:
+        for c, indices, w in self.entries():
+            if len(indices) != c.arity:
+                raise FormatError(f"{c.name} has arity {c.arity}, got indices {indices}")
+            for i in indices:
+                if not 1 <= i <= n:
                     raise FormatError(
-                        f"index {i} out of range 1..{self.nvars} "
-                        f"in application of {app.constraint.name}")
-            if self.weight_range == RANGE_N and app.weight < 0:
+                        f"index {i} out of range 1..{n} in application of {c.name}")
+            if nonneg and w < 0:
                 raise FormatError(
-                    f"weight range violation: negative weight {app.weight} "
-                    f"under N for {app.constraint.name}{app.indices}")
-            total += abs(app.weight)
-        object.__setattr__(self, "applications",
-                           tuple(sorted(self.applications, key=_SORT_KEY)))
+                    f"weight range violation: negative weight {w} "
+                    f"under N for {c.name}{indices}")
+            total += abs(w)
+        if self._weights is None:
+            object.__setattr__(self, "applications", tuple(sorted(apps, key=_SORT_KEY)))
+        else:
+            object.__delattr__(self, "applications")  # see __getattr__
         object.__setattr__(self, "total_weight", total)
+
+    def __getattr__(self, name):
+        # Normal lookup misses `applications` only on a dict-built formula
+        # that has not been read yet: build them once, here.
+        if name != "applications":
+            raise AttributeError(name)
+        object.__setattr__(self, name, applications_from_weights(self._weights))
+        return self.applications
+
+    def entries(self):
+        """Every application as (constraint, indices, weight), read from the
+        weight dict of a dict-built formula without building its applications."""
+        if self._weights is None:
+            return self.applications
+        return ((c, indices, w) for (c, indices), w in self._weights.items())
 
     @property
     def size(self) -> int:
         """|phi|: number of applications."""
-        return len(self.applications)
+        return len(self.applications if self._weights is None else self._weights)
 
     def value(self, bits: Sequence[int]) -> int:
         """phi(x): total weight of applications satisfied by the assignment."""
@@ -86,8 +103,8 @@ class Formula:
 
     def constraints_used(self) -> tuple[Constraint, ...]:
         seen: dict[str, Constraint] = {}
-        for a in self.applications:
-            seen.setdefault(a.constraint.name, a.constraint)
+        for c, _, _ in self.entries():
+            seen.setdefault(c.name, c)
         return tuple(seen[k] for k in sorted(seen))
 
     def replace(self, **kwargs) -> "Formula":
@@ -95,10 +112,9 @@ class Formula:
 
 
 def applications_from_weights(weights: dict) -> tuple[Application, ...]:
-    """One application per (constraint, indices) key, in key order, with
-    the summed weight (0 kept)."""
-    return tuple(Application(c, indices, w)
-                 for (c, indices), w in weights.items())
+    """The sorted applications of a (constraint, indices) -> weight dict."""
+    return tuple(sorted([Application(c, indices, w)
+                         for (c, indices), w in weights.items()], key=_SORT_KEY))
 
 
 def empty_formula(nvars: int = 1, weight_range: str = RANGE_N,

@@ -325,8 +325,8 @@ def emit_implementation(impl: Implementation) -> str:
 def parse_implementation(text: str, language: ConstraintLanguage,
                          target: Constraint) -> Implementation:
     """The candidate a file states, checked for format and index ranges
-    only: alpha and strict are left 0 and False, for verify_implementation
-    to compute."""
+    only: alpha and strict are the header's claims (None where it states
+    none), for the caller to compare with verify_implementation's."""
     header = None
     apps = []
     lines = _lines(text)
@@ -338,6 +338,8 @@ def parse_implementation(text: str, language: ConstraintLanguage,
             kv = dict(p.partition("=")[::2] for p in parts[2:])
             header = (_int(num, kv.get("p", ""), "p="),
                       _int(num, kv.get("q", ""), "q="))
+            alpha, strict = (_int(num, kv[k], f"{k}=") if k in kv else None
+                             for k in ("alpha", "strict"))
             if parts[1] != target.name:
                 _fail(num, f"implementation targets {parts[1]!r}, not {target.name!r}")
         elif line == "end":
@@ -353,7 +355,7 @@ def parse_implementation(text: str, language: ConstraintLanguage,
                            f"1..{sum(header)}, got {line!r}")
             apps.append((c, idx))
     _require_header(header, "impl")
-    return Implementation(target, header[0], header[1], tuple(apps), 0, False)
+    return Implementation(target, *header, tuple(apps), alpha, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ per setting p of the top variables, takes the monomials whose top variables
 lie inside p.  The passes for the block's low 8 bits run on a compact array
 of the rows of 2**8 entries that hold a coefficient; those rows go into a
 zeroed block, and the passes for the other bits run over the whole block.
+At n <= 8 the block is one row, built in place.
 The passes commute, and a row with no coefficient stays zero under the low
 ones, so the block is the one that all passes over the whole block give.
 numpy is imported by a sweep only, so the CLI starts without it.  Partial
@@ -119,12 +120,15 @@ def _value_blocks(phi: Formula, cap: int):
         kept = [(mask & (1 << low) - 1, c) for mask, c in coeffs.items()
                 if not mask >> low & ~p]
         # The rows of 2**rb entries holding a coefficient, by head m >> rb.
-        heads = sorted({m >> rb for m, _ in kept})
+        heads = sorted({m >> rb for m, _ in kept}) if low > rb else [0]
         row = {h: i for i, h in enumerate(heads)}
         rows = np.zeros(len(heads) << rb, dtype=dtype)
         for m, c in kept:
             rows[row[m >> rb] << rb | m & (1 << rb) - 1] += c
         _subset_sums(rows, range(rb))
+        if low == rb:  # a block of one row (n <= 8) is built in place
+            yield p << low, rows
+            continue
         values = np.zeros(1 << low, dtype=dtype)
         values.reshape(-1, 1 << rb)[heads] = rows.reshape(-1, 1 << rb)
         _subset_sums(values, range(rb, low))

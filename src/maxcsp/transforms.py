@@ -26,8 +26,7 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
                           recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
-from .formulas import (RANGE_N, RANGE_Z, Application, Formula,
-                       applications_from_weights, empty_formula)
+from .formulas import RANGE_N, RANGE_Z, Application, Formula, empty_formula
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
@@ -137,16 +136,15 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
             terms.append((tf.by_table(term.constraint.arity, term.constraint.table),
                           tuple(j - 1 for j in term.indices), term.coefficient))
     weights: dict = {}
-    for a in phi.applications:
-        if a.constraint not in rewrites:
+    for c, indices, w in phi.entries():
+        if c not in rewrites:
             raise PreconditionError(
-                f"{a.constraint.name} is not in source language {source.name!r}")
-        at = a.indices.__getitem__
-        for member, index_map, coeff in rewrites[a.constraint]:
+                f"{c.name} is not in source language {source.name!r}")
+        at = indices.__getitem__
+        for member, index_map, coeff in rewrites[c]:
             key = (member, tuple(map(at, index_map)))
-            weights[key] = weights.get(key, 0) + a.weight * coeff
-    phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_Z,
-                   beta * phi.threshold)
+            weights[key] = weights.get(key, 0) + w * coeff
+    phi2 = Formula(phi.nvars, weights, RANGE_Z, beta * phi.threshold)
     size_factor = max([len(terms) for terms in rewrites.values()] + [1])
     weight_factor = max([sum(abs(c) for _, _, c in terms)
                          for terms in rewrites.values()] + [1])
@@ -179,18 +177,18 @@ def _add_rewired(weights: dict, phi: Formula, base: ConstraintLanguage,
     constraint: slot s > 0 takes index s, a negated slot -s (MODE_LIT)
     index s plus n, "1" and "0" (MODE_TF) the first and second constant."""
     rules: dict = {}
-    for a in phi.applications:
-        rule = rules.get(a.constraint)
+    for c, indices, w in phi.entries():
+        rule = rules.get(c)
         if rule is None:
-            f, pattern = recover_pattern(base, a.constraint, mode)
-            k, slots = a.constraint.arity, pattern.slots
-            rule = rules[a.constraint] = (
+            f, pattern = recover_pattern(base, c, mode)
+            k, slots = c.arity, pattern.slots
+            rule = rules[c] = (
                 f, tuple(k if s == "1" else k + 1 if s == "0" else abs(s) - 1 for s in slots),
                 tuple(phi.nvars if isinstance(s, int) and s < 0 else 0 for s in slots))
         f, positions, offsets = rule
-        at = (a.indices + constants).__getitem__
+        at = (indices + constants).__getitem__
         key = (f, tuple(map(add, map(at, positions), offsets)))
-        weights[key] = weights.get(key, 0) + a.weight
+        weights[key] = weights.get(key, 0) + w
 
 
 def _require_implementation(language, target) -> Implementation:
@@ -227,8 +225,7 @@ def implement_tf(phi: Formula, base: ConstraintLanguage):
         aux += impl.aux_count
         alpha += impl.alpha
 
-    phi2 = Formula(n + 2 + aux, applications_from_weights(weights), RANGE_Z,
-                   alpha * big_w + phi.threshold)
+    phi2 = Formula(n + 2 + aux, weights, RANGE_Z, alpha * big_w + phi.threshold)
     cert = build_certificate("implement-tf", phi, phi2, KIND_ADDITIVE,
                              (EXISTENTIAL,), var_bound=2 + aux,
                              size_factor=m + 1, weight_factor=2 * m + 1,
@@ -245,16 +242,14 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     # A formula is a set of applications; merge repeats first so the most
     # negative weight is measured on the merged instance.
     weights: dict = {}
-    for a in phi.applications:
-        if base.by_table(a.constraint.arity, a.constraint.table) is None:
-            raise PreconditionError(
-                f"{a.constraint.name} not in base language {base.name!r}")
-        key = (a.constraint, a.indices)
-        weights[key] = weights.get(key, 0) + a.weight
+    for c, indices, w in phi.entries():
+        if base.by_table(c.arity, c.table) is None:
+            raise PreconditionError(f"{c.name} not in base language {base.name!r}")
+        key = (c, indices)
+        weights[key] = weights.get(key, 0) + w
     big_w = max((-w for w in weights.values() if w < 0), default=0)
     if big_w == 0:
-        phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_N,
-                       phi.threshold)
+        phi2 = Formula(phi.nvars, weights, RANGE_N, phi.threshold)
         cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                                  (AFFINE, 1, 0), var_bound=0, size_factor=1,
                                  weight_factor=1, weight_exponent=0)
@@ -276,8 +271,7 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
                 weights[v, idx] = weights.get((v, idx), 0) + big_w
     if any(w < 0 for w in weights.values()):
         raise FormatError("unsigned-lit left a negative weight")
-    phi2 = Formula(phi.nvars, applications_from_weights(weights), RANGE_N,
-                   phi.threshold + shift)
+    phi2 = Formula(phi.nvars, weights, RANGE_N, phi.threshold + shift)
     kmax = max(c.arity for c in tuples)
     cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                              (AFFINE, 1, shift), var_bound=0,
@@ -307,7 +301,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage):
     big_w = phi.total_weight + 1
     for i in range(1, n + 1):
         _add_implementation(weights, impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
-    phi2 = Formula(n * (2 + q), applications_from_weights(weights), RANGE_N,
+    phi2 = Formula(n * (2 + q), weights, RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
     cert = build_certificate("implement-lit", phi, phi2, KIND_LINEAR,
@@ -412,10 +406,9 @@ class CompressResult:
 def _formula_terms(phi: Formula) -> dict:
     """phi's integer monomial coefficients, summed in one pass."""
     acc: dict = {}
-    for a in phi.applications:
-        if a.weight:
-            add_composed(acc, characteristic_polynomial(a.constraint),
-                         a.indices, a.weight)
+    for c, indices, w in phi.entries():
+        if w:
+            add_composed(acc, characteristic_polynomial(c), indices, w)
     return acc
 
 
@@ -437,16 +430,15 @@ def compress_to_polynomial(phi: Formula) -> CompressResult:
 
 def formula_from_polynomial(poly: MultilinearPolynomial, nvars: int,
                             threshold: int) -> Formula:
-    """Re-read monomials as AND_k applications (the d-AND language)."""
-    d = max(1, poly.degree)
-    lang = gamma_d_and(d)
-    apps = []
-    for mono, coeff in poly.sorted_terms():
+    """Re-read monomials as AND_k applications (the d-AND language), one
+    weight-dict entry per term."""
+    lang = gamma_d_and(max(1, poly.degree))
+    weights = {}
+    for mono, coeff in poly.terms.items():
         if not mono:
             raise FormatError("constant term must be folded before re-encoding")
-        and_k = lang.get(f"AND{len(mono)}")
-        apps.append(Application(and_k, tuple(sorted(mono)), coeff))
-    return Formula(nvars, tuple(apps), RANGE_Z, threshold)
+        weights[lang.get(f"AND{len(mono)}"), tuple(sorted(mono))] = coeff
+    return Formula(nvars, weights, RANGE_Z, threshold)
 
 
 def encoded_bits(phi: Formula) -> int:

@@ -47,6 +47,7 @@ DIGESTS = {
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
     "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
+    "kernelize-stdout/n40": "a35aea9b5d22ecd60be7d3eec667808abb6ec02f467950c09488d1df2f03a549",
     "kernelize-stdout/wide": "ecb0ba4cd3ed89914d9dfda485135c911df11dc561fa6143a0efecf6b6721ad7",
     "solve-exact-stdout": "68236828693df5f451c9601333331890ffacddffe7a97335c5d32995e91b3bf2",
     "transform-stdout/apply-poly": "05451be0d92da4119bb1bd8633a504c528632b286e47976eacf7fc11abffddc4",
@@ -126,6 +127,13 @@ def _outputs(tmp):
         rc, out, err = _run(["kernelize", "--language", key, "--instance", inst])
         assert rc == 0, ("kernelize n=20", key, err)
         add("kernelize-stdout/n20", out)
+        # At n = 40 and m = 25n the kernels run to thousands of
+        # applications, and unsigned-lit merges the most.
+        inst = _instance(tmp / f"k40-{key}.maxcsp", f"kernel40/{key}", key,
+                         40, 1000, "N", 1000, half=True)
+        rc, out, err = _run(["kernelize", "--language", key, "--instance", inst])
+        assert rc == 0, ("kernelize n=40", key, err)
+        add("kernelize-stdout/n40", out)
 
     for name, weights, n, m in WIDE_KERNELS:
         lang = tmp / f"{name.lower()}.lang"

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maxcsp.formulas
 import maxcsp.solver
+from maxcsp.certificates import AFFINE, KIND_ADDITIVE, build_certificate
 from maxcsp.cli import main
 from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
                                and_constraint, closure, ex_constraint,
@@ -62,6 +64,56 @@ def test_merge_keys_on_constraint_value():
     assert sorted((x.constraint.name, x.weight)
                   for x in applications_from_weights(weights)) == \
         [("XOR", 5), ("XOR_B", 4)]
+
+
+def _merged_weights(phi):
+    weights = {}
+    for a in phi.applications:
+        key = (a.constraint, a.indices)
+        weights[key] = weights.get(key, 0) + a.weight
+    return weights
+
+
+def test_dict_built_formula_equals_applications_built(monkeypatch):
+    built = []
+    real = maxcsp.formulas.applications_from_weights
+    monkeypatch.setattr(maxcsp.formulas, "applications_from_weights",
+                        lambda weights: built.append(1) or real(weights))
+    rng = random.Random(1401)
+    for key, weight_range in (("2sat", "N"), ("nae3lit", "Z"), ("xor", "Z")):
+        # Few variables, many applications: repeats merge, some to weight 0.
+        phi = random_formula(builtin_language(key), 5, 40, weight_range,
+                             max_weight=4, seed=rng.randrange(10 ** 9))
+        weights = _merged_weights(phi)
+        merged = Formula(5, real(weights), weight_range, phi.threshold)
+        lazy = Formula(5, weights, weight_range, phi.threshold)
+        assert (lazy.nvars, lazy.size, lazy.total_weight, lazy.threshold) == \
+            (merged.nvars, merged.size, merged.total_weight, merged.threshold)
+        assert lazy.size < phi.size and not built
+        assert lazy.constraints_used() == merged.constraints_used() and not built
+        assert lazy == merged and hash(lazy) == hash(merged)
+        assert repr(lazy) == repr(merged) and len(built) == 1
+        assert lazy.replace(threshold=3) == merged.replace(threshold=3)
+        for bits in itertools.product((0, 1), repeat=5):
+            assert lazy.value(bits) == merged.value(bits) == phi.value(bits)
+        cert = build_certificate("merge", phi, merged, KIND_ADDITIVE,
+                                 (AFFINE, 1, 0), var_bound=0, size_factor=1,
+                                 weight_factor=1, weight_exponent=0)
+        report = verify_transform(phi, lazy, cert)
+        assert report == verify_transform(phi, merged, cert) and report.all_passed
+        assert lazy.applications is lazy.applications and len(built) == 1
+        built.clear()
+
+
+def test_dict_built_formula_checks_its_weights():
+    for weights, weight_range, message in (
+            ({(XOR, (1,)): 1}, "Z", "XOR has arity 2"),
+            ({(XOR, (1, 3)): 1}, "Z", "index 3 out of range 1..2"),
+            ({(XOR, (0, 1)): 1}, "Z", "index 0 out of range"),
+            ({(XOR, (1, 2)): 2, (OR2, (1, 2)): -1}, "N", "negative weight -1")):
+        with pytest.raises(FormatError, match=message):
+            Formula(2, weights, weight_range, 0)
+    assert Formula(2, {(XOR, (1, 2)): 3, (OR2, (2, 1)): -4}, "Z").total_weight == 7
 
 
 def test_brute_force_empty():
@@ -400,15 +452,15 @@ def test_affine_holds_matches_pointwise_reference():
             # phi2 = k * phi + c, with the constant as T + F on x1 and a
             # cancelling pair of applications that leaves no coefficient.
             a0 = phi.applications[0]
-            phi2 = Formula(nvars, tuple(dataclasses.replace(a, weight=k * a.weight)
+            phi2 = Formula(nvars, tuple(a._replace(weight=k * a.weight)
                                         for a in phi.applications)
                            + (Application(T, (1,), c), Application(F, (1,), c),
-                              a0, dataclasses.replace(a0, weight=-a0.weight)), "Z")
+                              a0, a0._replace(weight=-a0.weight)), "Z")
             other = random_formula(lang, nvars, 2 * nvars + 2, "Z", max_weight=9,
                                    seed=rng.randrange(10 ** 9))
             bumped = phi2.replace(applications=phi2.applications[1:] + (
-                dataclasses.replace(phi2.applications[0],
-                                    weight=phi2.applications[0].weight + 1),))
+                phi2.applications[0]._replace(
+                    weight=phi2.applications[0].weight + 1),))
             for f1, f2, a, b in (
                     (phi, phi2, k, c), (phi2, phi, Fraction(1, k), Fraction(-c, k)),
                     (phi, phi2, k + 1, c), (phi, phi2, k, c + Fraction(1, 2)),

@@ -163,6 +163,32 @@ EX3_XOR_GADGET = ("impl XOR p=2 q=2 alpha=2 strict=1\n"
                   "EX3 1 2 3\nEX3 3 3 4\nend\n")
 
 
+def test_cli_verify_checks_stated_implementation_claims(tmp_path, capsys):
+    # NAE3(x1, x2, x2) implements XOR with alpha 1, strictly.
+    path = tmp_path / "claims.impl"
+    argv = ["verify", "implementation", str(path), "--language", "nae3",
+            "--target", "XOR"]
+    for header, rc, extra in (
+            ("alpha=1 strict=1", 0, ""), ("", 0, ""),
+            ("alpha=5 strict=0", 1, "FAIL stated alpha=5 strict=0\n"),
+            ("alpha=1 strict=0", 1, "FAIL stated strict=0\n"),
+            ("strict=2", 1, "FAIL stated strict=2\n")):
+        path.write_text(f"impl XOR p=2 q=0 {header}\nNAE3 1 2 2\nend\n")
+        assert main(argv) == rc, header
+        assert capsys.readouterr().err == "valid=1 alpha=1 strict=1\n" + extra
+
+
+@pytest.mark.parametrize("claim", ["alpha=banana", "strict=yes", "alpha=1.0"])
+def test_parse_implementation_reads_claims_as_integers(claim):
+    key, _, value = claim.partition("=")
+    with pytest.raises(FormatError, match=f"line 1: bad {key}= '{value}'"):
+        parse_implementation(f"impl XOR p=2 q=0 {claim}\nNAE3 1 2 2\nend\n",
+                             builtin_language("nae3"), xor_constraint(2))
+    impl = parse_implementation("impl XOR p=2 q=0 alpha=3\nNAE3 1 2 2\nend\n",
+                                builtin_language("nae3"), xor_constraint(2))
+    assert (impl.alpha, impl.strict) == (3, None)
+
+
 @pytest.mark.parametrize("language,caps,expected", [
     # The catalog's ex3 gadget has q=2 and the 2sat one two applications:
     # neither fits, and the search finds nothing smaller.

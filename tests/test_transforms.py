@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxcsp.formulas
 from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, T, F, and_constraint,
                                 classify_language, closure, literal_variant,
                                 or_constraint, recover_pattern, row_to_bits,
@@ -445,6 +446,43 @@ def test_chain_stages_match_list_then_merge_reference():
     assert_equivalent(phi, out, cert)
 
 
+def test_lemmas_keep_the_unmerged_weight_of_an_applications_built_input():
+    # Repeats that cancel leave ||phi|| = 7 where the merged instance has 1:
+    # implement-tf's W = 2 ||phi|| + 1 and implement-lit's ||phi|| + 1 read 7.
+    base = builtin_language("2sat")
+    or2, nand2 = base.get("OR2"), base.by_table(2, (1, 1, 1, 0))
+    phi = Formula(3, (Application(or2, (1, 2), 3), Application(or2, (1, 2), -3),
+                      Application(nand2, (2, 3), 1)), "Z", 1)
+    assert phi.total_weight == 7
+    out, cert = implement_tf(phi, base)
+    assert out == _ref_implement_tf(phi, base)
+    assert_equivalent(phi, out, cert)
+    merged = Formula(3, {(or2, (1, 2)): 0, (nand2, (2, 3)): 1}, "Z", 1)
+    assert merged.total_weight == 1 and implement_tf(merged, base)[0] != out
+    # Under N repeats add up: the duplicate is kept, at ||phi|| = 6.
+    phi = Formula(3, (Application(or2, (1, 2), 3), Application(or2, (1, 2), 3),
+                      Application(nand2, (2, 3), 0)), "N", 2)
+    assert phi.total_weight == 6 and phi.size == 3
+    out, cert = implement_lit(phi, base)
+    assert out == _ref_implement_lit(phi, base)
+    assert_equivalent(phi, out, cert)
+
+
+def test_kernelize_builds_applications_for_the_kernel_only(monkeypatch):
+    built = []
+    real = maxcsp.formulas.applications_from_weights
+    monkeypatch.setattr(maxcsp.formulas, "applications_from_weights",
+                        lambda weights: built.append(len(weights)) or real(weights))
+    lang = builtin_language("3sat")
+    phi = random_formula(lang, 20, 500, "N", max_weight=1000, seed="kernel-apps")
+    res = kernelize(phi.replace(threshold=phi.total_weight // 2), lang)
+    # The d-AND formula and four chain stages are built from weight dicts;
+    # only the kernel, which the report measures, builds its applications.
+    assert built == [res.formula.size] and res.formula.size > 1000
+    assert res.report.encoded_bits > 0 and res.formula.applications
+    assert built == [res.formula.size]
+
+
 # -- exp cycle ----------------------------------------------------------------
 
 def test_exp_cycle_preserves_decisions_with_additive_growth():
@@ -656,7 +694,7 @@ def test_affine_pointwise_checked_past_oracle_cap(op):
     i = next(i for i, app in enumerate(phi2.applications)
              if len(set(app.indices)) == app.constraint.arity > 1)
     apps = list(phi2.applications)
-    apps[i] = dataclasses.replace(apps[i], weight=apps[i].weight + 1)
+    apps[i] = apps[i]._replace(weight=apps[i].weight + 1)
     bumped = phi2.replace(applications=tuple(apps))
     assert report(bumped, cert.value_map)["affine-pointwise"] is False
 
