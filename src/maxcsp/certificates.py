@@ -73,7 +73,7 @@ def build_certificate(label, phi1, phi2, kind=None, value_map=None,
     return TransformCertificate(
         label=label, kind=kind, value_map=value_map, var_bound=var_bound,
         size_factor=size_factor, weight_factor=weight_factor,
-        weight_exponent=weight_exponent, stages=tuple(stages),
+        weight_exponent=weight_exponent, stages=tuple(s.label for s in stages),
         **endpoints(phi1, phi2))
 
 

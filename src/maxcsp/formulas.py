@@ -2,21 +2,22 @@
 
 A formula is a set of weighted constraint applications over variables
 1..nvars, tagged with a weight range ("Z" or "N") and a decision threshold.
-Applications are kept in canonical sorted order; duplicate (constraint,
-tuple) pairs are merged only on request, never implicitly: the reductions
-add their output weights into one dict keyed by (constraint, indices), and
-a formula built from that dict checks it at once but builds its sorted
-applications only when they are first read.
+Applications are kept in canonical (name, indices, weight) order; duplicate
+(constraint, tuple) pairs are merged only on request, never implicitly: the
+reductions add their output weights into {constraint: {indices: weight}}
+groups, and a formula built from them checks each group at once but builds
+its sorted applications only when they are first read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace as dataclass_replace
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .constraints import Constraint, ConstraintLanguage
+from .constraints import Constraint, ConstraintLanguage, bits_to_row
 from .errors import FormatError
 
 RANGE_Z = "Z"
@@ -30,49 +31,40 @@ class Application(NamedTuple):
     indices: tuple[int, ...]
     weight: int
 
-    def satisfied_by(self, bits: Sequence[int]) -> int:
-        row = 0
-        for i in self.indices:
-            row = (row << 1) | bits[i - 1]
-        return self.constraint.table[row]
-
 
 @dataclass(frozen=True)
 class Formula:
-    """`applications` is a sequence of Applications or a (constraint,
-    indices) -> weight dict, which the formula keeps: do not change it."""
+    """`applications` is a sequence of Applications or a constraint ->
+    {indices: weight} dict of groups, which the formula keeps: do not
+    change it."""
     nvars: int
     applications: tuple[Application, ...]
     weight_range: str = RANGE_N
     threshold: int = 0
-    # ||phi||: the sum of absolute weights, added up once by __post_init__.
+    # |phi|, the number of applications, and ||phi||, the sum of absolute
+    # weights: counted once by __post_init__.
+    size: int = field(init=False, repr=False, compare=False)
     total_weight: int = field(init=False, repr=False, compare=False)
+    # (constraint, indices, weights) triples, in no set order: the groups of
+    # a dict-built formula, else the runs of one constraint in the sorted apps.
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nvars < 1:
             raise FormatError("formula needs at least one variable")
         if self.weight_range not in (RANGE_Z, RANGE_N):
             raise FormatError(f"weight range must be Z or N, got {self.weight_range!r}")
-        apps = self.applications
-        object.__setattr__(self, "_weights", apps if isinstance(apps, dict) else None)
-        n, nonneg = self.nvars, self.weight_range == RANGE_N
-        total = 0
-        for c, indices, w in self.entries():
-            if len(indices) != c.arity:
-                raise FormatError(f"{c.name} has arity {c.arity}, got indices {indices}")
-            for i in indices:
-                if not 1 <= i <= n:
-                    raise FormatError(
-                        f"index {i} out of range 1..{n} in application of {c.name}")
-            if nonneg and w < 0:
-                raise FormatError(
-                    f"weight range violation: negative weight {w} "
-                    f"under N for {c.name}{indices}")
-            total += abs(w)
-        if self._weights is None:
-            object.__setattr__(self, "applications", tuple(sorted(apps, key=_SORT_KEY)))
-        else:
+        apps, n, nonneg = self.applications, self.nvars, self.weight_range == RANGE_N
+        if isinstance(apps, dict):
             object.__delattr__(self, "applications")  # see __getattr__
+            groups = tuple((c, g.keys(), g.values()) for c, g in apps.items())
+            total = sum(_checked_group(c, g, n, nonneg) for c, g in apps.items())
+        else:
+            object.__setattr__(self, "applications", tuple(sorted(apps, key=_SORT_KEY)))
+            groups, total = _runs(self.applications, n, nonneg)
+        object.__setattr__(self, "_weights", apps if isinstance(apps, dict) else None)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "size", sum(len(g[2]) for g in groups))
         object.__setattr__(self, "total_weight", total)
 
     def __getattr__(self, name):
@@ -80,30 +72,34 @@ class Formula:
         # that has not been read yet: build them once, here.
         if name != "applications":
             raise AttributeError(name)
-        object.__setattr__(self, name, applications_from_weights(self._weights))
+        new = tuple.__new__  # not the NamedTuple's __new__, which is Python code
+        object.__setattr__(self, name, tuple(
+            new(Application, (c, i, w)) for c, indices, weights in self.sorted_groups()
+            for i, w in zip(indices, weights)))
         return self.applications
 
-    def entries(self):
-        """Every application as (constraint, indices, weight), read from the
-        weight dict of a dict-built formula without building its applications."""
+    def sorted_groups(self):
+        """`groups` in the order of `applications`: by name, then indices."""
         if self._weights is None:
-            return self.applications
-        return ((c, indices, w) for (c, indices), w in self._weights.items())
-
-    @property
-    def size(self) -> int:
-        """|phi|: number of applications."""
-        return len(self.applications if self._weights is None else self._weights)
+            return self.groups
+        groups = sorted(self._weights.items(), key=lambda cg: cg[0].name)
+        if len({c.name for c, _ in groups}) < len(groups):
+            # Distinct constraints share a name: one group per application.
+            return [(a[0], [a[1]], [a[2]]) for a in sorted(
+                (Application(c, i, w) for c, g in groups for i, w in g.items()), key=_SORT_KEY)]
+        return [(c, (keys := sorted(g)), list(map(g.__getitem__, keys))) for c, g in groups]
 
     def value(self, bits: Sequence[int]) -> int:
         """phi(x): total weight of applications satisfied by the assignment."""
         if len(bits) != self.nvars:
             raise FormatError(f"assignment has {len(bits)} bits, need {self.nvars}")
-        return sum(a.weight for a in self.applications if a.satisfied_by(bits))
+        return sum(w * c.table[bits_to_row([bits[i - 1] for i in idx])]
+                   for c, indices, weights in self.groups
+                   for idx, w in zip(indices, weights))
 
     def constraints_used(self) -> tuple[Constraint, ...]:
         seen: dict[str, Constraint] = {}
-        for c, _, _ in self.entries():
+        for c, _, _ in self.groups:
             seen.setdefault(c.name, c)
         return tuple(seen[k] for k in sorted(seen))
 
@@ -111,10 +107,40 @@ class Formula:
         return dataclass_replace(self, **kwargs)
 
 
-def applications_from_weights(weights: dict) -> tuple[Application, ...]:
-    """The sorted applications of a (constraint, indices) -> weight dict."""
-    return tuple(sorted([Application(c, indices, w)
-                         for (c, indices), w in weights.items()], key=_SORT_KEY))
+def _runs(entries, n: int, nonneg: bool) -> tuple:
+    """Sorted (constraint, indices, weight) entries in runs of one constraint,
+    and the sum of |weight|, refusing at its first entry a wrong arity, an
+    index outside 1..n or, under N, a negative weight.  Runs hold lists:
+    CPython keeps freed tuples of under 20 items, of every length, for reuse."""
+    runs, total = [], 0
+    for c, indices, w in entries:
+        if len(indices) != c.arity:
+            raise FormatError(f"{c.name} has arity {c.arity}, got indices {indices}")
+        for i in indices:
+            if not 1 <= i <= n:
+                raise FormatError(
+                    f"index {i} out of range 1..{n} in application of {c.name}")
+        if nonneg and w < 0:
+            raise FormatError(
+                f"weight range violation: negative weight {w} "
+                f"under N for {c.name}{indices}")
+        total += abs(w)
+        if runs and runs[-1][0] is c:
+            runs[-1][1].append(indices)
+            runs[-1][2].append(w)
+        else:
+            runs.append((c, [indices], [w]))
+    return tuple(runs), total
+
+
+def _checked_group(c: Constraint, group: dict, n: int, nonneg: bool) -> int:
+    """The sum of |weight| over one group, each of _runs' checks one pass in
+    C; _runs names the first fault."""
+    used = set(chain.from_iterable(group))
+    if (set(map(len, group)) - {c.arity} or used and not 1 <= min(used) <= max(used) <= n
+            or nonneg and min(group.values(), default=0) < 0):
+        _runs(zip(repeat(c), group, group.values()), n, nonneg)
+    return sum(map(abs, group.values()))
 
 
 def empty_formula(nvars: int = 1, weight_range: str = RANGE_N,

@@ -180,7 +180,7 @@ def parse_instance(text: str, language: ConstraintLanguage
             idx = tuple(_int(num, p, "index") for p in parts[2:])
             if len(idx) != c.arity:
                 _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
-            apps.append(Application(c, idx, weight))
+            apps.append(tuple.__new__(Application, (c, idx, weight)))
     _require_header(header, "maxcsp", len(apps), "applications")
     n, _, weight_range, t = header
     phi = Formula(n, tuple(apps), weight_range, t)
@@ -189,11 +189,11 @@ def parse_instance(text: str, language: ConstraintLanguage
 
 
 def emit_instance(phi: Formula, cert: TransformCertificate | None = None) -> str:
-    out = [f"maxcsp {phi.nvars} {phi.size} {phi.weight_range} {phi.threshold}"]
-    for a in phi.applications:
-        idx = " ".join(str(i) for i in a.indices)
-        out.append(f"{a.constraint.name} {a.weight}" + (f" {idx}" if idx else ""))
-    text = "\n".join(out) + "\n"
+    out = [f"maxcsp {phi.nvars} {phi.size} {phi.weight_range} {phi.threshold}\n"]
+    for c, indices, weights in phi.sorted_groups():
+        line = c.name.replace("%", "%%") + " %s" * (1 + c.arity) + "\n"  # weight, indices
+        out += [line % ((w,) + i) for i, w in zip(indices, weights)]
+    text = "".join(out)
     if cert is not None:
         text += emit_certificate(cert)
     return text
@@ -222,7 +222,7 @@ def emit_certificate(cert: TransformCertificate) -> str:
         out.append("value_map existential")
     out.append("bounds " + " ".join(str(getattr(cert, f)) for f in _CERT_BOUNDS))
     if cert.stages:
-        out.append("stages " + ",".join(s.label for s in cert.stages))
+        out.append("stages " + ",".join(cert.stages))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -238,8 +238,8 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
             _fail(num, f"unknown key {key!r}")
         elif key in fields:
             _fail(num, f"repeated {key!r} line")
-        elif key == "certificate" and len(vals) != 1:
-            _fail(num, "expected 'certificate <label>'")
+        elif key in ("certificate", "stages") and len(vals) != 1:
+            _fail(num, f"expected '{key} <label>'")
         elif key == "kind" and vals not in ([KIND_ADDITIVE], [KIND_LINEAR]):
             _fail(num, f"bad kind {line!r}")
         elif key == "value_map" and not (vals[:1] == [AFFINE] and len(vals) == 3
@@ -256,7 +256,8 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
         raise FormatError("certificate block missing its header")
     try:
         values = {"label": fields["certificate"][0], "kind": fields["kind"][0],
-                  "value_map": fields["value_map"]}
+                  "value_map": fields["value_map"],
+                  "stages": tuple(fields["stages"][0].split(",")) if "stages" in fields else ()}
         for key, a, b in _CERT_PAIRS:
             values[a], values[b] = fields[key]
         values.update(zip(_CERT_BOUNDS, fields["bounds"]))

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, itemgetter, mul
 
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
                            TransformCertificate, build_certificate,
                            endpoints)
-from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY, Constraint,
+from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY,
                           ConstraintLanguage, classify_language, closure,
                           recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
@@ -128,26 +129,20 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
             f"deg({target.name}) = {deg_f}")
     beta, combos = language_denominator(source, f)
     tf = closure(target, MODE_TF)
-    # Each source member's terms as (member, 0-based index map, coefficient).
-    rewrites: dict = {}
-    for name, combo in combos.items():
-        terms = rewrites[source.get(name)] = []
-        for term in combo.terms:
-            terms.append((tf.by_table(term.constraint.arity, term.constraint.table),
-                          tuple(j - 1 for j in term.indices), term.coefficient))
-    weights: dict = {}
-    for c, indices, w in phi.entries():
-        if c not in rewrites:
+    groups: dict = {}
+    for c, indices, weights in phi.groups:
+        if c not in source.constraints:
             raise PreconditionError(
                 f"{c.name} is not in source language {source.name!r}")
-        at = indices.__getitem__
-        for member, index_map, coeff in rewrites[c]:
-            key = (member, tuple(map(at, index_map)))
-            weights[key] = weights.get(key, 0) + w * coeff
-    phi2 = Formula(phi.nvars, weights, RANGE_Z, beta * phi.threshold)
-    size_factor = max([len(terms) for terms in rewrites.values()] + [1])
-    weight_factor = max([sum(abs(c) for _, _, c in terms)
-                         for terms in rewrites.values()] + [1])
+        columns = [list(map(itemgetter(j), indices)) for j in range(c.arity)]
+        for term in combos[c.name].terms:
+            member = tf.by_table(term.constraint.arity, term.constraint.table)
+            rows = zip(*[columns[j - 1] for j in term.indices]) if term.indices else repeat(())
+            _add(groups.setdefault(member, {}), rows, map(mul, weights, repeat(term.coefficient)))
+    phi2 = Formula(phi.nvars, groups, RANGE_Z, beta * phi.threshold)
+    size_factor = max([len(combo.terms) for combo in combos.values()] + [1])
+    weight_factor = max([sum(abs(t.coefficient) for t in combo.terms)
+                         for combo in combos.values()] + [1])
     cert = build_certificate("apply-poly", phi, phi2, KIND_ADDITIVE,
                              (AFFINE, beta, 0), var_bound=0,
                              size_factor=size_factor,
@@ -159,36 +154,40 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
 # Constant and literal elimination via implementations
 
 
-def _add_implementation(weights: dict, impl: Implementation, primaries: tuple,
+def _add_implementation(groups: dict, impl: Implementation, primaries: tuple,
                         aux_start: int, weight: int) -> int:
     """Add impl's applications at `weight` on the primaries and the
     auxiliaries after aux_start; returns how many."""
     mapping = primaries + tuple(range(aux_start + 1,
                                       aux_start + impl.aux_count + 1))
     for c, idx in impl.applications:
-        key = (c, tuple(mapping[v - 1] for v in idx))
-        weights[key] = weights.get(key, 0) + weight
+        _add(groups.setdefault(c, {}), [tuple(mapping[v - 1] for v in idx)], [weight])
     return len(impl.applications)
 
 
-def _add_rewired(weights: dict, phi: Formula, base: ConstraintLanguage,
+def _add_rewired(groups: dict, phi: Formula, base: ConstraintLanguage,
                  mode: str, constants: tuple = ()) -> None:
-    """Add phi rewired onto the base by recover_pattern, read once per
-    constraint: slot s > 0 takes index s, a negated slot -s (MODE_LIT)
-    index s plus n, "1" and "0" (MODE_TF) the first and second constant."""
-    rules: dict = {}
-    for c, indices, w in phi.entries():
-        rule = rules.get(c)
-        if rule is None:
-            f, pattern = recover_pattern(base, c, mode)
-            k, slots = c.arity, pattern.slots
-            rule = rules[c] = (
-                f, tuple(k if s == "1" else k + 1 if s == "0" else abs(s) - 1 for s in slots),
-                tuple(phi.nvars if isinstance(s, int) and s < 0 else 0 for s in slots))
-        f, positions, offsets = rule
-        at = (indices + constants).__getitem__
-        key = (f, tuple(map(add, map(at, positions), offsets)))
-        weights[key] = weights.get(key, 0) + w
+    """Add phi rewired onto the base by recover_pattern, a group at a time:
+    slot s > 0 takes index s, a negated slot -s (MODE_LIT) index s plus n,
+    "1" and "0" (MODE_TF) the first and second constant."""
+    n = phi.nvars
+    for c, indices, weights in phi.groups:
+        f, pattern = recover_pattern(base, c, mode)
+        # Column j holds index j + 1 of every application, then the constants.
+        k = c.arity
+        columns = ([list(map(itemgetter(j), indices)) for j in range(k)]
+                   + [repeat(x) for x in constants])
+        rewired = [columns[k] if s == "1" else columns[k + 1] if s == "0"
+                   else columns[s - 1] if s > 0 else map(add, columns[-s - 1], repeat(n))
+                   for s in pattern.slots]
+        _add(groups.setdefault(f, {}), zip(*rewired) if rewired else repeat(()), weights)
+
+
+def _add(g: dict, keys, weights) -> None:
+    """g[key] += w for each key and weight, in order."""
+    get = g.get
+    for key, w in zip(keys, weights):
+        g[key] = get(key, 0) + w
 
 
 def _require_implementation(language, target) -> Implementation:
@@ -212,8 +211,8 @@ def implement_tf(phi: Formula, base: ConstraintLanguage):
 
     n = phi.nvars
     xt, xf = n + 1, n + 2
-    weights: dict = {}
-    _add_rewired(weights, phi, base, MODE_TF, (xt, xf))
+    groups: dict = {}
+    _add_rewired(groups, phi, base, MODE_TF, (xt, xf))
 
     big_w = 2 * phi.total_weight + 1
     pins = ([(xor_constraint(2), (xt, xf))] if report.c_closed
@@ -221,11 +220,11 @@ def implement_tf(phi: Formula, base: ConstraintLanguage):
     aux = alpha = m = 0
     for target, primaries in pins:
         impl = _require_implementation(base, target)
-        m += _add_implementation(weights, impl, primaries, n + 2 + aux, big_w)
+        m += _add_implementation(groups, impl, primaries, n + 2 + aux, big_w)
         aux += impl.aux_count
         alpha += impl.alpha
 
-    phi2 = Formula(n + 2 + aux, weights, RANGE_Z, alpha * big_w + phi.threshold)
+    phi2 = Formula(n + 2 + aux, groups, RANGE_Z, alpha * big_w + phi.threshold)
     cert = build_certificate("implement-tf", phi, phi2, KIND_ADDITIVE,
                              (EXISTENTIAL,), var_bound=2 + aux,
                              size_factor=m + 1, weight_factor=2 * m + 1,
@@ -241,38 +240,32 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     lit = closure(base, MODE_LIT)
     # A formula is a set of applications; merge repeats first so the most
     # negative weight is measured on the merged instance.
-    weights: dict = {}
-    for c, indices, w in phi.entries():
+    groups: dict = {}
+    for c, indices, weights in phi.groups:
         if base.by_table(c.arity, c.table) is None:
             raise PreconditionError(f"{c.name} not in base language {base.name!r}")
-        key = (c, indices)
-        weights[key] = weights.get(key, 0) + w
-    big_w = max((-w for w in weights.values() if w < 0), default=0)
+        _add(groups.setdefault(c, {}), indices, weights)
+    big_w = max([0] + [-min(g.values()) for g in groups.values() if g])
     if big_w == 0:
-        phi2 = Formula(phi.nvars, weights, RANGE_N, phi.threshold)
+        phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold)
         cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                                  (AFFINE, 1, 0), var_bound=0, size_factor=1,
                                  weight_factor=1, weight_exponent=0)
         return phi2, cert
 
-    tuples: dict[Constraint, list] = {}
-    for c, idx in weights:
-        tuples.setdefault(c, []).append(idx)
-    shift, total_tuples = 0, len(weights)
-    for c in sorted(tuples, key=lambda c: c.name):
-        js = sorted(tuples[c])
+    # The applied tuples of each constraint, listed before any is added.
+    tuples = [(c, list(g)) for c, g in groups.items()]
+    shift = 0
+    for c, js in tuples:
         shift += big_w * len(js) * c.satisfying_count()
         # f^S reads row r ^ s of f, s the mask of the negated positions.
         rows = range(1 << c.arity)
-        variants = [lit.by_table(c.arity, tuple(c.table[r ^ s] for r in rows))
-                    for s in rows]
-        for idx in js:
-            for v in variants:
-                weights[v, idx] = weights.get((v, idx), 0) + big_w
-    if any(w < 0 for w in weights.values()):
-        raise FormatError("unsigned-lit left a negative weight")
-    phi2 = Formula(phi.nvars, weights, RANGE_N, phi.threshold + shift)
-    kmax = max(c.arity for c in tuples)
+        for s in rows:
+            variant = lit.by_table(c.arity, tuple(c.table[r ^ s] for r in rows))
+            _add(groups.setdefault(variant, {}), js, repeat(big_w))
+    phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold + shift)
+    total_tuples = sum(len(js) for _, js in tuples)
+    kmax = max(c.arity for c, _ in tuples)
     cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
                              (AFFINE, 1, shift), var_bound=0,
                              size_factor=1 + (1 << kmax),
@@ -293,15 +286,15 @@ def implement_lit(phi: Formula, base: ConstraintLanguage):
         return _degenerate("implement-lit", phi, True, False, KIND_LINEAR)
 
     n = phi.nvars
-    weights: dict = {}
-    _add_rewired(weights, phi, base, MODE_LIT)
+    groups: dict = {}
+    _add_rewired(groups, phi, base, MODE_LIT)
 
     impl = _require_implementation(base, xor_constraint(2))
     q = impl.aux_count
     big_w = phi.total_weight + 1
     for i in range(1, n + 1):
-        _add_implementation(weights, impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
-    phi2 = Formula(n * (2 + q), weights, RANGE_N,
+        _add_implementation(groups, impl, (i, n + i), 2 * n + (i - 1) * q, big_w)
+    phi2 = Formula(n * (2 + q), groups, RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
     cert = build_certificate("implement-lit", phi, phi2, KIND_LINEAR,
@@ -406,9 +399,11 @@ class CompressResult:
 def _formula_terms(phi: Formula) -> dict:
     """phi's integer monomial coefficients, summed in one pass."""
     acc: dict = {}
-    for c, indices, w in phi.entries():
-        if w:
-            add_composed(acc, characteristic_polynomial(c), indices, w)
+    for c, indices, weights in phi.groups:
+        poly = characteristic_polynomial(c)
+        for idx, w in zip(indices, weights):
+            if w:
+                add_composed(acc, poly, idx, w)
     return acc
 
 
@@ -431,14 +426,15 @@ def compress_to_polynomial(phi: Formula) -> CompressResult:
 def formula_from_polynomial(poly: MultilinearPolynomial, nvars: int,
                             threshold: int) -> Formula:
     """Re-read monomials as AND_k applications (the d-AND language), one
-    weight-dict entry per term."""
-    lang = gamma_d_and(max(1, poly.degree))
-    weights = {}
+    entry per term in the group of its degree."""
+    by_degree: dict = {}
     for mono, coeff in poly.terms.items():
         if not mono:
             raise FormatError("constant term must be folded before re-encoding")
-        weights[lang.get(f"AND{len(mono)}"), tuple(sorted(mono))] = coeff
-    return Formula(nvars, weights, RANGE_Z, threshold)
+        by_degree.setdefault(len(mono), {})[tuple(sorted(mono))] = coeff
+    lang = gamma_d_and(max(1, poly.degree))
+    return Formula(nvars, {lang.get(f"AND{k}"): g for k, g in by_degree.items()},
+                   RANGE_Z, threshold)
 
 
 def encoded_bits(phi: Formula) -> int:
@@ -447,8 +443,9 @@ def encoded_bits(phi: Formula) -> int:
     id_bits = max(1, math.ceil(math.log2(len(phi.constraints_used()) + 1)))
     index_bits = max(1, math.ceil(math.log2(phi.nvars + 1)))
     total = abs(phi.threshold).bit_length() + 1
-    for a in phi.applications:
-        total += id_bits + len(a.indices) * index_bits + abs(a.weight).bit_length() + 1
+    for c, _, weights in phi.groups:
+        total += (len(weights) * (id_bits + c.arity * index_bits + 1)
+                  + sum(map(int.bit_length, map(abs, weights))))
     return total
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import maxcsp.formulas
 import maxcsp.solver
 from maxcsp.certificates import AFFINE, KIND_ADDITIVE, build_certificate
 from maxcsp.cli import main
@@ -22,13 +21,13 @@ from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
                                nae_constraint, or_constraint, xor_constraint,
                                row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
-from maxcsp.formulas import (Application, Formula, applications_from_weights,
-                             empty_formula, random_formula)
+from maxcsp.formulas import Application, Formula, empty_formula, random_formula
+from maxcsp.io_formats import emit_instance
 from maxcsp.languages import builtin_language, gamma_d_sat
 from maxcsp.solver import (affine_holds, brute_force, check_equivalence, decide,
                            decide_exact, decisions)
-from maxcsp.transforms import (formula_polynomial, neg_to_base, vc_reduce,
-                               verify_transform)
+from maxcsp.transforms import (encoded_bits, formula_polynomial, neg_to_base,
+                               vc_reduce, verify_transform)
 
 XOR = xor_constraint(2)
 OR2 = or_constraint(2)
@@ -50,70 +49,100 @@ def test_index_bounds_enforced():
         Formula(2, (Application(XOR, (1, 3), 1),), "N", 0)
 
 
+def _grouped(apps):
+    """apps merged into a dict of groups, {constraint: {indices: weight}}."""
+    groups = {}
+    for c, indices, w in apps:
+        g = groups.setdefault(c, {})
+        g[indices] = g.get(indices, 0) + w
+    return groups
+
+
 def test_merge_keys_on_constraint_value():
     # A separately built equal constraint merges; the same table under
     # another name does not, and hashing agrees with equality.
     twin = xor_constraint(2)
     renamed = Constraint("XOR_B", 2, XOR.table)
     assert twin is not XOR and hash(twin) == hash(XOR) and twin == XOR
-    weights = {}
-    for a in (Application(XOR, (1, 2), 3), Application(twin, (1, 2), 2),
-              Application(renamed, (1, 2), 4)):
-        key = (a.constraint, a.indices)
-        weights[key] = weights.get(key, 0) + a.weight
-    assert sorted((x.constraint.name, x.weight)
-                  for x in applications_from_weights(weights)) == \
-        [("XOR", 5), ("XOR_B", 4)]
+    groups = _grouped((Application(XOR, (1, 2), 3), Application(twin, (1, 2), 2),
+                       Application(renamed, (1, 2), 4)))
+    assert list(groups) == [XOR, renamed]
+    assert [(x.constraint.name, x.weight)
+            for x in Formula(2, groups, "Z").applications] == [("XOR", 5), ("XOR_B", 4)]
 
 
-def _merged_weights(phi):
-    weights = {}
-    for a in phi.applications:
-        key = (a.constraint, a.indices)
-        weights[key] = weights.get(key, 0) + a.weight
-    return weights
+def _assert_same_formula(lazy, reference):
+    """A dict-built formula against the applications-built one; reading
+    its counts, constraints, text and encoded bits builds no application."""
+    nvars = reference.nvars
+    assert (lazy.nvars, lazy.size, lazy.total_weight, lazy.threshold) == \
+        (reference.nvars, reference.size, reference.total_weight, reference.threshold)
+    assert lazy.constraints_used() == reference.constraints_used()
+    assert emit_instance(lazy) == emit_instance(reference)
+    assert encoded_bits(lazy) == encoded_bits(reference)
+    assert "applications" not in vars(lazy)
+    assert lazy == reference and hash(lazy) == hash(reference)
+    assert repr(lazy) == repr(reference)
+    assert lazy.applications is lazy.applications
+    assert lazy.replace(threshold=3) == reference.replace(threshold=3)
+    for bits in itertools.product((0, 1), repeat=nvars):
+        assert lazy.value(bits) == reference.value(bits)
 
 
-def test_dict_built_formula_equals_applications_built(monkeypatch):
-    built = []
-    real = maxcsp.formulas.applications_from_weights
-    monkeypatch.setattr(maxcsp.formulas, "applications_from_weights",
-                        lambda weights: built.append(1) or real(weights))
+def test_dict_built_formula_equals_applications_built():
     rng = random.Random(1401)
     for key, weight_range in (("2sat", "N"), ("nae3lit", "Z"), ("xor", "Z")):
         # Few variables, many applications: repeats merge, some to weight 0.
         phi = random_formula(builtin_language(key), 5, 40, weight_range,
                              max_weight=4, seed=rng.randrange(10 ** 9))
-        weights = _merged_weights(phi)
-        merged = Formula(5, real(weights), weight_range, phi.threshold)
-        lazy = Formula(5, weights, weight_range, phi.threshold)
-        assert (lazy.nvars, lazy.size, lazy.total_weight, lazy.threshold) == \
-            (merged.nvars, merged.size, merged.total_weight, merged.threshold)
-        assert lazy.size < phi.size and not built
-        assert lazy.constraints_used() == merged.constraints_used() and not built
-        assert lazy == merged and hash(lazy) == hash(merged)
-        assert repr(lazy) == repr(merged) and len(built) == 1
-        assert lazy.replace(threshold=3) == merged.replace(threshold=3)
+        groups = _grouped(phi.applications)
+        merged = Formula(5, [Application(c, i, w) for c, g in groups.items()
+                             for i, w in g.items()], weight_range, phi.threshold)
+        lazy = Formula(5, groups, weight_range, phi.threshold)
+        assert lazy.size < phi.size
+        assert any(0 in g.values() for g in groups.values()) or key == "xor"
+        _assert_same_formula(lazy, merged)
         for bits in itertools.product((0, 1), repeat=5):
-            assert lazy.value(bits) == merged.value(bits) == phi.value(bits)
+            assert lazy.value(bits) == phi.value(bits)
         cert = build_certificate("merge", phi, merged, KIND_ADDITIVE,
                                  (AFFINE, 1, 0), var_bound=0, size_factor=1,
                                  weight_factor=1, weight_exponent=0)
         report = verify_transform(phi, lazy, cert)
         assert report == verify_transform(phi, merged, cert) and report.all_passed
-        assert lazy.applications is lazy.applications and len(built) == 1
-        built.clear()
+
+
+def test_grouped_formula_edge_cases():
+    twin, nand2 = xor_constraint(2), Constraint("XOR", 2, (1, 1, 1, 0))
+    const = Constraint("ONE", 0, (1,))
+    apps = [Application(XOR, (2, 1), 0), Application(nand2, (1, 2), 5),
+            Application(twin, (1, 2), 2), Application(const, (), 4),
+            Application(nand2, (2, 1), -1), Application(XOR, (1, 2), 1),
+            Application(nand2, (1, 3), 0), Application(OR2, (3, 3), -2)]
+    groups = _grouped(apps)
+    # Twins merge into one group; an arity-0 member and zero weights stay.
+    assert list(groups) == [XOR, nand2, const, OR2]
+    assert groups[XOR] == {(2, 1): 0, (1, 2): 3} and groups[const] == {(): 4}
+    lazy = Formula(3, groups, "Z", 1)
+    reference = Formula(3, [Application(c, i, w) for c, g in groups.items()
+                            for i, w in g.items()], "Z", 1)
+    _assert_same_formula(lazy, reference)
+    # The two XORs interleave in (name, indices, weight) order.
+    assert [(a.constraint.table, a.indices, a.weight) for a in lazy.applications] == [
+        ((1,), (), 4), ((0, 1, 1, 1), (3, 3), -2), (XOR.table, (1, 2), 3),
+        ((1, 1, 1, 0), (1, 2), 5), ((1, 1, 1, 0), (1, 3), 0),
+        ((1, 1, 1, 0), (2, 1), -1), (XOR.table, (2, 1), 0)]
+    assert emit_instance(lazy).splitlines()[1:4] == ["ONE 4", "OR2 -2 3 3", "XOR 3 1 2"]
 
 
 def test_dict_built_formula_checks_its_weights():
-    for weights, weight_range, message in (
-            ({(XOR, (1,)): 1}, "Z", "XOR has arity 2"),
-            ({(XOR, (1, 3)): 1}, "Z", "index 3 out of range 1..2"),
-            ({(XOR, (0, 1)): 1}, "Z", "index 0 out of range"),
-            ({(XOR, (1, 2)): 2, (OR2, (1, 2)): -1}, "N", "negative weight -1")):
+    for groups, weight_range, message in (
+            ({XOR: {(1,): 1}}, "Z", "XOR has arity 2"),
+            ({XOR: {(1, 2): 1, (1, 3): 1}}, "Z", "index 3 out of range 1..2"),
+            ({XOR: {(0, 1): 1}}, "Z", "index 0 out of range"),
+            ({XOR: {(1, 2): 2}, OR2: {(1, 2): -1}}, "N", "negative weight -1")):
         with pytest.raises(FormatError, match=message):
-            Formula(2, weights, weight_range, 0)
-    assert Formula(2, {(XOR, (1, 2)): 3, (OR2, (2, 1)): -4}, "Z").total_weight == 7
+            Formula(2, groups, weight_range, 0)
+    assert Formula(2, {XOR: {(1, 2): 3}, OR2: {(2, 1): -4}}, "Z").total_weight == 7
 
 
 def test_brute_force_empty():

@@ -1,6 +1,10 @@
 """File formats and command-line behaviour."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
                                resolve_language_spec)
 from maxcsp.formulas import random_formula
 from maxcsp.languages import builtin_language
-from maxcsp.transforms import unsigned_lit
+from maxcsp.transforms import chain, unsigned_lit
 
 LANG_TEXT = """\
 # a toy language
@@ -80,6 +84,18 @@ def test_instance_round_trip_and_canonical_order():
     assert phi2 == phi
 
 
+def test_instance_names_with_percent_signs_round_trip():
+    # Member names are written as they are, '%' included.
+    lang = parse_language("constraint A%d 2\n11\nend\nconstraint P%% 1\n1\nend\n"
+                          "constraint Z%s 0\n-\nend\n", allow_constants=True)
+    a, p, z = lang.get("A%d"), lang.get("P%%"), lang.get("Z%s")
+    phi = Formula(3, {p: {(3,): 2}, a: {(2, 3): 1, (1, 2): 4}, z: {(): 5}}, "N", 1)
+    text = emit_instance(phi)
+    assert text == "maxcsp 3 4 N 1\nA%d 4 1 2\nA%d 1 2 3\nP%% 2 3\nZ%s 5\n"
+    parsed, _ = parse_instance(text, lang)
+    assert parsed == phi and emit_instance(parsed) == text
+
+
 def test_instance_weight_range_violation():
     lang = builtin_language("2sat")
     with pytest.raises(FormatError, match="weight range violation"):
@@ -105,6 +121,23 @@ def test_certificate_round_trip():
     assert parsed_cert.t_out == cert.t_out
     assert parse_certificate(emit_certificate(cert)).label == cert.label
     assert emit_certificate(cert) == CERT_TEXT
+
+
+def test_chain_certificate_keeps_its_stage_labels(tmp_path, capsys):
+    # Read back, a chain's certificate keeps the labels of its stages, so
+    # the parsed output is emitted again byte for byte.
+    inst = tmp_path / "in.maxcsp"
+    inst.write_text(emit_instance(random_formula(builtin_language("2sat"), 5, 6, "Z",
+                                                 max_weight=5, seed=27)))
+    assert main(["transform", "--op", "chain-z", "--language", "2sat",
+                 "--target-language", "xor", "--instance", str(inst)]) == 0
+    text = capsys.readouterr().out
+    phi, cert = parse_instance(text, builtin_language("xor"))
+    assert "\nstages apply-poly,implement-tf\nend\n" in text
+    assert cert.stages == ("apply-poly", "implement-tf")
+    assert emit_instance(phi, cert) == text
+    source = parse_instance(inst.read_text(), builtin_language("2sat"))[0]
+    assert chain(source, builtin_language("2sat"), builtin_language("xor"))[1] == cert
 
 
 def test_resolve_language_spec_closures(tmp_path):
@@ -266,6 +299,22 @@ def test_cli_kernelize_verify(tmp_path):
                  "--verify", "-o", str(tmp_path / "k.maxcsp")]) == 0
 
 
+def test_cli_kernelize_output_does_not_depend_on_hash_seed(tmp_path):
+    # String hashes are salted per process: the kernel's group order, and
+    # so its bytes, must not follow them.
+    inst = tmp_path / "in.maxcsp"
+    phi = random_formula(builtin_language("3sat"), 20, 500, "N", max_weight=1000,
+                         seed="hash-seed")
+    inst.write_text(emit_instance(phi.replace(threshold=phi.total_weight // 2)))
+    src = str(Path(maxcsp.__file__).resolve().parent.parent)
+    outputs = [subprocess.run(
+        [sys.executable, "-m", "maxcsp.cli", "kernelize", "--language", "3sat",
+         "--instance", str(inst)], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")]
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1000
+
+
 def test_cli_solve_and_vc_reduce(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("graph 3 3\n1 2\n2 3\n1 3\n")
@@ -344,6 +393,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "line 3: expected 2 values"),
     (parse_certificate, CERT_TEXT.replace("sizes 1 2", "sizes 1 2 3"),
      "line 4: expected 2 values"),
+    (parse_certificate, CERT_TEXT.replace("end", "stages a, b\nend"),
+     "line 9: expected 'stages <label>'"),
     (parse_certificate, CERT_TEXT.replace("bounds 0 5 5 0", "bounds 0 5 5"),
      "line 8: expected 4 values"),
     (parse_certificate, CERT_TEXT.replace("value_map affine 1 6", "value_map affine 1"),

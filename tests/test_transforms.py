@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import maxcsp.formulas
 from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, T, F, and_constraint,
                                 classify_language, closure, literal_variant,
                                 or_constraint, recover_pattern, row_to_bits,
@@ -15,12 +14,13 @@ from maxcsp.errors import FormatError, PreconditionError
 from maxcsp.expressibility import language_denominator, max_degree_member
 from maxcsp.formulas import Application, Formula, random_formula
 from maxcsp.implementations import search_implementation
+from maxcsp.io_formats import emit_instance
 from maxcsp.languages import builtin_language, gamma_d_and, gamma_d_sat
 from maxcsp.polynomials import MultilinearPolynomial, characteristic_polynomial
 from maxcsp.solver import brute_force, check_equivalence, decide
 from maxcsp.transforms import (AFFINE, KIND_ADDITIVE, TransformCertificate,
                                apply_poly, chain, chain_stages,
-                               compress_to_polynomial, exp_cycle,
+                               compress_to_polynomial, encoded_bits, exp_cycle,
                                formula_polynomial, implement_lit, implement_tf,
                                kernelize, neg_to_base, signed_to_unsigned_neg,
                                unsigned_lit, vc_reduce, verify_transform)
@@ -457,7 +457,7 @@ def test_lemmas_keep_the_unmerged_weight_of_an_applications_built_input():
     out, cert = implement_tf(phi, base)
     assert out == _ref_implement_tf(phi, base)
     assert_equivalent(phi, out, cert)
-    merged = Formula(3, {(or2, (1, 2)): 0, (nand2, (2, 3)): 1}, "Z", 1)
+    merged = Formula(3, {or2: {(1, 2): 0}, nand2: {(2, 3): 1}}, "Z", 1)
     assert merged.total_weight == 1 and implement_tf(merged, base)[0] != out
     # Under N repeats add up: the duplicate is kept, at ||phi|| = 6.
     phi = Formula(3, (Application(or2, (1, 2), 3), Application(or2, (1, 2), 3),
@@ -469,18 +469,27 @@ def test_lemmas_keep_the_unmerged_weight_of_an_applications_built_input():
 
 
 def test_kernelize_builds_applications_for_the_kernel_only(monkeypatch):
-    built = []
-    real = maxcsp.formulas.applications_from_weights
-    monkeypatch.setattr(maxcsp.formulas, "applications_from_weights",
-                        lambda weights: built.append(len(weights)) or real(weights))
     lang = builtin_language("3sat")
     phi = random_formula(lang, 20, 500, "N", max_weight=1000, seed="kernel-apps")
-    res = kernelize(phi.replace(threshold=phi.total_weight // 2), lang)
-    # The d-AND formula and four chain stages are built from weight dicts;
-    # only the kernel, which the report measures, builds its applications.
-    assert built == [res.formula.size] and res.formula.size > 1000
-    assert res.report.encoded_bits > 0 and res.formula.applications
-    assert built == [res.formula.size]
+    phi = phi.replace(threshold=phi.total_weight // 2)
+    built = []
+    real = Formula.__getattr__
+    monkeypatch.setattr(Formula, "__getattr__",
+                        lambda self, name: built.append(name) or real(self, name))
+    res = kernelize(phi, lang)
+    kernel = res.formula
+    text = emit_instance(kernel, res.certificate)
+    bits = encoded_bits(kernel)
+    # The compression reads the input's groups, the d-AND formula, the four
+    # chain stages and the kernel are built from groups, and the report and
+    # the emitter read the kernel's: no formula builds its applications.
+    assert built == [] and "applications" not in vars(kernel)
+    assert kernel.size > 1000 and bits == res.report.encoded_bits
+    monkeypatch.undo()
+    reference = Formula(kernel.nvars, kernel.applications, kernel.weight_range,
+                        kernel.threshold)
+    assert emit_instance(reference, res.certificate) == text
+    assert encoded_bits(reference) == bits
 
 
 # -- exp cycle ----------------------------------------------------------------
