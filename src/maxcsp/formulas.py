@@ -1,20 +1,20 @@
 """Weighted constraint systems (formulas).
 
-A formula is a set of weighted constraint applications over variables
+A formula is a multiset of weighted constraint applications over variables
 1..nvars, tagged with a weight range ("Z" or "N") and a decision threshold.
-Applications are kept in canonical (name, indices, weight) order; duplicate
-(constraint, tuple) pairs are merged only on request, never implicitly: the
-reductions add their output weights into {constraint: {indices: weight}}
-groups, and a formula built from them checks each group at once but builds
-its sorted applications only when they are first read.
+It keeps them in one group per constraint: an index column and a weight
+column, one entry per application, as the parser writes them, or the
+{indices: weight} dict a reduction adds its output weights into, which
+merges repeated (constraint, indices) pairs; nothing else merges them.  The
+applications, in canonical (name, indices, weight) order, are built only
+when first read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace as dataclass_replace
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .constraints import Constraint, ConstraintLanguage, bits_to_row
@@ -22,8 +22,6 @@ from .errors import FormatError
 
 RANGE_Z = "Z"
 RANGE_N = "N"
-
-_SORT_KEY = attrgetter("constraint.name", "indices", "weight")
 
 
 class Application(NamedTuple):
@@ -34,9 +32,9 @@ class Application(NamedTuple):
 
 @dataclass(frozen=True)
 class Formula:
-    """`applications` is a sequence of Applications or a constraint ->
-    {indices: weight} dict of groups, which the formula keeps: do not
-    change it."""
+    """`applications` is a constraint -> group dict, kept by the formula (do
+    not change it), where a group is an {indices: weight} dict or a pair of
+    (indices, weights) columns; or a sequence of Applications."""
     nvars: int
     applications: tuple[Application, ...]
     weight_range: str = RANGE_N
@@ -45,8 +43,7 @@ class Formula:
     # weights: counted once by __post_init__.
     size: int = field(init=False, repr=False, compare=False)
     total_weight: int = field(init=False, repr=False, compare=False)
-    # (constraint, indices, weights) triples, in no set order: the groups of
-    # a dict-built formula, else the runs of one constraint in the sorted apps.
+    # (constraint, indices, weights) triples, one per group, in no set order.
     groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,22 +51,20 @@ class Formula:
             raise FormatError("formula needs at least one variable")
         if self.weight_range not in (RANGE_Z, RANGE_N):
             raise FormatError(f"weight range must be Z or N, got {self.weight_range!r}")
-        apps, n, nonneg = self.applications, self.nvars, self.weight_range == RANGE_N
-        if isinstance(apps, dict):
-            object.__delattr__(self, "applications")  # see __getattr__
-            groups = tuple((c, g.keys(), g.values()) for c, g in apps.items())
-            total = sum(_checked_group(c, g, n, nonneg) for c, g in apps.items())
-        else:
-            object.__setattr__(self, "applications", tuple(sorted(apps, key=_SORT_KEY)))
-            groups, total = _runs(self.applications, n, nonneg)
-        object.__setattr__(self, "_weights", apps if isinstance(apps, dict) else None)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "size", sum(len(g[2]) for g in groups))
-        object.__setattr__(self, "total_weight", total)
+        apps = vars(self).pop("applications")  # see __getattr__
+        if not isinstance(apps, dict):
+            entries, apps = apps, {}
+            for c, indices, w in entries:
+                apps.setdefault(c, ([], []))[0].append(indices)
+                apps[c][1].append(w)
+        groups = tuple((c, g.keys(), g.values()) if isinstance(g, dict) else (c, *g)
+                       for c, g in apps.items())
+        vars(self).update(_weights=apps, groups=groups, size=sum(len(g[2]) for g in groups),
+                          total_weight=_checked(groups, self.nvars, self.weight_range == RANGE_N))
 
     def __getattr__(self, name):
-        # Normal lookup misses `applications` only on a dict-built formula
-        # that has not been read yet: build them once, here.
+        # Normal lookup misses `applications` until they are first read:
+        # build them once, here.
         if name != "applications":
             raise AttributeError(name)
         new = tuple.__new__  # not the NamedTuple's __new__, which is Python code
@@ -79,15 +74,14 @@ class Formula:
         return self.applications
 
     def sorted_groups(self):
-        """`groups` in the order of `applications`: by name, then indices."""
-        if self._weights is None:
-            return self.groups
+        """`groups` in the order of `applications`: by name, indices, weight."""
         groups = sorted(self._weights.items(), key=lambda cg: cg[0].name)
-        if len({c.name for c, _ in groups}) < len(groups):
-            # Distinct constraints share a name: one group per application.
-            return [(a[0], [a[1]], [a[2]]) for a in sorted(
-                (Application(c, i, w) for c, g in groups for i, w in g.items()), key=_SORT_KEY)]
-        return [(c, (keys := sorted(g)), list(map(g.__getitem__, keys))) for c, g in groups]
+        if (len({c.name for c, _ in groups}) == len(groups)
+                and all(isinstance(g, dict) for _, g in groups)):
+            return [(c, (keys := sorted(g)), list(map(g.__getitem__, keys))) for c, g in groups]
+        # Columns, which may repeat indices, or distinct constraints that
+        # share a name: one group per application.
+        return [(c, [i], [w]) for c, i, w in _sorted_entries(self.groups)]
 
     def value(self, bits: Sequence[int]) -> int:
         """phi(x): total weight of applications satisfied by the assignment."""
@@ -104,16 +98,31 @@ class Formula:
         return tuple(seen[k] for k in sorted(seen))
 
     def replace(self, **kwargs) -> "Formula":
-        return dataclass_replace(self, **kwargs)
+        return dataclass_replace(self, **{"applications": self._weights, **kwargs})
 
 
-def _runs(entries, n: int, nonneg: bool) -> tuple:
-    """Sorted (constraint, indices, weight) entries in runs of one constraint,
-    and the sum of |weight|, refusing at its first entry a wrong arity, an
-    index outside 1..n or, under N, a negative weight.  Runs hold lists:
-    CPython keeps freed tuples of under 20 items, of every length, for reuse."""
-    runs, total = [], 0
-    for c, indices, w in entries:
+def _sorted_entries(groups) -> list:
+    """Every (constraint, indices, weight) entry, by name, indices, weight."""
+    return sorted(((c, i, w) for c, indices, weights in groups
+                   for i, w in zip(indices, weights)), key=lambda e: (e[0].name, *e[1:]))
+
+
+def _checked(groups: tuple, n: int, nonneg: bool) -> int:
+    """The sum of |weight| over the groups, checked for a wrong arity, an
+    index outside 1..n and, under N, a negative weight: one pass in C per
+    check, the arity per group; _name_fault names a fault."""
+    weights = [g[2] for g in groups]
+    used = set(chain.from_iterable(chain.from_iterable(g[1] for g in groups)))
+    if (any(set(map(len, indices)) - {c.arity} for c, indices, _ in groups)
+            or used and not 1 <= min(used) <= max(used) <= n
+            or nonneg and min(chain.from_iterable(weights), default=0) < 0):
+        _name_fault(groups, n, nonneg)
+    return sum(map(abs, chain.from_iterable(weights)))
+
+
+def _name_fault(groups: tuple, n: int, nonneg: bool) -> None:
+    """Refuse the first faulty entry by name, indices and weight."""
+    for c, indices, w in _sorted_entries(groups):
         if len(indices) != c.arity:
             raise FormatError(f"{c.name} has arity {c.arity}, got indices {indices}")
         for i in indices:
@@ -124,23 +133,6 @@ def _runs(entries, n: int, nonneg: bool) -> tuple:
             raise FormatError(
                 f"weight range violation: negative weight {w} "
                 f"under N for {c.name}{indices}")
-        total += abs(w)
-        if runs and runs[-1][0] is c:
-            runs[-1][1].append(indices)
-            runs[-1][2].append(w)
-        else:
-            runs.append((c, [indices], [w]))
-    return tuple(runs), total
-
-
-def _checked_group(c: Constraint, group: dict, n: int, nonneg: bool) -> int:
-    """The sum of |weight| over one group, each of _runs' checks one pass in
-    C; _runs names the first fault."""
-    used = set(chain.from_iterable(group))
-    if (set(map(len, group)) - {c.arity} or used and not 1 <= min(used) <= max(used) <= n
-            or nonneg and min(group.values(), default=0) < 0):
-        _runs(zip(repeat(c), group, group.values()), n, nonneg)
-    return sum(map(abs, group.values()))
 
 
 def empty_formula(nvars: int = 1, weight_range: str = RANGE_N,

@@ -28,14 +28,14 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, Constraint,
                           make_constraint, parse_pattern, render_pattern)
 from .errors import FormatError
 from .expressibility import CombinationTerm, LinearCombination
-from .formulas import RANGE_N, RANGE_Z, Application, Formula
+from .formulas import RANGE_N, RANGE_Z, Formula
 from .implementations import Implementation
 from .languages import builtin_language
 from .polynomials import MultilinearPolynomial
 
 
-def _lines(text: str):
-    for num, raw in enumerate(text.splitlines(), start=1):
+def _lines(text: str, first: int = 1):
+    for num, raw in enumerate(text.splitlines(), start=first):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield num, line
@@ -153,39 +153,53 @@ def resolve_language_spec(spec: str) -> ConstraintLanguage:
 
 def parse_instance(text: str, language: ConstraintLanguage
                    ) -> tuple[Formula, TransformCertificate | None]:
-    header = None
-    apps: list[Application] = []
-    cert_lines: list[tuple[int, str]] = []
-    for num, line in _lines(text):
-        parts = line.split()
-        if header is None:
-            if parts[0] != "maxcsp" or len(parts) != 5:
-                _fail(num, f"expected 'maxcsp <n> <m> <Z|N> <t>', got {line!r}")
-            n = _int(num, parts[1], "variable count")
-            m = _int(num, parts[2], "application count")
-            t = _int(num, parts[4], "threshold")
-            if parts[3] not in (RANGE_Z, RANGE_N):
-                _fail(num, f"weight range must be Z or N, got {parts[3]!r}")
-            header = (n, m, parts[3], t)
-        elif cert_lines or parts[0] == "certificate":
-            cert_lines.append((num, line))
-        else:
-            if len(parts) < 2:
-                _fail(num, f"expected '<name> <weight> <indices...>', got {line!r}")
-            try:
-                c = language.get(parts[0])
-            except KeyError as exc:
-                _fail(num, str(exc))
-            weight = _int(num, parts[1], "weight")
-            idx = tuple(_int(num, p, "index") for p in parts[2:])
-            if len(idx) != c.arity:
-                _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
-            apps.append(tuple.__new__(Application, (c, idx, weight)))
-    _require_header(header, "maxcsp", len(apps), "applications")
-    n, _, weight_range, t = header
-    phi = Formula(n, tuple(apps), weight_range, t)
-    cert = _parse_certificate_lines(cert_lines) if cert_lines else None
-    return phi, cert
+    """The lines are grouped by constraint name and read a column at a
+    time, one entry each; only on a fault does a loop name its line."""
+    lines = text.splitlines()
+    rows = [raw.partition("#")[0].split() for raw in lines]
+    num = next((i for i, parts in enumerate(rows, 1) if parts), None)
+    _require_header(num, "maxcsp")
+    keyword, *fields = rows[num - 1]
+    if keyword != "maxcsp" or len(fields) != 4:
+        line = lines[num - 1].partition("#")[0].strip()
+        _fail(num, f"expected 'maxcsp <n> <m> <Z|N> <t>', got {line!r}")
+    n = _int(num, fields[0], "variable count")
+    m = _int(num, fields[1], "application count")
+    t = _int(num, fields[3], "threshold")
+    if fields[2] not in (RANGE_Z, RANGE_N):
+        _fail(num, f"weight range must be Z or N, got {fields[2]!r}")
+    cut = next((i for i in range(num, len(rows)) if rows[i][:1] == ["certificate"]),
+               len(rows)) if "certificate" in text else len(rows)
+    by_name, groups = {}, {}
+    for parts in rows[num:cut]:
+        if parts:
+            by_name.setdefault(parts[0], []).append(parts)
+    try:
+        for name, entries in by_name.items():
+            c = language.get(name)
+            if set(map(len, entries)) != {c.arity + 2}:
+                raise ValueError
+            _, weights, *columns = zip(*entries)
+            groups[c] = (list(zip(*[map(int, col) for col in columns])) if columns
+                         else [()] * len(entries), list(map(int, weights)))
+    except (KeyError, ValueError):
+        for num, parts in enumerate(rows[num:cut], num + 1):
+            if len(parts) == 1:
+                _fail(num, f"expected '<name> <weight> <indices...>', got {parts[0]!r}")
+            if parts:
+                try:
+                    c = language.get(parts[0])
+                except KeyError as exc:
+                    _fail(num, str(exc))
+                _int(num, parts[1], "weight")
+                idx = [_int(num, p, "index") for p in parts[2:]]
+                if len(idx) != c.arity:
+                    _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
+    _require_header((n, m), "maxcsp", sum(map(len, by_name.values())), "applications")
+    phi = Formula(n, groups, fields[2], t)
+    if cut == len(rows):
+        return phi, None
+    return phi, _parse_certificate_lines(_lines("\n".join(lines[cut:]), cut + 1))
 
 
 def emit_instance(phi: Formula, cert: TransformCertificate | None = None) -> str:

@@ -17,6 +17,7 @@ by degree, then lexicographically on the sorted index tuple.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .constraints import Constraint, ConstraintLanguage
@@ -40,15 +41,18 @@ class MultilinearPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        clean: dict = {}
-        for mono, c in (terms or {}).items():
-            mono = frozenset(mono)
-            if any(not isinstance(i, int) or i < 1 for i in mono):
-                raise FormatError(f"monomial indices must be positive ints: {mono}")
-            if c:
+        terms = terms or {}
+        clean = dict(zip(map(frozenset, terms), terms.values()))
+        used = set().union(*clean)
+        if (len(clean) < len(terms) or not set(map(type, used)) <= {int}
+                or min(used, default=1) < 1):
+            clean = {}  # sum repeated monomials, or name the first bad one
+            for mono, c in zip(map(frozenset, terms), terms.values()):
+                if any(not isinstance(i, int) or i < 1 for i in mono):
+                    raise FormatError(f"monomial indices must be positive ints: {mono}")
                 clean[mono] = clean.get(mono, 0) + c
-                if not clean[mono]:
-                    del clean[mono]
+        if not all(clean.values()):
+            clean = dict(compress(clean.items(), clean.values()))
         self._terms = clean
 
     @property
@@ -61,7 +65,7 @@ class MultilinearPolynomial:
 
     @property
     def degree(self) -> int:
-        return max((len(m) for m in self._terms), default=0)
+        return max(map(len, self._terms), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms

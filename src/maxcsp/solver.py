@@ -69,30 +69,37 @@ def _folded_moebius(table: tuple[int, ...], shifts: tuple[int, ...]) -> tuple:
     return tuple((s, c) for s, c in enumerate(acc) if c)
 
 
-@lru_cache(maxsize=2)
+_built: list = []  # (phi, _coefficients(phi)) for the last two formulas
+
+
 def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
     """({mask: c}, kmax): phi's nonzero monomial coefficients and the size
-    of its largest variable set, at any n.  The two formulas of a verify
-    stay cached, so their blocks and affine_holds share one build each."""
+    of its largest variable set, at any n.  The last two formulas stay
+    cached by identity: a verify builds each once and hashes neither."""
+    for built in _built:
+        if built[0] is phi:
+            return built[1]
     n = phi.nvars
     coeffs: dict[int, int] = {}
     kmax = 0
     layouts = {}  # indices: (masks, shifts), built once per call
-    for a in phi.applications:
-        layout = layouts.get(a.indices)
-        if layout is None:
-            support = sorted(set(a.indices))
-            k = len(support)
-            kmax = max(kmax, k)
-            masks = [0]  # masks[s]: the variables of the support bits set in s
-            for v in reversed(support):
-                masks += [m | 1 << (n - v) for m in masks]
-            shifts = tuple(k - 1 - support.index(i) for i in a.indices)
-            layout = layouts[a.indices] = masks, shifts
-        masks, shifts = layout
-        for s, c in _folded_moebius(a.constraint.table, shifts):
-            coeffs[masks[s]] = coeffs.get(masks[s], 0) + a.weight * c
-    return {mask: c for mask, c in coeffs.items() if c}, kmax
+    for c, indices, weights in phi.groups:
+        for idx, w in zip(indices, weights):
+            layout = layouts.get(idx)
+            if layout is None:
+                support = sorted(set(idx))
+                k = len(support)
+                kmax = max(kmax, k)
+                masks = [0]  # masks[s]: the variables of the support bits set in s
+                for v in reversed(support):
+                    masks += [m | 1 << (n - v) for m in masks]
+                shifts = tuple(k - 1 - support.index(i) for i in idx)
+                layout = layouts[idx] = masks, shifts
+            masks, shifts = layout
+            for s, co in _folded_moebius(c.table, shifts):
+                coeffs[masks[s]] = coeffs.get(masks[s], 0) + w * co
+    _built[:] = (phi, ({mask: c for mask, c in coeffs.items() if c}, kmax)), *_built[:1]
+    return _built[0][1]
 
 
 def _subset_sums(values, bits) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, itemgetter, mul
 
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
@@ -31,8 +31,8 @@ from .formulas import RANGE_N, RANGE_Z, Application, Formula, empty_formula
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
-from .polynomials import (MultilinearPolynomial, add_composed,
-                          characteristic_polynomial, degree_of_language)
+from .polynomials import (MultilinearPolynomial, characteristic_polynomial,
+                          degree_of_language)
 from .solver import ORACLE_CAP, affine_holds, decide_exact, decisions
 
 
@@ -77,17 +77,18 @@ def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
     the threshold by -w."""
     apps = []
     shift = 0
-    for a in phi.applications:
-        c, flip = a.constraint, flips(a)
-        member = language.by_table(
-            c.arity, tuple(1 - v for v in c.table) if flip else c.table)
-        if member is None:
-            raise PreconditionError(f"{language.name!r} has no "
-                                    f"{'negation of ' if flip else ''}{c.name}")
-        if flip:
-            shift -= a.weight
-        apps.append(Application(member, a.indices, -a.weight if flip else a.weight))
-    phi2 = Formula(phi.nvars, tuple(apps), weight_range, phi.threshold + shift)
+    for c, indices, weights in phi.groups:
+        negation = tuple(1 - v for v in c.table)
+        for idx, w in zip(indices, weights):
+            flip = flips(c, w)
+            member = language.by_table(c.arity, negation if flip else c.table)
+            if member is None:
+                raise PreconditionError(f"{language.name!r} has no "
+                                        f"{'negation of ' if flip else ''}{c.name}")
+            if flip:
+                shift -= w
+            apps.append((member, idx, -w if flip else w))
+    phi2 = Formula(phi.nvars, apps, weight_range, phi.threshold + shift)
     cert = build_certificate(label, phi, phi2, KIND_ADDITIVE,
                              (AFFINE, 1, shift), var_bound=0, size_factor=1,
                              weight_factor=1, weight_exponent=0)
@@ -99,15 +100,14 @@ def neg_to_base(phi: Formula, base: ConstraintLanguage):
     weights: each application of a negated constraint flips to the base
     constraint with opposite weight, shifting the threshold."""
     return _flip_signed(
-        phi, base,
-        lambda a: base.by_table(a.constraint.arity, a.constraint.table) is None,
+        phi, base, lambda c, w: base.by_table(c.arity, c.table) is None,
         RANGE_Z, "neg-to-base")
 
 
 def signed_to_unsigned_neg(phi: Formula, neg_language: ConstraintLanguage):
     """Erase negative weights over a negation-closed language: a negative
     application flips to its pointwise negation with positive weight."""
-    return _flip_signed(phi, neg_language, lambda a: a.weight < 0, RANGE_N,
+    return _flip_signed(phi, neg_language, lambda c, w: w < 0, RANGE_N,
                         "signed-to-unsigned")
 
 
@@ -397,13 +397,16 @@ class CompressResult:
 
 
 def _formula_terms(phi: Formula) -> dict:
-    """phi's integer monomial coefficients, summed in one pass."""
+    """phi's integer monomial coefficients, summed in one pass: a group
+    adds each term of its polynomial over its index columns at once."""
     acc: dict = {}
     for c, indices, weights in phi.groups:
-        poly = characteristic_polynomial(c)
-        for idx, w in zip(indices, weights):
-            if w:
-                add_composed(acc, poly, idx, w)
+        if not all(weights):
+            indices, weights = list(compress(indices, weights)), list(filter(None, weights))
+        columns = [list(map(itemgetter(j), indices)) for j in range(c.arity)]
+        for mono, coeff in characteristic_polynomial(c).terms.items():
+            keys = map(frozenset, zip(*[columns[j - 1] for j in mono])) if mono else repeat(mono)
+            _add(acc, keys, map(mul, weights, repeat(coeff)))
     return acc
 
 

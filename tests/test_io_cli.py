@@ -20,7 +20,9 @@ from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
                                resolve_language_spec)
 from maxcsp.formulas import random_formula
 from maxcsp.languages import builtin_language
-from maxcsp.transforms import chain, unsigned_lit
+from maxcsp.solver import brute_force
+from maxcsp.transforms import (chain, kernelize, neg_to_base, unsigned_lit,
+                               verify_transform)
 
 LANG_TEXT = """\
 # a toy language
@@ -108,6 +110,55 @@ def test_instance_header_mismatches():
         parse_instance("maxcsp 2 1 N 0\nOR2 1 1\n", lang)  # arity mismatch
     with pytest.raises(FormatError, match="declares"):
         parse_instance("maxcsp 2 2 N 0\nOR2 1 1 2\n", lang)
+
+
+def test_instance_duplicate_lines_round_trip():
+    # An instance is a multiset: a repeated line stays its own entry, and
+    # the file is written back byte for byte.
+    lang = builtin_language("2sat")
+    for text in ("maxcsp 3 3 N 4\nOR2 2 1 3\nOR2 2 1 3\nOR2|x1,~x2 1 2 3\n",
+                 "maxcsp 3 3 Z 4\nOR2 -1 1 3\nOR2 5 1 3\nOR2|x1,x1 0 2\n"):
+        phi, _ = parse_instance(text, lang)
+        assert phi.size == 3 and len(phi.applications) == 3
+        assert emit_instance(phi) == text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("maxcsp 3 3 N 0\nOR2 1 1 4\nOR2 2 2 3\nOR2|x2,~x1 -1 1 2\n",
+     "index 4 out of range 1..3 in application of OR2"),
+    ("maxcsp 3 3 N 0\nOR2|x2,~x1 -2 1 2\nOR2 1 0 2\nOR2|x2,~x1 -1 1 3\n",
+     "index 0 out of range 1..3 in application of OR2"),
+    ("maxcsp 3 4 N 0\nOR2|~x1,~x2 -1 3 2\nOR2|x1,x1 1 2\nOR2 1 1 2\nOR2|x1,x1 1 4\n",
+     "index 4 out of range 1..3 in application of OR2|x1,x1"),
+    ("maxcsp 3 3 Z 0\nOR2|x2,~x1 1 1 9\nOR2 1 x 2\nOR2 1 1 5\n",
+     "line 3: bad index 'x'"),
+    ("maxcsp 3 2 N 0\nOR2|x2,~x1 -1 1 2\nOR2 1 1 2 3\n",
+     "line 3: OR2 has arity 2, got 3 indices"),
+])
+def test_instance_faults_in_two_groups(text, message):
+    # A line that holds no application is named by its number, the first
+    # in the file; a range or sign fault is the first in (name, indices,
+    # weight) order, whatever its line.
+    with pytest.raises(FormatError) as exc:
+        parse_instance(text, builtin_language("2sat"))
+    assert str(exc.value) == message
+
+
+def test_parsed_formulas_build_no_applications():
+    # Kernelizing, transforming, verifying and solving read the groups.
+    lang, xor = builtin_language("2sat"), builtin_language("xor")
+    neg = resolve_language_spec("neg:xor")
+    phi, _ = parse_instance(emit_instance(random_formula(lang, 6, 12, "N", seed=3)), lang)
+    signed, _ = parse_instance(emit_instance(random_formula(neg, 6, 12, "Z", seed=4)), neg)
+    kernel = kernelize(phi, lang).formula
+    chained, chain_cert = chain(phi, lang, xor)
+    flipped, flip_cert = neg_to_base(signed, xor)
+    assert verify_transform(phi, chained, chain_cert).all_passed
+    assert verify_transform(signed, flipped, flip_cert).all_passed
+    assert brute_force(phi).optimum >= 0
+    assert emit_instance(kernel) and emit_instance(flipped)
+    for formula in (phi, signed, kernel, chained, flipped):
+        assert "applications" not in vars(formula)
 
 
 def test_certificate_round_trip():
@@ -299,20 +350,27 @@ def test_cli_kernelize_verify(tmp_path):
                  "--verify", "-o", str(tmp_path / "k.maxcsp")]) == 0
 
 
-def test_cli_kernelize_output_does_not_depend_on_hash_seed(tmp_path):
-    # String hashes are salted per process: the kernel's group order, and
-    # so its bytes, must not follow them.
-    inst = tmp_path / "in.maxcsp"
+def test_cli_output_does_not_depend_on_hash_seed(tmp_path):
+    # String hashes are salted per process: the group order of a kernel,
+    # a neg-to-base output or the oracle's input, and so the bytes written,
+    # must not follow them.
+    inst, signed = tmp_path / "in.maxcsp", tmp_path / "signed.maxcsp"
     phi = random_formula(builtin_language("3sat"), 20, 500, "N", max_weight=1000,
                          seed="hash-seed")
     inst.write_text(emit_instance(phi.replace(threshold=phi.total_weight // 2)))
+    signed.write_text(emit_instance(random_formula(
+        resolve_language_spec("neg:xor"), 20, 500, "Z", max_weight=1000, seed="signed")))
     src = str(Path(maxcsp.__file__).resolve().parent.parent)
-    outputs = [subprocess.run(
-        [sys.executable, "-m", "maxcsp.cli", "kernelize", "--language", "3sat",
-         "--instance", str(inst)], capture_output=True, check=True,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
-        for seed in ("0", "1")]
-    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1000
+    for argv, lines in (
+            (["kernelize", "--language", "3sat", "--instance", inst], 1000),
+            (["transform", "--op", "neg-to-base", "--language", "xor",
+              "--instance", signed], 500),
+            (["solve", "--exact", "--language", "3sat", "--instance", inst], 3)):
+        outputs = [subprocess.run(
+            [sys.executable, "-m", "maxcsp.cli", *map(str, argv)], capture_output=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > lines
 
 
 def test_cli_solve_and_vc_reduce(tmp_path, capsys):
