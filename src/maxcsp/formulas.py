@@ -69,19 +69,18 @@ class Formula:
             raise AttributeError(name)
         new = tuple.__new__  # not the NamedTuple's __new__, which is Python code
         object.__setattr__(self, name, tuple(
-            new(Application, (c, i, w)) for c, indices, weights in self.sorted_groups()
-            for i, w in zip(indices, weights)))
+            new(Application, (c, i, w)) for c, pairs in self.sorted_groups() for i, w in pairs))
         return self.applications
 
     def sorted_groups(self):
-        """`groups` in the order of `applications`: by name, indices, weight."""
+        """(constraint, (indices, weight) pairs, to be read once) per group,
+        in the order of `applications`: by name, indices, weight."""
         groups = sorted(self._weights.items(), key=lambda cg: cg[0].name)
-        if (len({c.name for c, _ in groups}) == len(groups)
-                and all(isinstance(g, dict) for _, g in groups)):
-            return [(c, (keys := sorted(g)), list(map(g.__getitem__, keys))) for c, g in groups]
-        # Columns, which may repeat indices, or distinct constraints that
-        # share a name: one group per application.
-        return [(c, [i], [w]) for c, i, w in _sorted_entries(self.groups)]
+        if len({c.name for c, _ in groups}) < len(groups):
+            # Distinct constraints that share a name: one group per application.
+            return [(c, [(i, w)]) for c, i, w in _sorted_entries(self.groups)]
+        return [(c, zip(keys := sorted(g), map(g.__getitem__, keys)) if isinstance(g, dict)
+                 else sorted(zip(*g))) for c, g in groups]
 
     def value(self, bits: Sequence[int]) -> int:
         """phi(x): total weight of applications satisfied by the assignment."""

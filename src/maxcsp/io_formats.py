@@ -204,9 +204,9 @@ def parse_instance(text: str, language: ConstraintLanguage
 
 def emit_instance(phi: Formula, cert: TransformCertificate | None = None) -> str:
     out = [f"maxcsp {phi.nvars} {phi.size} {phi.weight_range} {phi.threshold}\n"]
-    for c, indices, weights in phi.sorted_groups():
+    for c, pairs in phi.sorted_groups():
         line = c.name.replace("%", "%%") + " %s" * (1 + c.arity) + "\n"  # weight, indices
-        out += [line % ((w,) + i) for i, w in zip(indices, weights)]
+        out += [line % ((w,) + i) for i, w in pairs]
     text = "".join(out)
     if cert is not None:
         text += emit_certificate(cert)

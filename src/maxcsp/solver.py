@@ -17,12 +17,12 @@ per setting p of the top variables, takes the monomials whose top variables
 lie inside p.  The passes for the block's low 8 bits run on a compact array
 of the rows of 2**8 entries that hold a coefficient; those rows go into a
 zeroed block, and the passes for the other bits run over the whole block.
-At n <= 8 the block is one row, built in place.
-The passes commute, and a row with no coefficient stays zero under the low
-ones, so the block is the one that all passes over the whole block give.
-numpy is imported by a sweep only, so the CLI starts without it.  Partial
-sums are coefficients of restrictions, at most 2**kmax * ||phi|| for the
-largest variable set kmax: int64 below 2**62 of that, Python ints above.
+At n <= 8 the block is one row, built in place.  The passes commute, and a
+row with no coefficient stays zero under the low ones, so the block is the
+one that all passes over the whole block give.  numpy is imported by a
+sweep only, so the CLI starts without it.  Partial sums are coefficients of
+restrictions, at most 2**kmax * ||phi|| for the largest variable set kmax:
+int32 below 2**30 (4 MB blocks), int64 below 2**62, Python ints above.
 A function on {0,1}^n has exactly one multilinear polynomial, so
 phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
 satisfy it: affine_holds compares them, with no cap.  The witness is the
@@ -119,7 +119,8 @@ def _value_blocks(phi: Formula, cap: int):
     import numpy as np  # only a sweep needs it: the CLI starts without it
 
     coeffs, kmax = _coefficients(phi)
-    dtype = object if phi.total_weight << kmax >= 1 << 62 else np.int64
+    bound = phi.total_weight << kmax
+    dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
 
     low = min(n, _BLOCK_BITS)
     rb = min(low, _ROW_BITS)
@@ -133,13 +134,12 @@ def _value_blocks(phi: Formula, cap: int):
         for m, c in kept:
             rows[row[m >> rb] << rb | m & (1 << rb) - 1] += c
         _subset_sums(rows, range(rb))
-        if low == rb:  # a block of one row (n <= 8) is built in place
-            yield p << low, rows
-            continue
-        values = np.zeros(1 << low, dtype=dtype)
-        values.reshape(-1, 1 << rb)[heads] = rows.reshape(-1, 1 << rb)
-        _subset_sums(values, range(rb, low))
-        yield p << low, values
+        if low > rb:  # else the block is its one row (n <= 8), built in place
+            values = np.zeros(1 << low, dtype=dtype)
+            values.reshape(-1, 1 << rb)[heads] = rows.reshape(-1, 1 << rb)
+            _subset_sums(values, range(rb, low))
+            rows = values
+        yield p << low, rows
 
 
 def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]:

@@ -71,6 +71,25 @@ def test_merge_keys_on_constraint_value():
             for x in Formula(2, groups, "Z").applications] == [("XOR", 5), ("XOR_B", 4)]
 
 
+def test_sorted_groups_in_canonical_order():
+    # Column groups repeat indices (ties go by weight), and the twin shares
+    # XOR's name: both against a Python-key sort of every entry.
+    rng = random.Random(1402)
+    twin = Constraint("XOR", 2, (1, 0, 0, 1))
+    for key in ("2sat", "nae3lit", "xor"):
+        apps = list(random_formula(builtin_language(key), 3, 40, "Z", max_weight=3,
+                                   seed=rng.randrange(10 ** 9)).applications)
+        for extra in ([], [Application(twin, (2, 1), -1), Application(twin, (1, 2), 2)]):
+            entries = apps + extra
+            rng.shuffle(entries)
+            expected = sorted(entries, key=lambda a: (a.constraint.name, *a.indices, a.weight))
+            phi = Formula(3, entries, "Z")
+            assert emit_instance(phi).splitlines()[1:] == [
+                " ".join(map(str, (a.constraint.name, a.weight, *a.indices)))
+                for a in expected]
+            assert phi.applications == tuple(expected)
+
+
 def _assert_same_formula(lazy, reference):
     """A dict-built formula against the applications-built one; reading
     its counts, constraints, text and encoded bits builds no application."""
@@ -357,6 +376,66 @@ def test_oracle_exact_when_partial_sums_pass_int64():
     _assert_matches_reference(phi, w - (1 << 60) + 7)
 
 
+def _ex3_at_norm(s, norm):
+    """EX3 at weight w = 3s - 5, whose x1x2x3 coefficient 3w the partial sums
+    reach, a unary term at 7 - s and an XOR whose weight takes ||phi|| to
+    `norm`: 2**kmax * ||phi|| = 8 * norm."""
+    w = 3 * s - 5
+    return Formula(4, (Application(ex_constraint(3), (2, 1, 3), w),
+                       Application(T, (1,), 7 - s),
+                       Application(XOR, (3, 4), norm - 4 * s + 12)), "Z", w)
+
+
+def test_oracle_block_width_edges():
+    # Blocks are int32 while 2**kmax * ||phi|| < 2**30, else int64 (below
+    # 2**62).  XOR3's x1x2x3 coefficient is 4 * ||phi|| = 2**29 - 4.
+    top = 1 << 30
+    for phi, dtype, coeff_max in (
+            (_ex3_at_norm(1 << 25, (top >> 3) - 1), np.int32, 9 * (1 << 25) - 15),
+            (Formula(3, (Application(xor_constraint(3), (3, 1, 2), (top >> 3) - 1),),
+                     "Z", 1), np.int32, (top >> 1) - 4),
+            # ||phi|| < 2**30 = 2**kmax * ||phi||
+            (_ex3_at_norm(1 << 25, top >> 3), np.int64, 9 * (1 << 25) - 15),
+            # ||phi|| < 2**30, and 3w passes 2**31: an int32 sum would wrap.
+            (_ex3_at_norm(1 << 28, top - 9), np.int64, 9 * (1 << 28) - 15)):
+        assert (phi.total_weight << 3 < top) == (dtype is np.int32)
+        assert phi.total_weight < top
+        assert max(map(abs, maxcsp.solver._coefficients(phi)[0].values())) == coeff_max
+        (_, flat), = maxcsp.solver._value_blocks(phi, 24)
+        assert flat.dtype == dtype
+        assert [int(v) for v in flat] == [phi.value(row_to_bits(m, phi.nvars))
+                                          for m in range(1 << phi.nvars)]
+        _assert_blocks_match_reference(phi)
+        for t in (phi.threshold, max(map(int, flat)), int(flat[5]) + 1):
+            _assert_matches_reference(phi, t)
+
+
+def test_int32_blocks_decide_thresholds_past_int32(monkeypatch):
+    # |t| > ||phi||: the sweep answers = without comparing t to a block.
+    class InRange(np.ndarray):
+        def __eq__(self, other):
+            info = np.iinfo(self.dtype)
+            assert info.min <= other <= info.max
+            compared.append(other)
+            return np.ndarray.__eq__(self, other)
+
+    compared = []
+    blocks = maxcsp.solver._value_blocks
+    monkeypatch.setattr(maxcsp.solver, "_value_blocks", lambda phi, cap: (
+        (start, flat.view(InRange)) for start, flat in blocks(phi, cap)))
+    phi = random_formula(builtin_language("2sat"), 10, 30, "Z", seed=12)
+    (_, flat), = blocks(phi, 24)
+    assert flat.dtype == np.int32
+    optimum = int(flat.max())
+    for t in (1 << 31, -(1 << 31), 1 << 40, -(1 << 40), optimum):
+        _assert_matches_reference(phi, t)
+    assert compared and set(compared) <= {optimum, phi.threshold}
+    for t in (1 << 31, 1 << 40):
+        assert decisions(phi, -t) == (True, False) and decide(phi, -t)
+        assert decisions(phi, t) == (False, False) and not decide(phi, t)
+        assert not decide_exact(phi, t) and not decide_exact(phi, -t)
+
+
 def test_oracle_wide_closure_members():
     # Members of arity 4 and 5 take the Moebius transform past k = 3.
     rng = random.Random(45)
@@ -377,7 +456,8 @@ def _reference_blocks(phi):
     subset-sum pass per bit over the whole block."""
     n = phi.nvars
     coeffs, kmax = maxcsp.solver._coefficients(phi)
-    dtype = object if phi.total_weight << kmax >= 1 << 62 else np.int64
+    bound = phi.total_weight << kmax
+    dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
     low = min(n, 20)
     for p in range(1 << (n - low)):
         values = np.zeros(1 << low, dtype=dtype)
