@@ -106,11 +106,15 @@ def cmd_poly(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    language = io.resolve_language_spec(args.language) if args.language else None
-    base = _constraint(args.base, "--base", language)
+    base = _base(args)
     combo = decompose(_target_polynomial(args), base)
     _write(args, io.emit_decomposition(combo))
     return 0
+
+
+def _base(args):
+    language = io.resolve_language_spec(args.language) if args.language else None
+    return _constraint(args.base, "--base", language)
 
 
 def _target_polynomial(args):
@@ -219,7 +223,7 @@ def cmd_verify(args) -> int:
             raise MaxCspError(f"{args.paths[1]} carries no certificate block")
         return _verify(phi1, phi2, cert, args.oracle_cap)
     if args.kind == "decomposition":
-        base = _constraint(args.base, "--base")
+        base = _base(args)
         combo = io.parse_decomposition(io.read_file(args.paths[0]), base)
         ok = combo.expand() == _target_polynomial(args)
         sys.stderr.write(("PASS" if ok else "FAIL") + " formal-identity\n")

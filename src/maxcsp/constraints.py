@@ -87,29 +87,17 @@ class Constraint:
         return (self.arity, self.table)
 
 
-def make_constraint(name: str, arity: int, satisfying_rows: Iterable) -> Constraint:
-    """Build a constraint from its satisfying assignments.
-
-    Rows may be given as bit strings ("01"), sequences of 0/1, or row
-    indices.  Duplicates are idempotent; a row of the wrong width is a
-    format error.
+def make_constraint(name: str, arity: int, satisfying_rows: Iterable[str]) -> Constraint:
+    """Build a constraint from its satisfying assignments, given as bit
+    strings ("01").  Duplicates are idempotent; a row that is not a bit
+    string of the constraint's arity is a format error.
     """
     table = [0] * (1 << arity)
     for row in satisfying_rows:
-        if isinstance(row, str):
-            if len(row) != arity or any(c not in "01" for c in row):
-                raise FormatError(f"{name}: bad row {row!r} for arity {arity}")
-            idx = int(row, 2) if arity else 0
-        elif isinstance(row, int):
-            idx = row
-            if not 0 <= idx < len(table):
-                raise FormatError(f"{name}: row index {row} out of range")
-        else:
-            bits = tuple(row)
-            if len(bits) != arity:
-                raise FormatError(f"{name}: bad row width {len(bits)}, want {arity}")
-            idx = bits_to_row(bits)
-        table[idx] = 1
+        if (not isinstance(row, str) or len(row) != arity
+                or any(c not in "01" for c in row)):
+            raise FormatError(f"{name}: bad row {row!r} for arity {arity}")
+        table[int(row, 2) if arity else 0] = 1
     return Constraint(name, arity, tuple(table))
 
 

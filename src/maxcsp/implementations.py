@@ -7,9 +7,9 @@ applications is exactly alpha when the target holds (for some auxiliary
 setting) and at most alpha - 1 otherwise; strict if alpha - 1 is attained
 for every unsatisfying primary assignment.
 
-The searcher trusts nothing: every candidate, including the built-in
-catalog entries, goes through the exhaustive verifier over all 2**(p+q)
-assignments before being returned.
+The search trusts nothing: every candidate (the target's own member, each
+built-in catalog row, each multiset of applications) goes through the one
+exhaustive check over all 2**(p+q) assignments before it is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from .constraints import (Constraint, ConstraintLanguage, dicut_constraint,
                           ex_constraint, nae_constraint, or_constraint,
                           xor_constraint, T, F, literal_variant)
-from .errors import FormatError, MaxCspError
+from .errors import FormatError
 
 DEFAULT_MAX_AUX = 2
 DEFAULT_MAX_APPS = 4
@@ -95,104 +95,74 @@ def _implements(target: Constraint, per_x_max: list[int]) -> tuple[bool, int, bo
     return True, alpha, strict
 
 
-def checked_implementation(target: Constraint, primary_arity: int,
-                           aux_count: int, applications) -> Implementation:
-    """Build an Implementation whose alpha/strict fields come from the
-    verifier; raises if the candidate is not a valid implementation."""
-    apps = tuple((c, tuple(idx)) for c, idx in applications)
-    probe = Implementation(target, primary_arity, aux_count, apps, 1, False)
-    res = verify_implementation(probe)
-    if not res.valid:
-        raise MaxCspError(f"not an implementation of {target.name}: {apps}")
-    return Implementation(target, primary_arity, aux_count, apps,
-                          res.alpha, res.strict)
-
-
-def identity_implementation(c: Constraint) -> Implementation:
-    return checked_implementation(c, c.arity, 0,
-                                  ((c, tuple(range(1, c.arity + 1))),))
-
-
 # ---------------------------------------------------------------------------
-# Catalog of known implementations, re-verified on first use.
+# Catalog of known implementations, checked like any other candidate.
 
 
 @lru_cache(maxsize=1)
-def catalog() -> tuple[Implementation, ...]:
-    """Known strict implementations of XOR, T, F; each is re-verified here
-    before it is ever served."""
+def catalog() -> tuple:
+    """Known strict implementations of XOR, T, F as (target, aux count,
+    applications) rows; the search checks each row it serves."""
     xor = xor_constraint(2)
     or2 = or_constraint(2)
     or2nn = literal_variant(or2, {1, 2})      # ~x OR ~y
     nae3 = nae_constraint(3)
     ex3 = ex_constraint(3)
     dicut = dicut_constraint()
-    rows = (  # label, target, primary arity, aux count, applications
-        ("xor-from-2sat", xor, 2, 0, [(or2, (1, 2)), (or2nn, (1, 2))]),
-        ("xor-from-nae3", xor, 2, 0, [(nae3, (1, 2, 2))]),
-        ("xor-from-ex3", xor, 2, 2, [(ex3, (1, 2, 3)), (ex3, (3, 3, 4))]),
-        ("xor-from-xor", xor, 2, 0, [(xor, (1, 2))]),
-        ("xor-from-dicut", xor, 2, 0, [(dicut, (1, 2)), (dicut, (2, 1))]),
-        ("t-from-or2", T, 1, 0, [(or2, (1, 1))]),
-        ("t-from-ex3", T, 1, 1, [(ex3, (1, 2, 2))]),
-        ("t-from-dicut", T, 1, 1, [(dicut, (1, 2))]),
-        ("f-from-or2nn", F, 1, 0, [(or2nn, (1, 1))]),
-        ("f-from-ex3", F, 1, 1, [(ex3, (1, 1, 2))]),
-        ("f-from-dicut", F, 1, 1, [(dicut, (2, 1))]),
+    return (
+        (xor, 0, ((or2, (1, 2)), (or2nn, (1, 2)))),
+        (xor, 0, ((nae3, (1, 2, 2)),)),
+        (xor, 2, ((ex3, (1, 2, 3)), (ex3, (3, 3, 4)))),
+        (xor, 0, ((xor, (1, 2)),)),
+        (xor, 0, ((dicut, (1, 2)), (dicut, (2, 1)))),
+        (T, 0, ((or2, (1, 1)),)),
+        (T, 1, ((ex3, (1, 2, 2)),)),
+        (T, 1, ((dicut, (1, 2)),)),
+        (F, 0, ((or2nn, (1, 1)),)),
+        (F, 1, ((ex3, (1, 1, 2)),)),
+        (F, 1, ((dicut, (2, 1)),)),
     )
-    verified = []
-    for label, target, p, q, apps in rows:
-        impl = checked_implementation(target, p, q, apps)
-        if not impl.strict:
-            raise MaxCspError(f"catalog entry {label} is not strict")
-        verified.append(impl)
-    return tuple(verified)
 
 
-def _remap_to_language(impl: Implementation,
-                       language: ConstraintLanguage) -> Implementation | None:
-    """Rebind an implementation's constraints to same-table members of the
-    language; None if some table is missing."""
-    apps = []
-    for c, idx in impl.applications:
-        member = language.by_table(c.arity, c.table)
-        if member is None:
-            return None
-        apps.append((member, idx))
-    return checked_implementation(impl.target, impl.primary_arity,
-                                  impl.aux_count, apps)
+def _candidates(language: ConstraintLanguage, target: Constraint,
+                max_aux: int, max_apps: int, use_catalog: bool):
+    """(aux count, applications) candidates in canonical order: the
+    target's same-table member under the identity, the catalog rows rebound
+    to same-table members of the language, then every multiset of
+    applications by aux count and size."""
+    direct = language.by_table(target.arity, target.table)
+    if direct is not None:
+        yield 0, ((direct, tuple(range(1, target.arity + 1))),)
+    rows = catalog() if use_catalog else ()
+    for row_target, q, apps in rows:
+        if row_target.signature() != target.signature():
+            continue
+        rebound = tuple((language.by_table(c.arity, c.table), idx)
+                        for c, idx in apps)
+        if all(c is not None for c, _ in rebound):
+            yield q, rebound
+    p = target.arity
+    members = [c for c in language if c.arity >= 1]
+    for q in range(max_aux + 1):
+        space = [(c, idx) for c in members
+                 for idx in itertools.product(range(1, p + q + 1), repeat=c.arity)]
+        for m in range(1, max_apps + 1):
+            for combo in itertools.combinations_with_replacement(space, m):
+                yield q, combo
 
 
+@lru_cache(maxsize=None)
 def search_implementation(language: ConstraintLanguage, target: Constraint,
                           max_aux: int = DEFAULT_MAX_AUX,
                           max_apps: int = DEFAULT_MAX_APPS,
                           use_catalog: bool = True) -> Implementation | None:
-    """First verified strict implementation in canonical enumeration order
-    (catalog first, then exhaustive search over application multisets);
-    None when the caps are too small.  The identity and catalog answers
-    are held to the caps too."""
-    direct = language.by_table(target.arity, target.table)
-    if direct is not None and max_apps >= 1:
-        return identity_implementation(direct)
-    if use_catalog:
-        for entry in catalog():
-            if (entry.target.signature() != target.signature()
-                    or entry.aux_count > max_aux
-                    or len(entry.applications) > max_apps):
-                continue
-            remapped = _remap_to_language(entry, language)
-            if remapped is not None and remapped.strict:
-                return remapped
+    """The first candidate within the caps that is a strict implementation
+    of target, with target itself as its .target; None when there is none.
+    Memoized, since the answer is a frozen value."""
     p = target.arity
-    members = [c for c in language if c.arity >= 1]
-    for q in range(max_aux + 1):
-        tot = p + q
-        space = [(c, idx) for c in members
-                 for idx in itertools.product(range(1, tot + 1), repeat=c.arity)]
-        for m in range(1, max_apps + 1):
-            for combo in itertools.combinations_with_replacement(space, m):
-                valid, alpha, strict = _implements(
-                    target, _satisfied_counts(p, q, combo))
-                if valid and strict:
-                    return Implementation(target, p, q, tuple(combo), alpha, True)
+    for q, apps in _candidates(language, target, max_aux, max_apps, use_catalog):
+        if q <= max_aux and len(apps) <= max_apps:
+            valid, alpha, strict = _implements(target, _satisfied_counts(p, q, apps))
+            if valid and strict:
+                return Implementation(target, p, q, apps, alpha, True)
     return None

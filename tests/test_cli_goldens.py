@@ -17,7 +17,7 @@ from maxcsp.cli import main
 from maxcsp.constraints import ConstraintLanguage, standard_constraint
 from maxcsp.formulas import random_formula
 from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
-from maxcsp.languages import CATALOG_LANGUAGE_KEYS
+from maxcsp.languages import CATALOG_LANGUAGE_KEYS, NP_HARD_LANGUAGE_KEYS
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
 # Every pair here is below the oracle cap, so its verify report is
@@ -41,10 +41,16 @@ KERNEL_LANGS = ("2sat", "3sat", "nae3lit")
 # One-member languages read from a file, whose closures have members of
 # arity 4 and 5: (constraint, weights, nvars, napps).
 WIDE_KERNELS = (("EX4", "N", 10, 40), ("EX4", "Z", 10, 40), ("NAE5", "N", 8, 30))
+# implement requests per NP-hard language: (target, caps). The small caps
+# reach the identity, the catalog and the exhaustive search. Its digest was
+# recorded once every `impl` header named the target asked for.
+IMPLEMENT_REQUESTS = ([(t, ("--max-aux", "1", "--max-apps", "2"))
+                       for t in ("XOR", "T", "F")] + [("XOR", ())])
 
 DIGESTS = {
     "classify-stdout/closures": "279eeb486733844e976ac96b9e57e49917089d2be081790b43fe4cf5ed4b9784",
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
+    "implement-stdout": "9c28f30a44e19a286739cfc21b2802dff30de54fe43c72136441140544c0bfcf",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
     "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
     "kernelize-stdout/n40": "a35aea9b5d22ecd60be7d3eec667808abb6ec02f467950c09488d1df2f03a549",
@@ -146,6 +152,13 @@ def _outputs(tmp):
                              "--instance", inst])
         assert rc == 0, ("kernelize wide", name, weights, err)
         add("kernelize-stdout/wide", out)
+
+    for key in NP_HARD_LANGUAGE_KEYS:
+        for target, caps in IMPLEMENT_REQUESTS:
+            rc, out, err = _run(["implement", "--language", key,
+                                 "--target", target, *caps])
+            assert rc == 0, ("implement", key, target, err)
+            add("implement-stdout", out)
 
     # classify prints every member's name, so these pin the closure names.
     specs = [f"{mode}:{key}" for key in CATALOG_LANGUAGE_KEYS

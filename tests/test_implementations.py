@@ -2,11 +2,10 @@
 
 import pytest
 
-from maxcsp.constraints import (classify_language, literal_variant, or_constraint,
+from maxcsp.constraints import (ConstraintLanguage, classify_language,
+                                literal_variant, or_constraint,
                                 xor_constraint, T, F)
 from maxcsp.implementations import (Implementation, catalog,
-                                    checked_implementation,
-                                    identity_implementation,
                                     search_implementation,
                                     verify_implementation)
 from maxcsp.io_formats import emit_implementation, parse_implementation
@@ -18,12 +17,14 @@ XOR = xor_constraint(2)
 def test_verify_xor_from_or_pair():
     or2 = or_constraint(2)
     or2nn = literal_variant(or2, {1, 2})
-    impl = checked_implementation(XOR, 2, 0, [(or2, (1, 2)), (or2nn, (1, 2))])
-    assert impl.alpha == 2 and impl.strict
+    res = verify_implementation(
+        Implementation(XOR, 2, 0, ((or2, (1, 2)), (or2nn, (1, 2))), None, None))
+    assert res.valid and res.alpha == 2 and res.strict
 
 
 def test_verify_self_implementation():
-    impl = identity_implementation(T)
+    impl = search_implementation(ConstraintLanguage("t", (T,)), T)
+    assert impl.applications == ((T, (1,)),) and impl.aux_count == 0
     assert impl.alpha == 1 and impl.strict
 
 
@@ -61,10 +62,10 @@ def test_search_not_found_is_a_value():
 
 
 def test_catalog_all_verified_strict():
-    for impl in catalog():
-        res = verify_implementation(impl)
+    for target, q, apps in catalog():
+        res = verify_implementation(
+            Implementation(target, target.arity, q, apps, None, None))
         assert res.valid and res.strict
-        assert res.alpha == impl.alpha
 
 
 @pytest.mark.parametrize("key", NP_HARD_LANGUAGE_KEYS)

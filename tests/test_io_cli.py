@@ -19,7 +19,7 @@ from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
                                parse_language, parse_polynomial,
                                resolve_language_spec)
 from maxcsp.formulas import random_formula
-from maxcsp.languages import builtin_language
+from maxcsp.languages import NP_HARD_LANGUAGE_KEYS, builtin_language
 from maxcsp.solver import brute_force
 from maxcsp.transforms import (chain, kernelize, neg_to_base, unsigned_lit,
                                verify_transform)
@@ -216,6 +216,36 @@ def test_cli_poly(capsys):
                                        "-1 1 2\n-1 1 3\n-1 2 3\n")
 
 
+OR2_POLY = "poly 2 3\n1 1\n1 2\n-1 1 2\n"
+OR2_FROM_EX3 = ("decomposition EX3 2 3\n1/2 x1,x2,0 1,2\n"
+                "1/2 x1,0,0 1\n1/2 x1,0,0 2\nend\n")
+
+
+@pytest.mark.parametrize("argv,rc,out,err", [
+    # A member of --language that is no standard constraint.
+    (["poly", "--language", "nae3lit", "--constraint", "NAE3|x1,x1,x2"], 0,
+     "poly 2 3\n1 1\n1 2\n-2 1 2\n", ""),
+    (["degree", "--language", "or2", "--per-constraint"], 0, "OR2 2\n2\n", ""),
+    (["decompose", "--base", "EX3", "--target-poly", "{poly}"], 0,
+     OR2_FROM_EX3, ""),
+    (["verify", "decomposition", "{combo}", "--base", "EX3",
+      "--target-poly", "{poly}"], 0, "", "PASS formal-identity\n"),
+    (["transform", "--op", "apply-poly", "--language", "2sat",
+      "--instance", "{inst}"], 2, "",
+     "error: --target-language is required for apply-poly\n"),
+    (["verify", "transform", "{inst}", "{inst}", "--language", "xor"], 2, "",
+     "error: {inst} carries no certificate block\n"),
+])
+def test_cli_option_paths(argv, rc, out, err, tmp_path, capsys):
+    files = {"poly": OR2_POLY, "combo": OR2_FROM_EX3,
+             "inst": "maxcsp 2 1 N 0\nXOR 1 1 2\n"}
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, text in files.items():
+        Path(paths[name]).write_text(text)
+    assert main([a.format_map(paths) for a in argv]) == rc
+    assert capsys.readouterr() == (out, err.format_map(paths))
+
+
 def test_cli_decompose_and_verify(tmp_path, capsys):
     out = tmp_path / "combo.txt"
     assert main(["decompose", "--base", "EX3", "--target", "OR2",
@@ -225,13 +255,45 @@ def test_cli_decompose_and_verify(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().err
 
 
-def test_cli_implement_and_verify(tmp_path, capsys):
+def test_cli_verify_decomposition_over_a_language_member(tmp_path, capsys):
+    # MAJ3 is no standard constraint: --base names the language's member.
+    lang = tmp_path / "maj.lang"
+    lang.write_text("constraint MAJ3 3\n011\n101\n110\n111\nend\n")
+    out = tmp_path / "combo.txt"
+    options = ["--language", str(lang), "--base", "MAJ3", "--target", "OR2"]
+    assert main(["decompose", *options, "-o", str(out)]) == 0
+    assert main(["verify", "decomposition", str(out), *options]) == 0
+    assert capsys.readouterr().err == "PASS formal-identity\n"
+
+
+# Every NP-hard catalog language implements XOR; the C-closed ones
+# (xor, e2lin, nae3, nae3lit) implement neither T nor F.
+IMPLEMENTED = [(key, target) for key in NP_HARD_LANGUAGE_KEYS
+               for target in ("XOR", "T", "F")
+               if target == "XOR" or key in ("2sat", "3sat", "ex3", "dicut")]
+
+
+@pytest.mark.parametrize("language,target", IMPLEMENTED)
+def test_cli_implement_and_verify(language, target, tmp_path, capsys):
+    # The header names the target asked for, also when a same-table member
+    # of the language implements it under the identity.
     out = tmp_path / "impl.txt"
-    assert main(["implement", "--language", "nae3", "--target", "XOR",
+    assert main(["implement", "--language", language, "--target", target,
                  "-o", str(out)]) == 0
-    assert main(["verify", "implementation", str(out), "--language", "nae3",
-                 "--target", "XOR"]) == 0
-    assert "valid=1" in capsys.readouterr().err
+    assert out.read_text().startswith(f"impl {target} ")
+    assert main(["verify", "implementation", str(out), "--language", language,
+                 "--target", target]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("valid=1 ") and err.endswith(" strict=1\n")
+
+
+def test_cli_implement_unsatisfiable_target_is_not_found(tmp_path, capsys):
+    # NAE1 and the language's Z are never satisfied: no candidate has an
+    # alpha, the identity included.
+    lang = tmp_path / "z.lang"
+    lang.write_text("constraint Z 1\nend\n")
+    assert main(["implement", "--language", str(lang), "--target", "NAE1"]) == 0
+    assert capsys.readouterr().out == "not-found\n"
 
 
 def test_cli_verify_reports_an_invalid_implementation(tmp_path, capsys):
