@@ -119,6 +119,8 @@ def _base(args):
 
 def _target_polynomial(args):
     if args.target_poly:
+        if args.target is not None:
+            raise MaxCspError("give --target or --target-poly, not both")
         return io.parse_polynomial(io.read_file(args.target_poly))[0]
     return characteristic_polynomial(
         _constraint(args.target, "--target or --target-poly"))
@@ -212,7 +214,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+# verify kind -> the options it does not read
+_VERIFY_UNREAD = {"transform": ("--base", "--target", "--target-poly"),
+                  "decomposition": ("--out-language", "--oracle-cap"),
+                  "implementation": ("--out-language", "--oracle-cap", "--base",
+                                     "--target-poly")}
+
+
 def cmd_verify(args) -> int:
+    unread = [o for o in _VERIFY_UNREAD[args.kind]
+              if getattr(args, o[2:].replace("-", "_")) is not None]
+    if unread:
+        raise MaxCspError(f"verify {args.kind} does not read {', '.join(unread)}")
     if args.kind == "transform":
         language = _language(args)
         out_language = (io.resolve_language_spec(args.out_language)
@@ -221,7 +234,8 @@ def cmd_verify(args) -> int:
         phi2, cert = io.parse_instance(io.read_file(args.paths[1]), out_language)
         if cert is None:
             raise MaxCspError(f"{args.paths[1]} carries no certificate block")
-        return _verify(phi1, phi2, cert, args.oracle_cap)
+        return _verify(phi1, phi2, cert,
+                       ORACLE_CAP if args.oracle_cap is None else args.oracle_cap)
     if args.kind == "decomposition":
         base = _base(args)
         combo = io.parse_decomposition(io.read_file(args.paths[0]), base)
@@ -335,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base")
     p.add_argument("--target")
     p.add_argument("--target-poly")
-    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_count(0))  # ORACLE_CAP when not given
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("vc-reduce", help="Vertex Cover to weighted Max 2-SAT")

@@ -10,7 +10,9 @@ Two pieces:
   descent: start from a nonzero top-degree monomial with the other
   positions zeroed, then repeatedly either zero out the variable missing
   from a nonzero next-degree monomial or substitute 1 into the last
-  position when all next-degree coefficients vanish.
+  position when all next-degree coefficients vanish.  Where the descent
+  stops is all that depends on d, so one memoized descent per constraint
+  walks from deg(f) down to 1 and yields every witness.
 
 * decompose: peel the target polynomial degree by degree, subtracting
   (alpha_S / beta_d) * P_{f_d} per nonzero top monomial, and emit the final
@@ -68,16 +70,40 @@ class LinearCombination:
         return MultilinearPolynomial(acc)
 
 
-def _compose_steps(k: int, steps) -> SubstitutionPattern:
-    """Flatten a chain of per-level substitutions into one pattern over f."""
-    slots: list = list(range(1, k + 1))
-    for step in steps:
-        slots = [step[s - 1] if isinstance(s, int) else s for s in slots]
-    arity = max((s for s in slots if isinstance(s, int)), default=0)
-    return SubstitutionPattern(arity, tuple(slots))
-
-
 @lru_cache(maxsize=None)
+def _degree_witnesses(f: Constraint) -> tuple[DegreeWitness, ...]:
+    """The degree witnesses of the non-trivial f for d = 1..deg(f), from
+    one descent; slots[j] is what f's argument j + 1 reads at each level."""
+    deg_f = degree_of_constraint(f)
+    # Base level: keep a nonzero top-degree monomial, zero the rest.
+    top = sorted((m for m in characteristic_polynomial(f).terms if len(m) == deg_f),
+                 key=monomial_key)[0]
+    step = {j: new for new, j in enumerate(sorted(top), start=1)}
+    slots = tuple(step.get(j, "0") for j in range(1, f.arity + 1))
+    witnesses = []
+    for level in range(deg_f, 0, -1):
+        pattern = SubstitutionPattern(level, slots)
+        constraint = apply_pattern(f, pattern)
+        cpoly = characteristic_polynomial(constraint)
+        lead = cpoly.coefficient(range(1, level + 1))
+        if cpoly.degree != level or not lead:
+            raise MaxCspError(
+                f"witness construction failed for ({f.name}, {level})")
+        witnesses.append(DegreeWitness(level, pattern, constraint, lead))
+        # Descent: prefer zeroing the variable missing from a nonzero
+        # (level-1)-degree monomial; otherwise set the last position to 1.
+        lower = sorted((m for m in cpoly.terms if len(m) == level - 1),
+                       key=monomial_key)
+        if lower:
+            missing = (set(range(1, level + 1)) - lower[0]).pop()
+            step = {u: "0" if u == missing else u - (u > missing)
+                    for u in range(1, level + 1)}
+        else:
+            step = {level: "1"}
+        slots = tuple(step.get(s, s) for s in slots)
+    return tuple(reversed(witnesses))
+
+
 def find_degree_witness(f: Constraint, d: int) -> DegreeWitness:
     """A d-ary constraint expressible by f with constants whose polynomial
     has degree exactly d, for any 1 <= d <= deg(f)."""
@@ -87,41 +113,7 @@ def find_degree_witness(f: Constraint, d: int) -> DegreeWitness:
     if not 1 <= d <= deg_f:
         raise PreconditionError(
             f"requested degree {d} outside 1..deg({f.name}) = {deg_f}")
-
-    # Base level: keep a nonzero top-degree monomial, zero the rest.
-    poly = characteristic_polynomial(f)
-    top = sorted((m for m in poly.terms if len(m) == deg_f), key=monomial_key)[0]
-    positions = sorted(top)
-    base_step = ["0"] * f.arity
-    for new, j in enumerate(positions, start=1):
-        base_step[j - 1] = new
-    steps = [base_step]
-
-    level = deg_f
-    while True:
-        pattern = _compose_steps(f.arity, steps)
-        constraint = apply_pattern(f, pattern)
-        cpoly = characteristic_polynomial(constraint)
-        lead = cpoly.coefficient(range(1, level + 1))
-        if cpoly.degree != level or not lead:
-            raise MaxCspError(
-                f"witness construction failed for ({f.name}, {level})")
-        if level == d:
-            return DegreeWitness(level, pattern, constraint, lead)
-
-        # Descent: prefer zeroing the variable missing from a nonzero
-        # (level-1)-degree monomial; otherwise set the last position to 1.
-        lower = sorted((m for m in cpoly.terms if len(m) == level - 1),
-                       key=monomial_key)
-        step: list = [None] * level
-        if lower:
-            missing = (set(range(1, level + 1)) - lower[0]).pop()
-            for u in range(1, level + 1):
-                step[u - 1] = "0" if u == missing else (u if u < missing else u - 1)
-        else:
-            step = list(range(1, level)) + ["1"]
-        steps.append(step)
-        level -= 1
+    return _degree_witnesses(f)[d - 1]
 
 
 def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination:
@@ -175,11 +167,10 @@ def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination
 
 def max_degree_member(language: ConstraintLanguage) -> Constraint:
     """The name-first constraint of maximum degree; must be non-trivial."""
-    candidates = [c for c in language.non_trivial()]
+    candidates = language.non_trivial()
     if not candidates:
         raise PreconditionError(f"language {language.name!r} is trivial")
-    best = max(degree_of_constraint(c) for c in candidates)
-    return next(c for c in candidates if degree_of_constraint(c) == best)
+    return max(candidates, key=degree_of_constraint)  # the first of the maxima
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constraints import (Constraint, ConstraintLanguage, dicut_constraint,
-                          ex_constraint, nae_constraint, or_constraint,
-                          xor_constraint, T, F, literal_variant)
+from .constraints import (Constraint, ConstraintLanguage, classify,
+                          classify_language, dicut_constraint, ex_constraint,
+                          nae_constraint, or_constraint, xor_constraint, T, F,
+                          literal_variant)
 from .errors import FormatError
 
 DEFAULT_MAX_AUX = 2
@@ -157,8 +158,11 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
                           max_apps: int = DEFAULT_MAX_APPS,
                           use_catalog: bool = True) -> Implementation | None:
     """The first candidate within the caps that is a strict implementation
-    of target, with target itself as its .target; None when there is none.
-    Memoized, since the answer is a frozen value."""
+    of target, with target itself as its .target; None when there is none,
+    at once when the language is C-closed and the target is not.  Memoized,
+    since the answer is a frozen value."""
+    if classify_language(language).c_closed and not classify(target).c_closed:
+        return None  # a gadget's maxima agree on x and ~x: none can fit
     p = target.arity
     for q, apps in _candidates(language, target, max_aux, max_apps, use_catalog):
         if q <= max_aux and len(apps) <= max_apps:

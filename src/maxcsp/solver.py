@@ -27,6 +27,8 @@ A function on {0,1}^n has exactly one multilinear polynomial, so
 phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
 satisfy it: affine_holds compares them, with no cap.  The witness is the
 lexicographically smallest maximizer, the first index argmax finds.
+Every value lies in [-||phi||, ||phi||], so decisions and decide_exact
+answer a threshold outside that range without a sweep, at any n.
 """
 
 from __future__ import annotations
@@ -178,8 +180,10 @@ def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
 
 def decisions(phi: Formula, t: int | None = None,
               cap: int = ORACLE_CAP) -> tuple[bool, bool]:
-    """(exists phi(x) >= t, exists phi(x) = t), from one enumeration."""
+    """(exists phi(x) >= t, exists phi(x) = t), from one enumeration or none."""
     t = phi.threshold if t is None else t
+    if abs(t) > phi.total_weight:
+        return t < 0, False
     optimum, _, exact = _sweep(phi, t, cap)
     return optimum >= t, exact
 

@@ -33,7 +33,7 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
 from .languages import gamma_d_and, gamma_d_sat
 from .polynomials import (MultilinearPolynomial, characteristic_polynomial,
                           degree_of_language)
-from .solver import ORACLE_CAP, affine_holds, decide_exact, decisions
+from .solver import ORACLE_CAP, affine_holds, decisions
 
 
 def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
@@ -452,29 +452,12 @@ def encoded_bits(phi: Formula) -> int:
     return total
 
 
-def _solved_kernel(label, phi, report, oracle_cap):
-    """Constant-size equivalent instance for a polynomial-time language.
-    The >= decision for 0-valid/1-valid languages under N weights is read
-    off the constant assignment; everything else (and the = decision) comes
-    from the oracle at desk scale."""
-    if report.trivial or (phi.weight_range == RANGE_N
-                          and (report.zero_valid or report.one_valid)):
-        bits = [1] * phi.nvars if report.one_valid and not report.trivial else [0] * phi.nvars
-        optimum = phi.value(bits)
-        geq_yes = optimum >= phi.threshold
-        eq_yes = decide_exact(phi, cap=oracle_cap)
-    else:
-        geq_yes, eq_yes = decisions(phi, cap=oracle_cap)
-    return _degenerate(label, phi, geq_yes, eq_yes)
-
-
 def kernelize(phi: Formula, language: ConstraintLanguage,
               oracle_cap: int = ORACLE_CAP) -> KernelResult:
     """Compress the instance to its monomial coefficients, then re-express
     the resulting d-AND formula back over the original language with
     nonnegative weights; for polynomial-time languages the kernel is the
-    solved constant-size instance."""
-    report = classify_language(language)
+    constant-size instance with the oracle's answers."""
     d = degree_of_language(language)
     n = phi.nvars
     bound = sum(math.comb(n, i) for i in range(d + 1))
@@ -487,8 +470,9 @@ def kernelize(phi: Formula, language: ConstraintLanguage,
             encoded_bits=encoded_bits(formula))
         return KernelResult(formula, cert, rep)
 
-    if report.verdict == VERDICT_POLY:
-        phi2, cert = _solved_kernel("kernelize-solved", phi, report, oracle_cap)
+    if classify_language(language).verdict == VERDICT_POLY:
+        phi2, cert = _degenerate("kernelize-solved", phi,
+                                 *decisions(phi, cap=oracle_cap))
         return finish(phi2, cert, 0)
 
     compact = compress_to_polynomial(phi)

@@ -15,9 +15,12 @@ import random
 
 from maxcsp.cli import main
 from maxcsp.constraints import ConstraintLanguage, standard_constraint
+from maxcsp.expressibility import max_degree_member
 from maxcsp.formulas import random_formula
 from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
-from maxcsp.languages import CATALOG_LANGUAGE_KEYS, NP_HARD_LANGUAGE_KEYS
+from maxcsp.languages import (CATALOG_LANGUAGE_KEYS, NP_HARD_LANGUAGE_KEYS,
+                              builtin_language)
+from maxcsp.polynomials import degree_of_constraint
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
 # Every pair here is below the oracle cap, so its verify report is
@@ -46,10 +49,16 @@ WIDE_KERNELS = (("EX4", "N", 10, 40), ("EX4", "Z", 10, 40), ("NAE5", "N", 8, 30)
 # recorded once every `impl` header named the target asked for.
 IMPLEMENT_REQUESTS = ([(t, ("--max-aux", "1", "--max-apps", "2"))
                        for t in ("XOR", "T", "F")] + [("XOR", ())])
+# decompose targets, each over the max-degree member of every NP-hard
+# language and over EX4 and NAE5 whose degree reaches the target's. Its
+# digest was recorded before the degree-witness descent was rewritten.
+DECOMPOSE_TARGETS = ("OR2", "OR3", "XOR", "XOR3", "EX3", "NAE3", "AND2", "AND3",
+                     "EQ", "DICUT", "T", "F", "NAE4")
 
 DIGESTS = {
     "classify-stdout/closures": "279eeb486733844e976ac96b9e57e49917089d2be081790b43fe4cf5ed4b9784",
     "compress-stdout": "b907d70cbfa135130c9be7f53398d9ef5233e366c0de2fc9bc9b2ab4b0614169",
+    "decompose-stdout": "9114c447cab63cafff9f437698c7a138014fd08b36b0fb6b8c6f23e07fb1df81",
     "implement-stdout": "9c28f30a44e19a286739cfc21b2802dff30de54fe43c72136441140544c0bfcf",
     "kernelize-stdout": "f4c4f95b56634e869800e004ecc2a64030e045514ba6682bddb9b2ba540fbc50",
     "kernelize-stdout/n20": "e02d18c058e39be0f81ddbecbe8e8112d42671b288089edaaff97649e8578b1b",
@@ -159,6 +168,19 @@ def _outputs(tmp):
                                  "--target", target, *caps])
             assert rc == 0, ("implement", key, target, err)
             add("implement-stdout", out)
+
+    bases = [(["--language", key], max_degree_member(builtin_language(key)))
+             for key in NP_HARD_LANGUAGE_KEYS]
+    bases += [([], standard_constraint(name)) for name in ("EX4", "NAE5")]
+    for language, base in bases:
+        for target in DECOMPOSE_TARGETS:
+            degree = degree_of_constraint(standard_constraint(target))
+            if degree > degree_of_constraint(base):
+                continue
+            rc, out, err = _run(["decompose", *language, "--base", base.name,
+                                 "--target", target])
+            assert rc == 0, ("decompose", base.name, target, err)
+            add("decompose-stdout", out)
 
     # classify prints every member's name, so these pin the closure names.
     specs = [f"{mode}:{key}" for key in CATALOG_LANGUAGE_KEYS

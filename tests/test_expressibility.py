@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from maxcsp import expressibility
 from maxcsp.constraints import (MODE_LIT, MODE_TF, ConstraintLanguage,
                                 SubstitutionPattern, apply_pattern, closure,
                                 and_constraint, dicut_constraint, ex_constraint,
@@ -66,6 +67,16 @@ def test_witness_total_over_catalog():
             p = characteristic_polynomial(w.constraint)
             assert p.degree == d
             assert p.coefficient(range(1, d + 1)) == w.leading_coefficient != 0
+
+
+def test_witnesses_of_one_constraint_come_from_one_descent():
+    # Every degree of XOR4 asked for, the lowest first: the descent from
+    # degree 4 runs once, and each witness is read off it.
+    f = xor_constraint(4)
+    expressibility._degree_witnesses.cache_clear()
+    witnesses = [find_degree_witness(f, d) for d in (1, 2, 3, 4, 2)]
+    assert expressibility._degree_witnesses.cache_info().misses == 1
+    assert [w.degree for w in witnesses] == [1, 2, 3, 4, 2]
 
 
 def test_decompose_paper_target():

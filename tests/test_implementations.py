@@ -2,6 +2,7 @@
 
 import pytest
 
+from maxcsp import implementations
 from maxcsp.constraints import (ConstraintLanguage, classify_language,
                                 literal_variant, or_constraint,
                                 xor_constraint, T, F)
@@ -59,6 +60,21 @@ def test_search_not_found_is_a_value():
     # {XOR} is C-closed, so T has no implementation at any cap
     assert search_implementation(builtin_language("xor"), T,
                                  max_aux=1, max_apps=2) is None
+
+
+@pytest.mark.parametrize("key", ["xor", "e2lin", "nae3", "nae3lit"])
+def test_c_closed_language_answers_a_non_c_closed_target_without_a_candidate(
+        key, monkeypatch):
+    # Each gadget over a C-closed language has the same maxima on x and ~x,
+    # so T and F are not-found before any candidate is checked (nae3lit T
+    # at the default caps would walk millions of multisets).
+    def no_candidate(*args):
+        raise AssertionError("a candidate was checked")
+
+    search_implementation.cache_clear()
+    monkeypatch.setattr(implementations, "_satisfied_counts", no_candidate)
+    for target in (T, F):
+        assert search_implementation(builtin_language(key), target) is None
 
 
 def test_catalog_all_verified_strict():

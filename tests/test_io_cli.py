@@ -246,6 +246,61 @@ def test_cli_option_paths(argv, rc, out, err, tmp_path, capsys):
     assert capsys.readouterr() == (out, err.format_map(paths))
 
 
+# A request each kind answers with exit 0; every option added to it below
+# is one the kind does not read, or --target beside --target-poly.
+READ_ONLY_REQUESTS = {
+    "transform": ["verify", "transform", "{inst}", "{out}", "--language", "xor",
+                  "--out-language", "lit:xor"],
+    "decomposition": ["verify", "decomposition", "{combo}", "--base", "EX3",
+                      "--target-poly", "{poly}"],
+    "implementation": ["verify", "implementation", "{impl}", "--language", "nae3",
+                       "--target", "XOR"],
+    "decompose": ["decompose", "--base", "EX3", "--target-poly", "{poly}"],
+}
+NOT_BOTH = "give --target or --target-poly, not both"
+
+
+@pytest.mark.parametrize("kind,extra,message", [
+    ("transform", ["--base", "EX3"], "verify transform does not read --base"),
+    ("transform", ["--target", "XOR"], "verify transform does not read --target"),
+    ("transform", ["--target-poly", "{poly}"],
+     "verify transform does not read --target-poly"),
+    ("decomposition", ["--out-language", "xor"],
+     "verify decomposition does not read --out-language"),
+    ("decomposition", ["--oracle-cap", "3"],
+     "verify decomposition does not read --oracle-cap"),
+    ("decomposition", ["--target", "OR2"], NOT_BOTH),
+    ("implementation", ["--out-language", "xor"],
+     "verify implementation does not read --out-language"),
+    ("implementation", ["--oracle-cap", "3"],
+     "verify implementation does not read --oracle-cap"),
+    ("implementation", ["--base", "EX3"],
+     "verify implementation does not read --base"),
+    ("implementation", ["--target-poly", "nonexistent"],
+     "verify implementation does not read --target-poly"),
+    ("implementation", ["--out-language", "xor", "--oracle-cap", "3", "--base",
+                        "EX3", "--target-poly", "nonexistent"],
+     "verify implementation does not read "
+     "--out-language, --oracle-cap, --base, --target-poly"),
+    ("decompose", ["--target", "OR2"], NOT_BOTH),
+])
+def test_cli_rejects_options_it_does_not_read(kind, extra, message, tmp_path, capsys):
+    paths = {name: str(tmp_path / name)
+             for name in ("poly", "combo", "inst", "out", "impl")}
+    Path(paths["poly"]).write_text(OR2_POLY)
+    Path(paths["combo"]).write_text(OR2_FROM_EX3)
+    Path(paths["inst"]).write_text("maxcsp 3 2 Z 1\nXOR -2 1 2\nXOR 3 2 3\n")
+    assert main(["transform", "--op", "unsigned-lit", "--language", "xor",
+                 "--instance", paths["inst"], "-o", paths["out"]]) == 0
+    assert main(["implement", "--language", "nae3", "--target", "XOR",
+                 "-o", paths["impl"]]) == 0
+    argv = [a.format_map(paths) for a in READ_ONLY_REQUESTS[kind]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [a.format_map(paths) for a in extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_decompose_and_verify(tmp_path, capsys):
     out = tmp_path / "combo.txt"
     assert main(["decompose", "--base", "EX3", "--target", "OR2",

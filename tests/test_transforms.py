@@ -10,7 +10,7 @@ from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, T, F, and_constrain
                                 classify_language, closure, literal_variant,
                                 or_constraint, recover_pattern, row_to_bits,
                                 xor_constraint)
-from maxcsp.errors import FormatError, PreconditionError
+from maxcsp.errors import CapExceededError, FormatError, PreconditionError
 from maxcsp.expressibility import language_denominator, max_degree_member
 from maxcsp.formulas import Application, Formula, random_formula
 from maxcsp.implementations import search_implementation
@@ -546,6 +546,23 @@ def test_kernelize_polynomial_time_languages():
             res = kernelize(phi, lang)
             assert res.formula.size == 0
             assert_equivalent(phi, res.formula, res.certificate)
+
+
+@pytest.mark.parametrize("key", ["or2", "eq"])
+@pytest.mark.parametrize("weights", ["Z", "N"])
+def test_kernelize_solved_past_the_oracle_cap(key, weights):
+    # Every value lies in [-||phi||, ||phi||]: a threshold outside is
+    # answered at n = 30 without a sweep, and one inside needs the oracle.
+    lang = builtin_language(key)
+    phi = random_formula(lang, 30, 60, weights, max_weight=9, seed=f"cap/{key}")
+    w = phi.total_weight
+    for t, t2 in ((w + 1, 1), (-w - 1, -1)):
+        res = kernelize(phi.replace(threshold=t), lang)
+        assert res.certificate.label == "kernelize-solved"
+        kernel = res.formula
+        assert (kernel.size, kernel.nvars, kernel.threshold) == (0, 1, t2)
+    with pytest.raises(CapExceededError, match="30 variables exceeds cap 24"):
+        kernelize(phi.replace(threshold=w // 2), lang)
 
 
 def test_kernelize_constant_instance():
