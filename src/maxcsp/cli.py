@@ -50,16 +50,12 @@ def _count(least: int):
 
 
 def _language(args):
-    if args.language is None:
-        raise MaxCspError("--language is required")
-    return io.resolve_language_spec(args.language)
+    return None if args.language is None else io.resolve_language_spec(args.language)
 
 
-def _constraint(name, option: str, language=None):
+def _constraint(name, language=None):
     """The constraint an option names: the language's member of that name
     if there is one, else the standard catalog constraint."""
-    if name is None:
-        raise MaxCspError(f"{option} is required")
     if language is not None:
         with contextlib.suppress(KeyError):
             return language.get(name)
@@ -99,36 +95,27 @@ def cmd_degree(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    language = io.resolve_language_spec(args.language) if args.language else None
-    c = _constraint(args.target, "--constraint", language)
+    c = _constraint(args.target, _language(args))
     _write(args, io.emit_polynomial(characteristic_polynomial(c), c.arity))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    base = _base(args)
+    base = _constraint(args.base, _language(args))
     combo = decompose(_target_polynomial(args), base)
     _write(args, io.emit_decomposition(combo))
     return 0
 
 
-def _base(args):
-    language = io.resolve_language_spec(args.language) if args.language else None
-    return _constraint(args.base, "--base", language)
-
-
 def _target_polynomial(args):
-    if args.target_poly:
-        if args.target is not None:
-            raise MaxCspError("give --target or --target-poly, not both")
+    if args.target_poly is not None:
         return io.parse_polynomial(io.read_file(args.target_poly))[0]
-    return characteristic_polynomial(
-        _constraint(args.target, "--target or --target-poly"))
+    return characteristic_polynomial(_constraint(args.target))
 
 
 def cmd_implement(args) -> int:
     language = _language(args)
-    target = _constraint(args.target, "--target")
+    target = _constraint(args.target)
     impl = search_implementation(language, target, args.max_aux, args.max_apps)
     if impl is None:
         _write(args, "not-found\n")
@@ -214,38 +201,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# verify kind -> the options it does not read
-_VERIFY_UNREAD = {"transform": ("--base", "--target", "--target-poly"),
-                  "decomposition": ("--out-language", "--oracle-cap"),
-                  "implementation": ("--out-language", "--oracle-cap", "--base",
-                                     "--target-poly")}
-
-
-def cmd_verify(args) -> int:
-    unread = [o for o in _VERIFY_UNREAD[args.kind]
-              if getattr(args, o[2:].replace("-", "_")) is not None]
-    if unread:
-        raise MaxCspError(f"verify {args.kind} does not read {', '.join(unread)}")
-    if args.kind == "transform":
-        language = _language(args)
-        out_language = (io.resolve_language_spec(args.out_language)
-                        if args.out_language else language)
-        phi1, _ = io.parse_instance(io.read_file(args.paths[0]), language)
-        phi2, cert = io.parse_instance(io.read_file(args.paths[1]), out_language)
-        if cert is None:
-            raise MaxCspError(f"{args.paths[1]} carries no certificate block")
-        return _verify(phi1, phi2, cert,
-                       ORACLE_CAP if args.oracle_cap is None else args.oracle_cap)
-    if args.kind == "decomposition":
-        base = _base(args)
-        combo = io.parse_decomposition(io.read_file(args.paths[0]), base)
-        ok = combo.expand() == _target_polynomial(args)
-        sys.stderr.write(("PASS" if ok else "FAIL") + " formal-identity\n")
-        return 0 if ok else 1
-    # implementation
+def cmd_verify_transform(args) -> int:
     language = _language(args)
-    target = _constraint(args.target, "--target")
-    impl = io.parse_implementation(io.read_file(args.paths[0]), language, target)
+    out_language = (io.resolve_language_spec(args.out_language)
+                    if args.out_language else language)
+    phi1, _ = io.parse_instance(io.read_file(args.source), language)
+    phi2, cert = io.parse_instance(io.read_file(args.result), out_language)
+    if cert is None:
+        raise MaxCspError(f"{args.result} carries no certificate block")
+    return _verify(phi1, phi2, cert, args.oracle_cap)
+
+
+def cmd_verify_decomposition(args) -> int:
+    base = _constraint(args.base, _language(args))
+    combo = io.parse_decomposition(io.read_file(args.path), base)
+    ok = combo.expand() == _target_polynomial(args)
+    sys.stderr.write(("PASS" if ok else "FAIL") + " formal-identity\n")
+    return 0 if ok else 1
+
+
+def cmd_verify_implementation(args) -> int:
+    language = _language(args)
+    target = _constraint(args.target)
+    impl = io.parse_implementation(io.read_file(args.path), language, target)
     res = verify_implementation(impl)
     sys.stderr.write(f"valid={int(res.valid)} alpha={res.alpha} "
                      f"strict={int(res.strict)}\n")
@@ -272,11 +250,21 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _add_common(p, instance=False):
-    p.add_argument("--language", help="builtin key, tf:/lit:/neg: closure, or file")
+def _add_common(p, instance=False, needs_language=True, output=True):
+    p.add_argument("--language", required=needs_language,
+                   help="builtin key, tf:/lit:/neg: closure, or file")
     if instance:
         p.add_argument("--instance", required=True)
-    p.add_argument("-o", "--output")
+    if output:
+        p.add_argument("-o", "--output")
+
+
+def _add_decomposition(p):
+    """--base, and exactly one of --target and --target-poly."""
+    p.add_argument("--base", required=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target")
+    target.add_argument("--target-poly")
 
 
 @lru_cache(maxsize=None)
@@ -298,15 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("poly", help="characteristic polynomial of a constraint")
-    _add_common(p)
+    _add_common(p, needs_language=False)
     p.add_argument("--constraint", dest="target", required=True)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("decompose", help="rational combination over {f}^(T,F)")
-    _add_common(p)
-    p.add_argument("--base", required=True)
-    p.add_argument("--target")
-    p.add_argument("--target-poly")
+    _add_common(p, needs_language=False)
+    _add_decomposition(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("implement", help="search a strict implementation")
@@ -342,15 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check transforms, decompositions, "
                                       "implementations against the oracle")
-    p.add_argument("kind", choices=("transform", "decomposition", "implementation"))
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--language")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("transform", help="a certificate and its two instances")
+    p.add_argument("source")
+    p.add_argument("result")
+    _add_common(p, output=False)
     p.add_argument("--out-language")
-    p.add_argument("--base")
-    p.add_argument("--target")
-    p.add_argument("--target-poly")
-    p.add_argument("--oracle-cap", type=_count(0))  # ORACLE_CAP when not given
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
+    p.set_defaults(func=cmd_verify_transform)
+    p = kinds.add_parser("decomposition", help="a combination's formal identity")
+    p.add_argument("path")
+    _add_common(p, needs_language=False, output=False)
+    _add_decomposition(p)
+    p.set_defaults(func=cmd_verify_decomposition)
+    p = kinds.add_parser("implementation", help="a strict implementation")
+    p.add_argument("path")
+    _add_common(p, output=False)
+    p.add_argument("--target", required=True)
+    p.set_defaults(func=cmd_verify_implementation)
 
     p = sub.add_parser("vc-reduce", help="Vertex Cover to weighted Max 2-SAT")
     p.add_argument("--graph", required=True)

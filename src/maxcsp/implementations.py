@@ -22,7 +22,8 @@ from .constraints import (Constraint, ConstraintLanguage, classify,
                           classify_language, dicut_constraint, ex_constraint,
                           nae_constraint, or_constraint, xor_constraint, T, F,
                           literal_variant)
-from .errors import FormatError
+from .errors import CapExceededError, FormatError
+from .solver import ORACLE_CAP
 
 DEFAULT_MAX_AUX = 2
 DEFAULT_MAX_APPS = 4
@@ -70,6 +71,9 @@ def verify_implementation(candidate: Implementation) -> VerifyResult:
     if candidate.target.arity != p:
         raise FormatError("primary arity does not match the target's arity")
     tot = p + q
+    if tot > ORACLE_CAP:
+        raise CapExceededError(f"implementation: {tot} variables exceeds "
+                               f"oracle cap {ORACLE_CAP}")
     for c, idx in candidate.applications:
         if len(idx) != c.arity or any(not 1 <= i <= tot for i in idx):
             raise FormatError(f"application {c.name}{idx} out of range 1..{tot}")

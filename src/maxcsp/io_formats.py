@@ -94,6 +94,8 @@ def parse_language(text: str, name: str = "language",
             if parts[0] != "constraint" or len(parts) != 3:
                 _fail(num, f"expected 'constraint <name> <arity>', got {line!r}")
             arity = _int(num, parts[2], "arity")
+            if arity < 0:
+                _fail(num, f"negative arity in {line!r}")
             if arity == 0 and not allow_constants:
                 _fail(num, "arity-0 constraints are closure artifacts and are "
                            "rejected in user-supplied languages")
@@ -353,6 +355,8 @@ def parse_implementation(text: str, language: ConstraintLanguage,
             kv = dict(p.partition("=")[::2] for p in parts[2:])
             header = (_int(num, kv.get("p", ""), "p="),
                       _int(num, kv.get("q", ""), "q="))
+            if min(header) < 0:
+                _fail(num, f"p= and q= must be nonnegative, got {line!r}")
             alpha, strict = (_int(num, kv[k], f"{k}=") if k in kv else None
                              for k in ("alpha", "strict"))
             if parts[1] != target.name:
@@ -414,6 +418,8 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
                 constraint = apply_pattern(base, pattern)
             except (ValueError, ZeroDivisionError, FormatError) as exc:
                 _fail(num, f"bad decomposition term: {exc}")
+            if not all(1 <= i <= header[0] for i in indices):
+                _fail(num, f"index outside 1..{header[0]} in {line!r}")
             terms.append(CombinationTerm(pattern, constraint, indices, coeff))
     _require_header(header, "decomposition", len(terms), "terms")
     return LinearCombination(base, header[0], tuple(terms))

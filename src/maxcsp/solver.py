@@ -27,8 +27,9 @@ A function on {0,1}^n has exactly one multilinear polynomial, so
 phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
 satisfy it: affine_holds compares them, with no cap.  The witness is the
 lexicographically smallest maximizer, the first index argmax finds.
-Every value lies in [-||phi||, ||phi||], so decisions and decide_exact
-answer a threshold outside that range without a sweep, at any n.
+Every value lies in [-||phi||, ||phi||], so _answer, the one routine
+behind decisions, decide and decide_exact, answers a threshold outside that
+range without a sweep, at any n.
 """
 
 from __future__ import annotations
@@ -178,28 +179,30 @@ def brute_force(phi: Formula, cap: int = ORACLE_CAP) -> SolveResult:
     return SolveResult(optimum, row_to_bits(index, phi.nvars), exact)
 
 
-def decisions(phi: Formula, t: int | None = None,
-              cap: int = ORACLE_CAP) -> tuple[bool, bool]:
-    """(exists phi(x) >= t, exists phi(x) = t), from one enumeration or none."""
+def _answer(phi: Formula, t: int | None, cap: int, exact: bool) -> tuple[bool, bool]:
+    """(exists phi(x) >= t, exists phi(x) = t) for t, phi's threshold when
+    None, from one sweep or none; the = answer is False unless `exact`."""
     t = phi.threshold if t is None else t
     if abs(t) > phi.total_weight:
         return t < 0, False
-    optimum, _, exact = _sweep(phi, t, cap)
-    return optimum >= t, exact
+    optimum, _, hit = _sweep(phi, t if exact else None, cap)
+    return optimum >= t, hit
+
+
+def decisions(phi: Formula, t: int | None = None,
+              cap: int = ORACLE_CAP) -> tuple[bool, bool]:
+    """(exists phi(x) >= t, exists phi(x) = t)."""
+    return _answer(phi, t, cap, True)
 
 
 def decide(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> bool:
     """Is there an assignment with phi(x) >= t?"""
-    t = phi.threshold if t is None else t
-    return _sweep(phi, None, cap)[0] >= t
+    return _answer(phi, t, cap, False)[0]
 
 
 def decide_exact(phi: Formula, t: int | None = None, cap: int = ORACLE_CAP) -> bool:
     """Is there an assignment with phi(x) = t exactly?"""
-    t = phi.threshold if t is None else t
-    if abs(t) > phi.total_weight:
-        return False
-    return _sweep(phi, t, cap)[2]
+    return _answer(phi, t, cap, True)[1]
 
 
 def check_equivalence(phi1: Formula, t1: int | None, phi2: Formula,
@@ -210,4 +213,4 @@ def check_equivalence(phi1: Formula, t1: int | None, phi2: Formula,
     if mode not in ("geq", "eq"):
         raise ValueError(f"unknown equivalence mode {mode!r}")
     i = 0 if mode == "geq" else 1
-    return decisions(phi1, t1, cap)[i] == decisions(phi2, t2, cap)[i]
+    return _answer(phi1, t1, cap, i == 1)[i] == _answer(phi2, t2, cap, i == 1)[i]

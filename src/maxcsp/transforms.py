@@ -50,18 +50,17 @@ def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
     return phi2, cert
 
 
-def _hard_report(language: ConstraintLanguage, what: str,
-                 two_monotone: bool):
+def _hard_report(label: str, language: ConstraintLanguage, two_monotone: bool):
     """Classify the language, refusing the polynomial-time cases a reduction
     cannot start from (trivial, 0-valid, 1-valid, and 2-monotone if asked);
-    `what` names the language in the error."""
+    the error names the stage `label` and the language."""
     report = classify_language(language)
     for bad, name in ((report.trivial, "trivial"),
                       (report.zero_valid, "0-valid"),
                       (report.one_valid, "1-valid"),
                       (two_monotone and report.two_monotone, "2-monotone")):
         if bad:
-            raise PreconditionError(f"{what} is {name}")
+            raise PreconditionError(f"{label}: language {language.name!r} is {name}")
     return report
 
 
@@ -204,8 +203,7 @@ def implement_tf(phi: Formula, base: ConstraintLanguage):
     the fresh variables x_T, x_F, pinned by weight-scaled implementations
     (T and F separately, or XOR of the pair when the language is
     complementation-closed)."""
-    report = _hard_report(base, f"implement-tf: language {base.name!r}",
-                          two_monotone=False)
+    report = _hard_report("implement-tf", base, two_monotone=False)
     if phi.threshold < -phi.total_weight:
         return _degenerate("implement-tf", phi, True, False)
 
@@ -278,8 +276,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage):
     """Eliminate literals from a nonnegative formula over Gamma^{LIT}: every
     variable gets a negation-copy, negated slots are rewired to the copies,
     and weight-scaled XOR implementations link each pair."""
-    _hard_report(base, f"implement-lit: language {base.name!r}",
-                 two_monotone=True)
+    _hard_report("implement-lit", base, two_monotone=True)
     if phi.weight_range != RANGE_N:
         raise PreconditionError("implement-lit needs nonnegative weights")
     if phi.threshold < 0:
@@ -313,14 +310,9 @@ def chain_stages(phi: Formula, source: ConstraintLanguage,
                  target: ConstraintLanguage, mode: str = RANGE_Z):
     """The composed reduction from CS(source, Z) into CS(target, Z) (mode
     "Z": polynomial re-expression then constant elimination) or CS(target,
-    N) (mode "N": continuing with sign and literal elimination).  Returns
-    the list of (label, formula, certificate) triples."""
-    _hard_report(target, f"chain: target {target.name!r}",
-                 two_monotone=mode == RANGE_N)
-    if degree_of_language(source) > degree_of_language(target):
-        raise PreconditionError(
-            f"chain: deg({source.name}) > deg({target.name})")
-
+    N) (mode "N": continuing with sign and literal elimination), as the
+    list of (label, formula, certificate) triples; each stage checks its
+    own preconditions."""
     stages = []
     cur, cert = apply_poly(phi, source, target)
     stages.append(("apply-poly", cur, cert))

@@ -217,6 +217,18 @@ def test_cap_exceeded():
         brute_force(phi, cap=24)
 
 
+def test_every_entry_point_answers_thresholds_out_of_range_past_the_cap():
+    # Every value lies in [-||phi||, ||phi||]: no sweep is needed, at any n.
+    phi = random_formula(builtin_language("3sat"), 30, 40, "N", seed="range")
+    w = phi.total_weight
+    assert decide(phi, w + 1) is False and decide(phi, -w - 1) is True
+    assert decide_exact(phi, w + 1) is False and decide_exact(phi, -w - 1) is False
+    assert decisions(phi, w + 1) == (False, False)
+    assert decisions(phi, -w - 1) == (True, False)
+    with pytest.raises(CapExceededError):
+        decide(phi, w)
+
+
 def _reference(phi, t):
     """Max of Formula.value over all assignments (ties to the first) and
     whether some assignment is worth exactly t."""

@@ -3,6 +3,7 @@
 import pytest
 
 from maxcsp import implementations
+from maxcsp.errors import CapExceededError
 from maxcsp.constraints import (ConstraintLanguage, classify_language,
                                 literal_variant, or_constraint,
                                 xor_constraint, T, F)
@@ -13,6 +14,14 @@ from maxcsp.io_formats import emit_implementation, parse_implementation
 from maxcsp.languages import NP_HARD_LANGUAGE_KEYS, builtin_language
 
 XOR = xor_constraint(2)
+
+
+def test_verify_refuses_more_variables_than_the_oracle_cap():
+    # The check runs over 2**(p+q) assignments: past the cap it is refused
+    # before any of them is evaluated.
+    impl = Implementation(XOR, 2, 30, ((XOR, (1, 2)),), None, None)
+    with pytest.raises(CapExceededError, match="32 variables exceeds oracle cap 24"):
+        verify_implementation(impl)
 
 
 def test_verify_xor_from_or_pair():

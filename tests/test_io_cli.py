@@ -246,8 +246,17 @@ def test_cli_option_paths(argv, rc, out, err, tmp_path, capsys):
     assert capsys.readouterr() == (out, err.format_map(paths))
 
 
+def _status(argv) -> int:
+    """main's exit status, also when argparse ends the call."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # A request each kind answers with exit 0; every option added to it below
-# is one the kind does not read, or --target beside --target-poly.
+# is one the kind does not read, or --target beside --target-poly.  Each is
+# argparse's usage error: the verify kinds have a parser each.
 READ_ONLY_REQUESTS = {
     "transform": ["verify", "transform", "{inst}", "{out}", "--language", "xor",
                   "--out-language", "lit:xor"],
@@ -257,32 +266,26 @@ READ_ONLY_REQUESTS = {
                        "--target", "XOR"],
     "decompose": ["decompose", "--base", "EX3", "--target-poly", "{poly}"],
 }
-NOT_BOTH = "give --target or --target-poly, not both"
+UNREAD = "maxcsp: error: unrecognized arguments: "
+NOT_BOTH = "error: argument --target: not allowed with argument --target-poly"
 
 
 @pytest.mark.parametrize("kind,extra,message", [
-    ("transform", ["--base", "EX3"], "verify transform does not read --base"),
-    ("transform", ["--target", "XOR"], "verify transform does not read --target"),
-    ("transform", ["--target-poly", "{poly}"],
-     "verify transform does not read --target-poly"),
-    ("decomposition", ["--out-language", "xor"],
-     "verify decomposition does not read --out-language"),
-    ("decomposition", ["--oracle-cap", "3"],
-     "verify decomposition does not read --oracle-cap"),
-    ("decomposition", ["--target", "OR2"], NOT_BOTH),
-    ("implementation", ["--out-language", "xor"],
-     "verify implementation does not read --out-language"),
-    ("implementation", ["--oracle-cap", "3"],
-     "verify implementation does not read --oracle-cap"),
-    ("implementation", ["--base", "EX3"],
-     "verify implementation does not read --base"),
+    ("transform", ["--base", "EX3"], UNREAD + "--base EX3"),
+    ("transform", ["--target", "XOR"], UNREAD + "--target XOR"),
+    ("transform", ["--target-poly", "{poly}"], UNREAD + "--target-poly {poly}"),
+    ("decomposition", ["--out-language", "xor"], UNREAD + "--out-language xor"),
+    ("decomposition", ["--oracle-cap", "3"], UNREAD + "--oracle-cap 3"),
+    ("decomposition", ["--target", "OR2"], "maxcsp verify decomposition: " + NOT_BOTH),
+    ("implementation", ["--out-language", "xor"], UNREAD + "--out-language xor"),
+    ("implementation", ["--oracle-cap", "3"], UNREAD + "--oracle-cap 3"),
+    ("implementation", ["--base", "EX3"], UNREAD + "--base EX3"),
     ("implementation", ["--target-poly", "nonexistent"],
-     "verify implementation does not read --target-poly"),
+     UNREAD + "--target-poly nonexistent"),
     ("implementation", ["--out-language", "xor", "--oracle-cap", "3", "--base",
                         "EX3", "--target-poly", "nonexistent"],
-     "verify implementation does not read "
-     "--out-language, --oracle-cap, --base, --target-poly"),
-    ("decompose", ["--target", "OR2"], NOT_BOTH),
+     UNREAD + "--out-language xor --oracle-cap 3 --base EX3 --target-poly nonexistent"),
+    ("decompose", ["--target", "OR2"], "maxcsp decompose: " + NOT_BOTH),
 ])
 def test_cli_rejects_options_it_does_not_read(kind, extra, message, tmp_path, capsys):
     paths = {name: str(tmp_path / name)
@@ -297,8 +300,10 @@ def test_cli_rejects_options_it_does_not_read(kind, extra, message, tmp_path, ca
     argv = [a.format_map(paths) for a in READ_ONLY_REQUESTS[kind]]
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv + [a.format_map(paths) for a in extra]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _status(argv + [a.format_map(paths) for a in extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: maxcsp ")
+    assert err.endswith(f"\n{message.format_map(paths)}\n")
 
 
 def test_cli_decompose_and_verify(tmp_path, capsys):
@@ -542,6 +547,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
     (parse_implementation, "impl XOR p=2 q=0\nXOR 1 y\nend\n", "line 2"),
     (parse_implementation, "impl XOR p=2 q=0\nXOR 1 3\nend\n",
      "line 2: XOR needs 2 indices in 1..2"),
+    (parse_implementation, "impl XOR p=2 q=-1\nXOR 1 2\nend\n",
+     "line 1: p= and q= must be nonnegative"),
+    (parse_language, "constraint A -1\nend\n", "line 1: negative arity"),
     (parse_decomposition, "decomposition EX3 2 x\nend\n", "line 1"),
     # The header's term count is checked like the other parsers' counts.
     (parse_decomposition, "decomposition EX3 2 5\n1/2 x1,0,0 1\nend\n",
@@ -551,6 +559,11 @@ def test_cli_error_exit_code(tmp_path, capsys):
     # A decomposition substitutes constants, never literals.
     (parse_decomposition, "decomposition EX3 2 1\n1 x1,~x2,0 1,2\nend\n",
      "line 2: bad decomposition term: negated slot"),
+    # Indices outside the header's 1..nvars, as in polynomial files.
+    (parse_decomposition, "decomposition EX3 2 1\n1 x1,x2,0 1,5\nend\n",
+     "line 2: index outside 1..2"),
+    (parse_decomposition, "decomposition EX3 2 1\n1 x1,0,0 -1\nend\n",
+     "line 2: index outside 1..2"),
     # Certificate fields: a misspelt kind or value map, and a repeated line.
     (parse_certificate, CERT_TEXT.replace("kind additive", "kind addative"),
      "line 2: bad kind"),
@@ -607,28 +620,36 @@ def test_parsers_reject_bad_integers_with_line(parse, text, line):
         parse(text, *args)
 
 
+REQUIRED = "error: the following arguments are required: "
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["poly", "--constraint", "FOO"], "unknown standard constraint 'FOO'"),
-    (["implement", "--language", "nae3", "--target", "FOO"], "'FOO'"),
-    (["verify", "decomposition", "x"], "--base is required"),
+    (["poly", "--constraint", "FOO"], "error: unknown standard constraint 'FOO'"),
+    (["implement", "--language", "nae3", "--target", "FOO"],
+     "error: unknown standard constraint 'FOO'"),
+    # A missing option is a usage error: argparse prints it after a usage line.
+    (["verify", "decomposition", "x"],
+     "maxcsp verify decomposition: " + REQUIRED + "--base"),
     (["verify", "implementation", "x", "--language", "nae3"],
-     "--target is required"),
-    (["decompose", "--base", "EX3"], "--target or --target-poly is required"),
-    (["classify"], "--language is required"),
+     "maxcsp verify implementation: " + REQUIRED + "--target"),
+    (["decompose", "--base", "EX3"],
+     "maxcsp decompose: error: one of the arguments --target --target-poly is required"),
+    (["classify"], "maxcsp classify: " + REQUIRED + "--language"),
 ])
 def test_cli_unknown_names_and_missing_options_exit_2(argv, message, capsys):
-    assert main(argv) == 2
+    assert _status(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    usage = not message.startswith("error: ")
+    assert err.startswith("usage: maxcsp " if usage else "error: ") and message in err
 
 
-# Every command with a value for each option it offers.
+# Every command, and every verify kind, with a value for each option it
+# offers but those of its exclusive pair (EXCLUSIVE).
 CLI_SURFACE = {
     "classify": ["--language", "xor", "-o", "x"],
     "degree": ["--language", "xor", "-o", "x", "--per-constraint"],
     "poly": ["--language", "xor", "-o", "x", "--constraint", "OR2"],
-    "decompose": ["--language", "xor", "-o", "x", "--base", "EX3",
-                  "--target", "OR2", "--target-poly", "p"],
+    "decompose": ["--language", "xor", "-o", "x", "--base", "EX3"],
     "implement": ["--language", "xor", "-o", "x", "--max-aux", "1",
                   "--max-apps", "3", "--target", "XOR"],
     "transform": ["--language", "xor", "--instance", "i", "-o", "x", "--verify",
@@ -639,14 +660,29 @@ CLI_SURFACE = {
     "compress": ["--language", "xor", "--instance", "i", "-o", "x"],
     "solve": ["--language", "xor", "--instance", "i", "-o", "x",
               "--oracle-cap", "5", "--exact"],
-    "verify": ["transform", "a", "b", "--language", "xor", "--out-language", "lit:xor",
-               "--base", "EX3", "--target", "XOR", "--target-poly", "p",
-               "--oracle-cap", "5"],
+    "verify transform": ["a", "b", "--language", "xor", "--out-language", "lit:xor",
+                         "--oracle-cap", "5"],
+    "verify decomposition": ["c", "--language", "xor", "--base", "EX3"],
+    "verify implementation": ["i", "--language", "xor", "--target", "XOR"],
     "vc-reduce": ["--graph", "g", "--k", "2", "-o", "x"],
     "random": ["--language", "xor", "-o", "x", "--nvars", "3", "--napps", "2",
                "--weight-range", "Z", "--max-weight", "4", "--seed", "1",
                "--threshold", "0"],
 }
+# The pair of options of which a command takes exactly one, with values.
+EXCLUSIVE = {command: (["--target", "OR2"], ["--target-poly", "p"])
+             for command in ("decompose", "verify decomposition")}
+
+
+def _parsers():
+    """(command, parser) for every command, a verify kind as 'verify <kind>'."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        kinds = next((a for a in parser._actions if a.dest == "kind"), None)
+        if kinds is None:
+            yield command, parser
+        else:
+            yield from ((f"{command} {kind}", p) for kind, p in kinds.choices.items())
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -685,17 +721,124 @@ def test_cli_unreadable_and_unwritable_paths_exit_2(argv, message, tmp_path, cap
     assert err.startswith(f"error: {message} {tmp_path}")
 
 
-def test_cli_surface_is_exactly_the_options_each_command_reads():
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    assert set(sub.choices) == set(CLI_SURFACE)
+# Malformed files for the fault sweep below, and one well-formed instance.
+FAULT_FILES = {
+    "inst": "maxcsp 2 1 N 0\nXOR 1 1 2\n",
+    "header": "bogus 1 2\n",
+    "arity": "constraint A -1\nend\n",
+    "nvars": "maxcsp -2 1 N 0\nXOR 1 1 2\n",
+    "impl": "impl XOR p=2 q=0\nNAE3 1 2 2\nend\n",
+    "qneg": "impl XOR p=2 q=-1\nNAE3 1 1 1\nend\n",
+    "q30": "impl XOR p=2 q=30\nNAE3 1 2 2\nend\n",
+    "d5": "decomposition EX3 2 1\n1 x1,x2,0 1,5\nend\n",
+    "dneg": "decomposition EX3 2 1\n1 x1,0,0 -1\nend\n",
+    "graph": "graph 2 1\n1 5\n",
+}
+IMPL = ("--language", "nae3", "--target", "XOR")
+DECOMP = ("--base", "EX3", "--target", "OR2")
+# Per command and verify kind: missing and extra paths, negative counts,
+# unknown names, bad headers, and files that are out of range.
+CLI_FAULTS = [
+    ["classify", "--language", "nope"],
+    ["classify", "--language", "{arity}"],
+    ["degree", "--language", "{header}"],
+    ["degree", "--language", "xor", "{inst}"],
+    ["poly", "--constraint", "FOO"],
+    ["poly", "--language", "{header}", "--constraint", "OR2"],
+    ["decompose", "--base", "FOO", "--target", "OR2"],
+    ["decompose", "--base", "EX3", "--target-poly", "{header}"],
+    ["implement", "--language", "nae3", "--target", "XOR", "--max-aux", "-1"],
+    ["implement", "--language", "nae3"],
+    ["transform", "--op", "chain-z", "--language", "2sat", "--instance", "{inst}"],
+    ["transform", "--op", "nope", "--language", "xor", "--instance", "{inst}"],
+    ["transform", "--op", "neg-to-base", "--language", "xor", "--instance", "{header}"],
+    ["kernelize", "--language", "xor", "--instance", "{nvars}"],
+    ["kernelize", "--language", "xor", "--instance", "{inst}", "--oracle-cap", "-1"],
+    ["compress", "--language", "xor", "--instance", "{header}"],
+    ["compress", "--language", "xor", "--instance", "{missing}"],
+    ["solve", "--language", "xor", "--instance", "{inst}", "{inst}"],
+    ["solve", "--language", "xor", "--instance", "{inst}", "--oracle-cap", "-2"],
+    ["verify"],
+    ["verify", "nope", "{inst}"],
+    ["verify", "transform", "{inst}", "--language", "xor"],
+    ["verify", "transform", "{inst}", "{inst}", "{inst}", "--language", "xor"],
+    ["verify", "transform", "{inst}", "{inst}", "--language", "xor"],
+    ["verify", "transform", "{inst}", "{header}", "--language", "xor"],
+    ["verify", "transform", "{inst}", "{inst}", "--language", "xor",
+     "--oracle-cap", "-1"],
+    ["verify", "decomposition", *DECOMP],
+    ["verify", "decomposition", "{d5}", *DECOMP],
+    ["verify", "decomposition", "{dneg}", *DECOMP],
+    ["verify", "decomposition", "{header}", *DECOMP],
+    ["verify", "implementation", "{impl}", "{impl}", *IMPL],
+    ["verify", "implementation", "{qneg}", *IMPL],
+    ["verify", "implementation", "{q30}", *IMPL],
+    ["verify", "implementation", "{header}", *IMPL],
+    ["verify", "implementation", "{impl}", "--language", "nae3", "--target", "FOO"],
+    ["vc-reduce", "--graph", "{header}", "--k", "1"],
+    ["vc-reduce", "--graph", "{graph}", "--k", "1"],
+    ["vc-reduce", "--graph", "{inst}"],
+    ["random", "--language", "xor", "--nvars", "3", "--napps", "-1"],
+    ["random", "--language", "nope", "--nvars", "3", "--napps", "1"],
+]
+
+
+def _fault_argv(argv, tmp_path):
+    paths = {"missing": tmp_path / "missing"}
+    for name, text in FAULT_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    return [a.format_map(paths) for a in argv]
+
+
+@pytest.mark.parametrize("argv", CLI_FAULTS, ids=" ".join)
+def test_cli_fault_sweep_exits_2(argv, tmp_path, capsys):
+    # Each fault is a usage error or an `error:` line, never a traceback.
+    assert _status(_fault_argv(argv, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and (err.startswith("usage: maxcsp ") or err.startswith("error: "))
+
+
+def test_cli_fault_sweep_reaches_every_command_and_kind():
+    swept = {" ".join(a[:2]) if a[0] == "verify" else a[0] for a in CLI_FAULTS}
+    assert {command for command, _ in _parsers()} <= swept
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "transform", "{inst}", "--language", "xor"],
+    ["verify", "implementation", "{impl}", "{impl}", *IMPL],
+    ["verify", "implementation", "{qneg}", *IMPL],
+    ["verify", "implementation", "{q30}", *IMPL],
+])
+def test_cli_faults_exit_2_without_traceback(argv, tmp_path):
+    src = str(Path(maxcsp.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "maxcsp.cli", *_fault_argv(argv, tmp_path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_surface_is_exactly_the_options_each_command_reads(capsys):
+    parsers = dict(_parsers())
+    assert set(parsers) == set(CLI_SURFACE)
     count = 0
     for command, argv in CLI_SURFACE.items():
-        offered = {a.option_strings[0] for a in sub.choices[command]._actions
+        pair = EXCLUSIVE.get(command, ())
+        both = [t for one in pair for t in one]
+        offered = {a.option_strings[0] for a in parsers[command]._actions
                    if a.option_strings and a.dest != "help"}
-        assert offered == {t for t in argv if t.startswith("-")}, command
+        assert offered == {t for t in argv + both if t.startswith("-")}, command
         count += len(offered)
-        build_parser().parse_args([command, *argv])
-    assert count == 55
+        for one in pair or ([],):
+            build_parser().parse_args([*command.split(), *argv, *one])
+        if pair:  # both, or neither, is a usage error
+            for options in (both, []):
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args([*command.split(), *argv, *options])
+                assert exc.value.code == 2
+    capsys.readouterr()
+    assert count == 58
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -706,7 +849,8 @@ def test_cli_surface_is_exactly_the_options_each_command_reads():
 ])
 def test_cli_removed_options_exit_2(command, option, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, *CLI_SURFACE[command], option, value])
+        main([command, *CLI_SURFACE[command], *EXCLUSIVE.get(command, ([],))[0],
+              option, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 

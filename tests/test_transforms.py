@@ -263,6 +263,20 @@ def test_chain_rejects_with_named_condition():
         chain(Formula(2, (), "Z", 0), tf, tf, "N")
 
 
+@pytest.mark.parametrize("source,target,mode,condition", [
+    (builtin_language("2sat"), "eq", "Z", "0-valid"),
+    (gamma_d_and(1), "tf", "N", "2-monotone"),
+    (builtin_language("3sat"), "xor", "Z", r"deg\(3sat\)"),
+])
+def test_chain_refuses_what_its_stages_refuse(source, target, mode, condition):
+    # The chain states no precondition of its own: apply-poly refuses a
+    # source of higher degree, implement-tf and implement-lit a target that
+    # is polynomial-time for their weights.
+    phi = random_formula(source, 4, 6, "Z", seed=f"chain/{target}")
+    with pytest.raises(PreconditionError, match=condition):
+        chain(phi, source, builtin_language(target), mode)
+
+
 def test_chain_accepts_and2_to_nae3():
     src = builtin_language("and2")
     for phi in random_cases(src, 10, 5, 6, "Z", seed=5):
