@@ -22,6 +22,10 @@ from .errors import CapExceededError, FormatError, PreconditionError
 # member constraints above this arity: the pattern space is exponential in
 # the arity and nothing downstream needs closures of large constraints.
 CLOSURE_ARITY_CAP = 8
+# No truth table above this arity is built: a table has 2**arity entries, so
+# a name such as OR99, or a language file's `constraint A 40`, is refused
+# before its table is allocated.
+TABLE_ARITY_CAP = 20
 
 VERDICT_POLY = "poly_time_solvable"
 VERDICT_NP_HARD = "np_hard"
@@ -87,12 +91,20 @@ class Constraint:
         return (self.arity, self.table)
 
 
+def _rows(name: str, arity: int) -> range:
+    """The row indices of `name`'s table, refused above TABLE_ARITY_CAP."""
+    if arity > TABLE_ARITY_CAP:
+        raise CapExceededError(
+            f"{name}: arity {arity} exceeds truth-table cap {TABLE_ARITY_CAP}")
+    return range(1 << arity)
+
+
 def make_constraint(name: str, arity: int, satisfying_rows: Iterable[str]) -> Constraint:
     """Build a constraint from its satisfying assignments, given as bit
     strings ("01").  Duplicates are idempotent; a row that is not a bit
     string of the constraint's arity is a format error.
     """
-    table = [0] * (1 << arity)
+    table = [0] * len(_rows(name, arity))
     for row in satisfying_rows:
         if (not isinstance(row, str) or len(row) != arity
                 or any(c not in "01" for c in row)):
@@ -449,30 +461,29 @@ F = make_constraint("F", 1, ["0"])
 
 
 def or_constraint(k: int) -> Constraint:
-    return Constraint(f"OR{k}", k, tuple(0 if r == 0 else 1 for r in range(1 << k)))
+    return Constraint(f"OR{k}", k, tuple(0 if r == 0 else 1 for r in _rows(f"OR{k}", k)))
 
 
 def and_constraint(k: int) -> Constraint:
-    return Constraint(f"AND{k}", k,
-                      tuple(1 if r == (1 << k) - 1 else 0 for r in range(1 << k)))
+    return Constraint(f"AND{k}", k, tuple(1 if r == (1 << k) - 1 else 0
+                                          for r in _rows(f"AND{k}", k)))
 
 
 def nae_constraint(k: int) -> Constraint:
     full = (1 << k) - 1
     return Constraint(f"NAE{k}", k,
-                      tuple(0 if r in (0, full) else 1 for r in range(1 << k)))
+                      tuple(0 if r in (0, full) else 1 for r in _rows(f"NAE{k}", k)))
 
 
 def xor_constraint(k: int) -> Constraint:
     name = "XOR" if k == 2 else f"XOR{k}"
-    return Constraint(name, k,
-                      tuple(bin(r).count("1") & 1 for r in range(1 << k)))
+    return Constraint(name, k, tuple(bin(r).count("1") & 1 for r in _rows(name, k)))
 
 
 def ex_constraint(k: int) -> Constraint:
     """Exactly-one constraint."""
-    return Constraint(f"EX{k}", k,
-                      tuple(1 if bin(r).count("1") == 1 else 0 for r in range(1 << k)))
+    return Constraint(f"EX{k}", k, tuple(1 if bin(r).count("1") == 1 else 0
+                                         for r in _rows(f"EX{k}", k)))
 
 
 def eq_constraint() -> Constraint:

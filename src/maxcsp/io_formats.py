@@ -63,6 +63,14 @@ def _int(num: int, text: str, what: str, kind=int) -> int:
         _fail(num, f"bad {what} {text!r}")
 
 
+def _count(num: int, text: str, what: str) -> int:
+    """A header count of line `num`: an int, refused when negative."""
+    value = _int(num, text, what)
+    if value < 0:
+        _fail(num, f"negative {what} {text!r}")
+    return value
+
+
 def read_file(path) -> str:
     """The text of a file; a path that cannot be read is a FormatError."""
     try:
@@ -306,8 +314,8 @@ def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
         if header is None:
             if parts[0] != "poly" or len(parts) != 3:
                 _fail(num, f"expected 'poly <nvars> <nterms>', got {line!r}")
-            header = (_int(num, parts[1], "variable count"),
-                      _int(num, parts[2], "term count"))
+            header = (_count(num, parts[1], "variable count"),
+                      _count(num, parts[2], "term count"))
         else:
             try:
                 coeff = Fraction(parts[0])
@@ -401,8 +409,8 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
                 _fail(num, f"expected decomposition header, got {line!r}")
             if parts[1] != base.name:
                 _fail(num, f"decomposition is over {parts[1]!r}, not {base.name!r}")
-            header = (_int(num, parts[2], "variable count"),
-                      _int(num, parts[3], "term count"))
+            header = (_count(num, parts[2], "variable count"),
+                      _count(num, parts[3], "term count"))
         elif line == "end":
             _end(lines)
         else:

@@ -6,23 +6,25 @@ satisfied applications, straight from the truth tables.  It derives its own
 monomial coefficients and shares no code with the polynomial machinery it
 is used to validate.
 
-Each application's table, read through the map from its arguments to its
-sorted distinct variables, has its Moebius coefficients taken in Python
-ints (k * 2**k additions for k variables) once per (table, map); weighted
-and summed, they are phi's monomial coefficients, keyed by the mask whose
-bits are the monomial's variables (x1 is the top bit).  One in-place
-subset-sum pass per variable turns them into every value: at most
-n * 2**(n-1) additions.  Past 20 variables each block of 2**20 entries, one
-per setting p of the top variables, takes the monomials whose top variables
-lie inside p.  The passes for the block's low 8 bits run on a compact array
-of the rows of 2**8 entries that hold a coefficient; those rows go into a
-zeroed block, and the passes for the other bits run over the whole block.
-At n <= 8 the block is one row, built in place.  The passes commute, and a
-row with no coefficient stays zero under the low ones, so the block is the
-one that all passes over the whole block give.  numpy is imported by a
-sweep only, so the CLI starts without it.  Partial sums are coefficients of
-restrictions, at most 2**kmax * ||phi|| for the largest variable set kmax:
-int32 below 2**30 (4 MB blocks), int64 below 2**62, Python ints above.
+Each table's Moebius coefficients are taken once, in Python ints.  An
+application puts the coefficient over its argument set J on the mask that
+ORs the bits of J's variables (x1 is the top bit): by x * x = x that is the
+table's polynomial read at the arguments, so repeated arguments fold by
+themselves.  Weighted and summed, these are phi's monomial coefficients.
+One in-place subset-sum pass per variable turns them into every value: at
+most n * 2**(n-1) additions.  Past 20 variables each block of 2**20
+entries, one per setting p of the top variables, takes the monomials whose
+top variables lie inside p.  A block's passes for its low 8 bits run on a
+compact array whose columns are the rows of 2**8 entries that hold a
+coefficient; those rows go into a zeroed block, the passes for bits 8-13
+run in cache on each span of 2**14 entries that holds a row, and those for
+the other bits over the whole block.  At n <= 8 the block is one row, built
+in place.  The passes commute, and a row or span with no coefficient stays
+zero under the passes inside it, so the block is the one that all passes
+over the whole block give.  numpy is imported by a sweep only, so the CLI
+starts without it.  Partial sums are coefficients of restrictions, at most
+2**kmax * ||phi|| for the largest variable set kmax: int32 below 2**30
+(4 MB blocks), int64 below 2**62, Python ints above.
 A function on {0,1}^n has exactly one multilinear polynomial, so
 phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
 satisfy it: affine_holds compares them, with no cap.  The witness is the
@@ -45,6 +47,7 @@ from .formulas import Formula
 ORACLE_CAP = 24
 _BLOCK_BITS = 20
 _ROW_BITS = 8
+_SPAN_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -55,16 +58,12 @@ class SolveResult:
 
 
 @lru_cache(maxsize=None)
-def _folded_moebius(table: tuple[int, ...], shifts: tuple[int, ...]) -> tuple:
-    """The nonzero Moebius coefficients (s, c) of `table` read with argument
-    j taken from bit shifts[j] of s, over every setting s of the bits."""
-    k = len(set(shifts))
-    acc = []
-    for s in range(1 << k):
-        r = 0
-        for sh in shifts:
-            r = (r << 1) | ((s >> sh) & 1)
-        acc.append(table[r])
+def _moebius(table: tuple[int, ...]) -> tuple:
+    """The nonzero Moebius coefficients (s, c) of `table`: c is the
+    coefficient of the monomial over the arguments whose table-index bits
+    are set in s."""
+    acc = list(table)
+    k = len(acc).bit_length() - 1
     for j in range(k):
         for s in range(1 << k):
             if s >> j & 1:
@@ -85,32 +84,26 @@ def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
     n = phi.nvars
     coeffs: dict[int, int] = {}
     kmax = 0
-    layouts = {}  # indices: (masks, shifts), built once per call
     for c, indices, weights in phi.groups:
+        moebius = _moebius(c.table)
         for idx, w in zip(indices, weights):
-            layout = layouts.get(idx)
-            if layout is None:
-                support = sorted(set(idx))
-                k = len(support)
-                kmax = max(kmax, k)
-                masks = [0]  # masks[s]: the variables of the support bits set in s
-                for v in reversed(support):
-                    masks += [m | 1 << (n - v) for m in masks]
-                shifts = tuple(k - 1 - support.index(i) for i in idx)
-                layout = layouts[idx] = masks, shifts
-            masks, shifts = layout
-            for s, co in _folded_moebius(c.table, shifts):
+            if len(idx) > kmax:
+                kmax = max(kmax, len(set(idx)))
+            masks = [0]  # masks[s]: the variables of the arguments set in s
+            for i in reversed(idx):
+                masks += [m | 1 << (n - i) for m in masks]
+            for s, co in moebius:
                 coeffs[masks[s]] = coeffs.get(masks[s], 0) + w * co
     _built[:] = (phi, ({mask: c for mask, c in coeffs.items() if c}, kmax)), *_built[:1]
     return _built[0][1]
 
 
 def _subset_sums(values, bits) -> None:
-    """In place, for each bit b: add each entry of the flat array whose
-    index has bit b clear into the entry with that bit set."""
+    """In place, for each bit b: add each entry (row, for a 2-D array) of
+    `values` whose index has bit b clear into the one with that bit set."""
     for b in bits:
-        v = values.reshape(-1, 2, 1 << b)
-        v[:, 1, :] += v[:, 0, :]
+        v = values.reshape(len(values) >> (b + 1), 2, 1 << b, *values.shape[1:])
+        v[:, 1] += v[:, 0]
 
 
 def _value_blocks(phi: Formula, cap: int):
@@ -127,22 +120,27 @@ def _value_blocks(phi: Formula, cap: int):
 
     low = min(n, _BLOCK_BITS)
     rb = min(low, _ROW_BITS)
+    sb = min(low, max(rb, _SPAN_BITS))
     for p in range(1 << (n - low)):
         kept = [(mask & (1 << low) - 1, c) for mask, c in coeffs.items()
                 if not mask >> low & ~p]
-        # The rows of 2**rb entries holding a coefficient, by head m >> rb.
+        # The rows of 2**rb entries holding a coefficient, by head m >> rb,
+        # held as columns so that the low passes run along long inner axes.
         heads = sorted({m >> rb for m, _ in kept}) if low > rb else [0]
         row = {h: i for i, h in enumerate(heads)}
-        rows = np.zeros(len(heads) << rb, dtype=dtype)
+        rows = np.zeros((1 << rb, len(heads)), dtype=dtype)
         for m, c in kept:
-            rows[row[m >> rb] << rb | m & (1 << rb) - 1] += c
+            rows[m & (1 << rb) - 1, row[m >> rb]] += c
         _subset_sums(rows, range(rb))
         if low > rb:  # else the block is its one row (n <= 8), built in place
             values = np.zeros(1 << low, dtype=dtype)
-            values.reshape(-1, 1 << rb)[heads] = rows.reshape(-1, 1 << rb)
-            _subset_sums(values, range(rb, low))
+            values.reshape(-1, 1 << rb)[heads] = rows.T
+            for h in sorted({h >> (sb - rb) for h in heads}):
+                _subset_sums(values.reshape(-1, 1 << sb)[h], range(rb, sb))
+            _subset_sums(values, range(sb, low))
             rows = values
-        yield p << low, rows
+        yield p << low, rows.reshape(-1)
+        rows = values = None  # free block p before block p+1 is made
 
 
 def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]:
@@ -155,6 +153,7 @@ def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]
         if best is None or flat[i] > best:
             best, index = int(flat[i]), start + i
         hit = hit or check_exact and bool((flat == t_exact).any())
+        del flat  # else it holds block p while block p+1 is made
     return best, index, hit
 
 

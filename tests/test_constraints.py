@@ -7,14 +7,14 @@ import pytest
 
 from maxcsp import constraints
 from maxcsp.constraints import (CLOSURE_ARITY_CAP, MODE_LIT, MODE_NEG,
-                                MODE_TF, Constraint,
+                                MODE_TF, TABLE_ARITY_CAP, Constraint,
                                 ConstraintLanguage, SubstitutionPattern,
                                 apply_pattern, classify, classify_language,
                                 closure, identity_pattern, literal_variant,
                                 make_constraint, nae_constraint, or_constraint,
                                 and_constraint, xor_constraint, ex_constraint,
                                 eq_constraint, dicut_constraint, recover_pattern,
-                                recursive_nae, T, F)
+                                recursive_nae, standard_constraint, T, F)
 from maxcsp.errors import CapExceededError, FormatError, PreconditionError
 from maxcsp.languages import CATALOG_LANGUAGE_KEYS, builtin_language
 
@@ -50,6 +50,33 @@ def test_make_constraint_bad_width():
 def test_constraint_table_length_checked():
     with pytest.raises(FormatError):
         Constraint("bad", 2, (0, 1, 1))
+
+
+def test_table_arity_cap_refuses_before_building(monkeypatch):
+    # Past the cap no table is built: Constraint never sees such an arity.
+    built = []
+    monkeypatch.setattr(constraints, "Constraint",
+                        lambda name, arity, table: built.append(arity))
+    wide = TABLE_ARITY_CAP + 1
+    for name in ("OR", "AND", "NAE", "XOR", "EX"):
+        with pytest.raises(CapExceededError,
+                           match=f"{name}{wide}: arity {wide} exceeds truth-table cap"):
+            standard_constraint(f"{name}{wide}")
+    with pytest.raises(CapExceededError, match="A: arity 40 exceeds"):
+        make_constraint("A", 40, [])
+    assert built and max(built) <= TABLE_ARITY_CAP
+
+
+def test_table_arity_cap_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(constraints, "TABLE_ARITY_CAP", 3)
+    for build in (or_constraint, and_constraint, nae_constraint, xor_constraint,
+                  ex_constraint):
+        assert build(3).arity == 3
+        with pytest.raises(CapExceededError):
+            build(4)
+    assert make_constraint("A", 3, ["101"]).table == (0,) * 5 + (1, 0, 0)
+    with pytest.raises(CapExceededError):
+        make_constraint("A", 4, ["1011"])
 
 
 def test_classify_xor():

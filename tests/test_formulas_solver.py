@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -555,6 +556,94 @@ def test_row_bits_do_not_change_blocks(monkeypatch):
             _assert_blocks_match_reference(phi)
 
 
+def _span_heads(phi):
+    return {mask >> maxcsp.solver._SPAN_BITS
+            for mask in maxcsp.solver._coefficients(phi)[0]}
+
+
+def test_span_blocks_match_reference_around_span_bits():
+    rng = random.Random(1111)
+    s = maxcsp.solver._SPAN_BITS
+    for name in ("2sat", "3sat", "nae3lit", "xor"):
+        for nvars in (s - 1, s, s + 1, s + 2, 21):
+            for weight_range in ("N", "Z"):
+                phi = random_formula(builtin_language(name), nvars, 3 * nvars,
+                                     weight_range, seed=rng.randrange(10 ** 9))
+                _assert_blocks_match_reference(phi)
+
+
+def test_span_blocks_with_empty_spans():
+    s = maxcsp.solver._SPAN_BITS
+    AND2 = and_constraint(2)
+    # Low applications on x3..x16 fill span 0; x1 alone and x1 x5 fill
+    # span 2 (x1 set, x2 clear); spans 1 and 3 hold no row.
+    n = s + 2
+    apps = [Application(OR2, (v, v + 1), v) for v in range(3, n)]
+    apps += [Application(T, (1,), 7), Application(AND2, (1, 5), -3)]
+    phi = Formula(n, tuple(apps), "Z")
+    assert _span_heads(phi) == {0, 2}
+    _assert_blocks_match_reference(phi)
+    # 21 variables, two blocks: every monomial holds x1, so the first block
+    # has no row at all and the second has rows in one span of 64.
+    wide = Formula(21, tuple(Application(AND2, (1, v), v - 9) for v in range(10, 22))
+                   + (Application(T, (1,), 4),), "Z")
+    assert _span_heads(wide) == {1 << (21 - 1 - s)}
+    blocks = list(maxcsp.solver._value_blocks(wide, 24))
+    assert not blocks[0][1].any()
+    _assert_blocks_match_reference(wide)
+
+
+def test_span_bits_do_not_change_blocks(monkeypatch):
+    rng = random.Random(1112)
+    phis = [random_formula(builtin_language(name), nvars, 3 * nvars, "Z",
+                           seed=rng.randrange(10 ** 9))
+            for name, nvars in (("3sat", 6), ("2sat", 12), ("nae3lit", 16),
+                                ("3sat", 21))]
+    phis.append(random_formula(builtin_language("2sat"), 11, 20, "Z",
+                               max_weight=1 << 61, seed=rng.randrange(10 ** 9)))
+    r = maxcsp.solver._ROW_BITS
+    for span_bits in (1, r, r + 1, 30):
+        monkeypatch.setattr(maxcsp.solver, "_SPAN_BITS", span_bits)
+        for phi in phis:
+            _assert_blocks_match_reference(phi)
+
+
+def test_oracle_coefficients_of_repeated_arguments():
+    # x * x = x: an application's coefficients land on the OR of its
+    # argument bits, so repeated arguments fold.  Masks: x1 = 4, x2 = 2, x3 = 1.
+    for app, coeffs, kmax in (
+            (Application(or_constraint(3), (1, 1, 3), 2), {4: 2, 1: 2, 5: -2}, 2),
+            (Application(ex_constraint(3), (2, 2, 2), 5), {}, 1),
+            (Application(nae_constraint(3), (1, 3, 1), 3), {4: 3, 1: 3, 5: -6}, 2),
+            (Application(T, (2,), 7), {2: 7}, 1),
+            (Application(F, (2,), 4), {0: 4, 2: -4}, 1)):
+        phi = Formula(3, (app,), "Z")
+        assert maxcsp.solver._coefficients(phi) == (coeffs, kmax)
+        assert coeffs == {
+            sum(1 << (3 - v) for v in mono): c
+            for mono, c in formula_polynomial(phi).terms.items()}
+        (_, flat), = maxcsp.solver._value_blocks(phi, 24)
+        assert [int(v) for v in flat] == [phi.value(row_to_bits(m, 3)) for m in range(8)]
+    both = Formula(3, (Application(or_constraint(3), (1, 1, 3), 2),
+                       Application(nae_constraint(3), (1, 3, 1), 3),
+                       Application(F, (2,), 4)), "Z")
+    assert maxcsp.solver._coefficients(both) == ({4: 5, 1: 5, 5: -8, 0: 4, 2: -4}, 2)
+
+
+def test_sweep_past_one_block_holds_one_block():
+    # Block p is freed before block p+1 is allocated: a 22-variable int32
+    # sweep (four 4 MB blocks) peaks below 1.5 blocks.
+    phi = random_formula(builtin_language("3sat"), 22, 220, "N", seed=7)
+    tracemalloc.start()
+    try:
+        res = brute_force(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+    assert res.optimum == phi.value(res.witness)
+
+
 def _affine_reference(phi1, phi2, a, b):
     return all(phi2.value(x) == a * phi1.value(x) + b
                for x in itertools.product((0, 1), repeat=phi1.nvars))
@@ -597,7 +686,7 @@ def test_affine_holds_matches_pointwise_reference():
 
 def test_oracle_coefficients_match_formula_polynomial():
     # Two independent routes to phi's monomial coefficients: the oracle's
-    # folded Moebius tables and the characteristic polynomials.
+    # per-table Moebius coefficients and the characteristic polynomials.
     rng = random.Random(89)
     langs = [builtin_language(k) for k in ("xor", "2sat", "3sat", "nae3lit", "ex3")]
     langs += [closure(ConstraintLanguage("ex4", (ex_constraint(4),)), MODE_LIT),

@@ -611,6 +611,13 @@ def test_cli_error_exit_code(tmp_path, capsys):
     (parse_polynomial, "poly 2 2\n1 1\n-1 2 5\n", "line 3: index outside 1..2"),
     # A repeated index within one term.
     (parse_polynomial, "poly 3 1\n1 2 2\n", "line 2: repeated index"),
+    # Negative counts in a header.
+    (parse_polynomial, "poly -1 0\n", "line 1: negative variable count '-1'"),
+    (parse_polynomial, "# note\npoly 2 -1\n", "line 2: negative term count '-1'"),
+    (parse_decomposition, "decomposition EX3 -1 0\nend\n",
+     "line 1: negative variable count '-1'"),
+    (parse_decomposition, "decomposition EX3 2 -3\nend\n",
+     "line 1: negative term count '-3'"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),
@@ -625,6 +632,7 @@ REQUIRED = "error: the following arguments are required: "
 
 @pytest.mark.parametrize("argv,message", [
     (["poly", "--constraint", "FOO"], "error: unknown standard constraint 'FOO'"),
+    (["poly", "--constraint", "OR21"], "error: OR21: arity 21 exceeds truth-table cap 20"),
     (["implement", "--language", "nae3", "--target", "FOO"],
      "error: unknown standard constraint 'FOO'"),
     # A missing option is a usage error: argparse prints it after a usage line.
@@ -733,6 +741,9 @@ FAULT_FILES = {
     "d5": "decomposition EX3 2 1\n1 x1,x2,0 1,5\nend\n",
     "dneg": "decomposition EX3 2 1\n1 x1,0,0 -1\nend\n",
     "graph": "graph 2 1\n1 5\n",
+    "wide": "constraint A 21\nend\n",
+    "pneg": "poly -1 0\n",
+    "dvneg": "decomposition EX3 -1 0\nend\n",
 }
 IMPL = ("--language", "nae3", "--target", "XOR")
 DECOMP = ("--base", "EX3", "--target", "OR2")
@@ -741,12 +752,15 @@ DECOMP = ("--base", "EX3", "--target", "OR2")
 CLI_FAULTS = [
     ["classify", "--language", "nope"],
     ["classify", "--language", "{arity}"],
+    ["classify", "--language", "{wide}"],
     ["degree", "--language", "{header}"],
     ["degree", "--language", "xor", "{inst}"],
     ["poly", "--constraint", "FOO"],
+    ["poly", "--constraint", "OR21"],
     ["poly", "--language", "{header}", "--constraint", "OR2"],
     ["decompose", "--base", "FOO", "--target", "OR2"],
     ["decompose", "--base", "EX3", "--target-poly", "{header}"],
+    ["decompose", "--base", "EX3", "--target-poly", "{pneg}"],
     ["implement", "--language", "nae3", "--target", "XOR", "--max-aux", "-1"],
     ["implement", "--language", "nae3"],
     ["transform", "--op", "chain-z", "--language", "2sat", "--instance", "{inst}"],
@@ -769,6 +783,7 @@ CLI_FAULTS = [
     ["verify", "decomposition", *DECOMP],
     ["verify", "decomposition", "{d5}", *DECOMP],
     ["verify", "decomposition", "{dneg}", *DECOMP],
+    ["verify", "decomposition", "{dvneg}", *DECOMP],
     ["verify", "decomposition", "{header}", *DECOMP],
     ["verify", "implementation", "{impl}", "{impl}", *IMPL],
     ["verify", "implementation", "{qneg}", *IMPL],
