@@ -14,7 +14,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import io_formats as io
-from .constraints import classify_language, standard_constraint
+from .constraints import (FLAGS, POLY_CONDITIONS, classify_language,
+                          standard_constraint)
 from .errors import MaxCspError
 from .expressibility import decompose
 from .formulas import RANGE_N, RANGE_Z, random_formula
@@ -23,10 +24,8 @@ from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
 from .polynomials import characteristic_polynomial, degree_of_constraint, \
     degree_of_language
 from .solver import ORACLE_CAP, brute_force
-from .transforms import (apply_poly, chain, compress_to_polynomial,
-                         implement_lit, implement_tf, kernelize, neg_to_base,
-                         signed_to_unsigned_neg, unsigned_lit, verify_transform,
-                         vc_reduce)
+from .transforms import (STAGES, compress_to_polynomial, kernelize,
+                         verify_transform, vc_reduce)
 
 
 def _write(args, text: str) -> None:
@@ -70,15 +69,12 @@ def cmd_classify(args) -> int:
     report = classify_language(language)
     out = []
     for name, flags in report.per_constraint:
-        props = [p for p in ("trivial", "zero_valid", "one_valid",
-                             "two_monotone", "c_closed", "symmetric")
-                 if getattr(flags, p)]
+        props = [flag for flag in FLAGS if getattr(flags, flag)]
         out.append(f"{name}: {' '.join(props) if props else '-'}")
     if report.verdict == "np_hard":
         out.append(f"np_hard ({', '.join(report.failing_conditions())})")
     else:
-        reasons = [p for p in ("trivial", "zero_valid", "one_valid",
-                               "two_monotone") if getattr(report, p)]
+        reasons = [flag for flag, _ in POLY_CONDITIONS if getattr(report, flag)]
         out.append(f"poly_time_solvable ({', '.join(reasons)})")
     _write(args, "\n".join(out) + "\n")
     return 0
@@ -124,31 +120,17 @@ def cmd_implement(args) -> int:
     return 0
 
 
-# op -> (closure mode of the language the instance is over, or None,
-#        whether --target-language is needed, runner(phi, source, target))
-_TRANSFORM_OPS = {
-    "neg-to-base": (io.MODE_NEG, False, lambda phi, s, t: neg_to_base(phi, s)),
-    "unsign-neg": (io.MODE_NEG, False, lambda phi, s, t: signed_to_unsigned_neg(
-        phi, io.closure(s, io.MODE_NEG))),
-    "apply-poly": (None, True, lambda phi, s, t: apply_poly(phi, s, t)),
-    "implement-tf": (io.MODE_TF, False, lambda phi, s, t: implement_tf(phi, s)),
-    "unsigned-lit": (None, False, lambda phi, s, t: unsigned_lit(phi, s)),
-    "implement-lit": (io.MODE_LIT, False, lambda phi, s, t: implement_lit(phi, s)),
-    "chain-z": (None, True, lambda phi, s, t: chain(phi, s, t, RANGE_Z)),
-    "chain-n": (None, True, lambda phi, s, t: chain(phi, s, t, RANGE_N)),
-}
-
-
 def cmd_transform(args) -> int:
     language = _language(args)
-    mode, needs_target, run = _TRANSFORM_OPS[args.op]
-    if needs_target and args.target_language is None:
-        raise MaxCspError(f"--target-language is required for {args.op}")
+    stage = STAGES[args.op]
+    if stage.needs_target != (args.target_language is not None):
+        rule = "required for" if stage.needs_target else "not read by"
+        raise MaxCspError(f"--target-language is {rule} {args.op}")
     target_language = (io.resolve_language_spec(args.target_language)
-                       if args.target_language else None)
-    phi, _ = io.parse_instance(io.read_file(args.instance),
-                               language if mode is None else io.closure(language, mode))
-    phi2, cert = run(phi, language, target_language)
+                       if stage.needs_target else None)
+    over = language if stage.mode is None else io.closure(language, stage.mode)
+    phi, _ = io.parse_instance(io.read_file(args.instance), over)
+    phi2, cert = stage.run(phi, language, target_language)
     _write(args, io.emit_instance(phi2, cert))
     return _verify(phi, phi2, cert, args.oracle_cap) if args.verify else 0
 
@@ -306,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, instance=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--oracle-cap", type=_count(0), default=ORACLE_CAP)
-    p.add_argument("--op", choices=_TRANSFORM_OPS, required=True)
+    p.add_argument("--op", choices=STAGES, required=True)
     p.add_argument("--target-language")
     p.set_defaults(func=cmd_transform)
 

@@ -29,6 +29,11 @@ TABLE_ARITY_CAP = 20
 
 VERDICT_POLY = "poly_time_solvable"
 VERDICT_NP_HARD = "np_hard"
+# The flags classify reports, and the dichotomy's polynomial-time conditions
+# among them, each with the name messages give it.
+FLAGS = ("trivial", "zero_valid", "one_valid", "two_monotone", "c_closed", "symmetric")
+POLY_CONDITIONS = (("trivial", "trivial"), ("zero_valid", "0-valid"),
+                   ("one_valid", "1-valid"), ("two_monotone", "2-monotone"))
 
 
 def bits_to_row(bits: Sequence[int]) -> int:
@@ -337,40 +342,20 @@ class ClassificationReport:
     verdict: str
 
     def failing_conditions(self) -> tuple[str, ...]:
-        out = []
-        if not self.zero_valid:
-            out.append("not 0-valid")
-        if not self.one_valid:
-            out.append("not 1-valid")
-        if not self.two_monotone:
-            out.append("not 2-monotone")
-        return tuple(out)
+        """The conditions a non-trivial language fails, as 'not <name>'."""
+        return tuple(f"not {name}" for flag, name in POLY_CONDITIONS[1:]
+                     if not getattr(self, flag))
 
 
 @lru_cache(maxsize=None)
 def classify_language(language: ConstraintLanguage) -> ClassificationReport:
     per = tuple((c.name, classify(c)) for c in language)
     nontrivial = [flags for _, flags in per if not flags.trivial]
-    trivial = not nontrivial
-
-    def every(attr: str) -> bool:
-        return all(getattr(flags, attr) for flags in nontrivial)
-
-    zero_valid = every("zero_valid")
-    one_valid = every("one_valid")
-    two_monotone = every("two_monotone")
-    poly = trivial or zero_valid or one_valid or two_monotone
-    return ClassificationReport(
-        language=language.name,
-        per_constraint=per,
-        trivial=trivial,
-        zero_valid=zero_valid,
-        one_valid=one_valid,
-        two_monotone=two_monotone,
-        c_closed=every("c_closed"),
-        symmetric=every("symmetric"),
-        verdict=VERDICT_POLY if poly else VERDICT_NP_HARD,
-    )
+    # No non-trivial member is trivial: `trivial` holds iff there is none.
+    holds = {flag: all(getattr(flags, flag) for flags in nontrivial) for flag in FLAGS}
+    poly = any(holds[flag] for flag, _ in POLY_CONDITIONS)
+    return ClassificationReport(language.name, per, **holds,
+                                verdict=VERDICT_POLY if poly else VERDICT_NP_HARD)
 
 
 # ---------------------------------------------------------------------------

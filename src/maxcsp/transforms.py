@@ -5,6 +5,13 @@ re-expression, constant elimination, literal elimination), their additive
 and linear compositions, the kernelization pipeline that re-encodes an
 instance through its monomials, and the Vertex-Cover gadget.
 
+One table, STAGES, holds each stage's facts under its CLI op name.  A lemma
+row holds its certificate label, the closure mode its input is parsed in,
+whether it reads a target language, its kind, and a `run` that calls the
+lemma.  A composition row (chain-z, chain-n) holds its label and its ops.
+One runner, _run, takes (op, source, target) steps through the table;
+chain_stages, chain and exp_cycle are such step lists.
+
 Every transform returns the rewritten formula together with a
 TransformCertificate recording the variable/size/weight accounting and the
 value map (an affine relation where one exists, otherwise an existential
@@ -15,6 +22,7 @@ via verify_transform.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, itemgetter, mul
@@ -22,9 +30,9 @@ from operator import add, itemgetter, mul
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
                            TransformCertificate, build_certificate,
                            endpoints)
-from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, VERDICT_POLY,
-                          ConstraintLanguage, classify_language, closure,
-                          recover_pattern, xor_constraint, T, F)
+from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, POLY_CONDITIONS,
+                          VERDICT_POLY, ConstraintLanguage, classify_language,
+                          closure, recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
 from .formulas import RANGE_N, RANGE_Z, Application, Formula, empty_formula
@@ -36,7 +44,16 @@ from .polynomials import (MultilinearPolynomial, characteristic_polynomial,
 from .solver import ORACLE_CAP, affine_holds, decisions
 
 
-def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
+def _certify(op, phi, phi2, value_map, **bounds):
+    """The certificate of phi -> phi2 made by `op`.  A row of STAGES gives
+    its label and kind; kernelization's own steps have no row and keep `op`
+    as their label.  A kind the row leaves open follows from the stages
+    (none: additive)."""
+    row = STAGES.get(op, Stage(op, None))
+    return build_certificate(row.label, phi, phi2, row.kind, value_map, **bounds)
+
+
+def _degenerate(op, phi, geq_yes: bool, eq_yes: bool):
     """Constant-size instance with the same answers: the empty formula has
     the single value 0, so t' = 0 keeps both queries yes, t' = -1 keeps only
     the >= query yes, and t' = 1 makes both no."""
@@ -44,10 +61,8 @@ def _degenerate(label, phi, geq_yes: bool, eq_yes: bool, kind=KIND_ADDITIVE):
         raise FormatError("an exact hit implies the threshold is reachable")
     t2 = 0 if eq_yes else (-1 if geq_yes else 1)
     phi2 = empty_formula(1, RANGE_N, t2)
-    cert = build_certificate(label, phi, phi2, kind, (EXISTENTIAL,),
-                             var_bound=1, size_factor=1, weight_factor=1,
-                             weight_exponent=0)
-    return phi2, cert
+    return phi2, _certify(op, phi, phi2, (EXISTENTIAL,), var_bound=1,
+                          size_factor=1, weight_factor=1, weight_exponent=0)
 
 
 def _hard_report(label: str, language: ConstraintLanguage, two_monotone: bool):
@@ -55,11 +70,8 @@ def _hard_report(label: str, language: ConstraintLanguage, two_monotone: bool):
     cannot start from (trivial, 0-valid, 1-valid, and 2-monotone if asked);
     the error names the stage `label` and the language."""
     report = classify_language(language)
-    for bad, name in ((report.trivial, "trivial"),
-                      (report.zero_valid, "0-valid"),
-                      (report.one_valid, "1-valid"),
-                      (two_monotone and report.two_monotone, "2-monotone")):
-        if bad:
+    for flag, name in POLY_CONDITIONS if two_monotone else POLY_CONDITIONS[:3]:
+        if getattr(report, flag):
             raise PreconditionError(f"{label}: language {language.name!r} is {name}")
     return report
 
@@ -69,7 +81,7 @@ def _hard_report(label: str, language: ConstraintLanguage, two_monotone: bool):
 
 
 def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
-                 weight_range: str, label: str):
+                 weight_range: str, op: str):
     """Rebind every application to a member of the language; one that
     `flips` becomes the member with the complementary table at the opposite
     weight.  As w * f = w - w * (1 - f), each flip shifts the values and
@@ -88,10 +100,8 @@ def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
                 shift -= w
             apps.append((member, idx, -w if flip else w))
     phi2 = Formula(phi.nvars, apps, weight_range, phi.threshold + shift)
-    cert = build_certificate(label, phi, phi2, KIND_ADDITIVE,
-                             (AFFINE, 1, shift), var_bound=0, size_factor=1,
-                             weight_factor=1, weight_exponent=0)
-    return phi2, cert
+    return phi2, _certify(op, phi, phi2, (AFFINE, 1, shift), var_bound=0,
+                          size_factor=1, weight_factor=1, weight_exponent=0)
 
 
 def neg_to_base(phi: Formula, base: ConstraintLanguage):
@@ -107,7 +117,7 @@ def signed_to_unsigned_neg(phi: Formula, neg_language: ConstraintLanguage):
     """Erase negative weights over a negation-closed language: a negative
     application flips to its pointwise negation with positive weight."""
     return _flip_signed(phi, neg_language, lambda c, w: w < 0, RANGE_N,
-                        "signed-to-unsigned")
+                        "unsign-neg")
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +152,9 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
     size_factor = max([len(combo.terms) for combo in combos.values()] + [1])
     weight_factor = max([sum(abs(t.coefficient) for t in combo.terms)
                          for combo in combos.values()] + [1])
-    cert = build_certificate("apply-poly", phi, phi2, KIND_ADDITIVE,
-                             (AFFINE, beta, 0), var_bound=0,
-                             size_factor=size_factor,
-                             weight_factor=weight_factor, weight_exponent=0)
-    return phi2, cert
+    return phi2, _certify("apply-poly", phi, phi2, (AFFINE, beta, 0),
+                          var_bound=0, size_factor=size_factor,
+                          weight_factor=weight_factor, weight_exponent=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +231,9 @@ def implement_tf(phi: Formula, base: ConstraintLanguage):
         alpha += impl.alpha
 
     phi2 = Formula(n + 2 + aux, groups, RANGE_Z, alpha * big_w + phi.threshold)
-    cert = build_certificate("implement-tf", phi, phi2, KIND_ADDITIVE,
-                             (EXISTENTIAL,), var_bound=2 + aux,
-                             size_factor=m + 1, weight_factor=2 * m + 1,
-                             weight_exponent=0)
-    return phi2, cert
+    return phi2, _certify("implement-tf", phi, phi2, (EXISTENTIAL,),
+                          var_bound=2 + aux, size_factor=m + 1,
+                          weight_factor=2 * m + 1, weight_exponent=0)
 
 
 def unsigned_lit(phi: Formula, base: ConstraintLanguage):
@@ -246,10 +252,9 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     big_w = max([0] + [-min(g.values()) for g in groups.values() if g])
     if big_w == 0:
         phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold)
-        cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
-                                 (AFFINE, 1, 0), var_bound=0, size_factor=1,
-                                 weight_factor=1, weight_exponent=0)
-        return phi2, cert
+        return phi2, _certify("unsigned-lit", phi, phi2, (AFFINE, 1, 0),
+                              var_bound=0, size_factor=1, weight_factor=1,
+                              weight_exponent=0)
 
     # The applied tuples of each constraint, listed before any is added.
     tuples = [(c, list(g)) for c, g in groups.items()]
@@ -264,12 +269,10 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold + shift)
     total_tuples = sum(len(js) for _, js in tuples)
     kmax = max(c.arity for c, _ in tuples)
-    cert = build_certificate("unsigned-lit", phi, phi2, KIND_ADDITIVE,
-                             (AFFINE, 1, shift), var_bound=0,
-                             size_factor=1 + (1 << kmax),
-                             weight_factor=1 + (1 << kmax) * total_tuples,
-                             weight_exponent=0)
-    return phi2, cert
+    return phi2, _certify("unsigned-lit", phi, phi2, (AFFINE, 1, shift),
+                          var_bound=0, size_factor=1 + (1 << kmax),
+                          weight_factor=1 + (1 << kmax) * total_tuples,
+                          weight_exponent=0)
 
 
 def implement_lit(phi: Formula, base: ConstraintLanguage):
@@ -280,7 +283,7 @@ def implement_lit(phi: Formula, base: ConstraintLanguage):
     if phi.weight_range != RANGE_N:
         raise PreconditionError("implement-lit needs nonnegative weights")
     if phi.threshold < 0:
-        return _degenerate("implement-lit", phi, True, False, KIND_LINEAR)
+        return _degenerate("implement-lit", phi, True, False)
 
     n = phi.nvars
     groups: dict = {}
@@ -294,16 +297,61 @@ def implement_lit(phi: Formula, base: ConstraintLanguage):
     phi2 = Formula(n * (2 + q), groups, RANGE_N,
                    n * impl.alpha * big_w + phi.threshold)
     m = len(impl.applications)
-    cert = build_certificate("implement-lit", phi, phi2, KIND_LINEAR,
-                             (EXISTENTIAL,), var_bound=2 + q,
-                             size_factor=m + 1,
-                             weight_factor=impl.alpha * m + 1,
-                             weight_exponent=1)
-    return phi2, cert
+    return phi2, _certify("implement-lit", phi, phi2, (EXISTENTIAL,),
+                          var_bound=2 + q, size_factor=m + 1,
+                          weight_factor=impl.alpha * m + 1, weight_exponent=1)
 
 
 # ---------------------------------------------------------------------------
-# Composed corollary chains
+# The stage table, and the compositions run through it
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of STAGES.  `run` calls its lemma by the module global's
+    name, looked up at call time, so a wrapper installed on that global
+    sees every call.  A composition row lists its stages by op; its kind
+    follows from theirs."""
+    label: str                   # of the certificates it emits
+    run: Callable | None         # (phi, source, target) -> (formula, certificate)
+    mode: str | None = None      # closure mode of the language phi is over
+    needs_target: bool = False   # whether run reads the target language
+    kind: str | None = None      # a lemma's kind; None for a composition
+    ops: tuple = ()              # a composition's stages, in order
+
+
+# The CLI's --op -> the stage it runs.
+STAGES = {
+    "neg-to-base": Stage("neg-to-base", lambda phi, s, t: neg_to_base(phi, s),
+                         MODE_NEG, kind=KIND_ADDITIVE),
+    "unsign-neg": Stage("signed-to-unsigned", lambda phi, s, t:
+                        signed_to_unsigned_neg(phi, closure(s, MODE_NEG)),
+                        MODE_NEG, kind=KIND_ADDITIVE),
+    "apply-poly": Stage("apply-poly", lambda phi, s, t: apply_poly(phi, s, t),
+                        needs_target=True, kind=KIND_ADDITIVE),
+    "implement-tf": Stage("implement-tf", lambda phi, s, t: implement_tf(phi, s),
+                          MODE_TF, kind=KIND_ADDITIVE),
+    "unsigned-lit": Stage("unsigned-lit", lambda phi, s, t: unsigned_lit(phi, s),
+                          kind=KIND_ADDITIVE),
+    "implement-lit": Stage("implement-lit", lambda phi, s, t: implement_lit(phi, s),
+                           MODE_LIT, kind=KIND_LINEAR),
+    "chain-z": Stage("chain-additive", lambda phi, s, t: chain(phi, s, t, RANGE_Z),
+                     needs_target=True, ops=("apply-poly", "implement-tf")),
+    "chain-n": Stage("chain-linear", lambda phi, s, t: chain(phi, s, t, RANGE_N),
+                     needs_target=True, ops=("apply-poly", "implement-tf",
+                                             "unsigned-lit", "implement-lit")),
+}
+_CHAIN_OPS = {RANGE_Z: "chain-z", RANGE_N: "chain-n"}
+
+
+def _run(phi: Formula, steps):
+    """Run the (op, source, target) steps in order, each on the formula the
+    one before it returned; the (op, formula, certificate) of each."""
+    stages = []
+    for op, source, target in steps:
+        phi, cert = STAGES[op].run(phi, source, target)
+        stages.append((op, phi, cert))
+    return stages
 
 
 def chain_stages(phi: Formula, source: ConstraintLanguage,
@@ -311,51 +359,34 @@ def chain_stages(phi: Formula, source: ConstraintLanguage,
     """The composed reduction from CS(source, Z) into CS(target, Z) (mode
     "Z": polynomial re-expression then constant elimination) or CS(target,
     N) (mode "N": continuing with sign and literal elimination), as the
-    list of (label, formula, certificate) triples; each stage checks its
+    list of (op, formula, certificate) triples.  The first stage re-expresses
+    phi over the target, and the rest run over it; each stage checks its
     own preconditions."""
-    stages = []
-    cur, cert = apply_poly(phi, source, target)
-    stages.append(("apply-poly", cur, cert))
-    cur, cert = implement_tf(cur, target)
-    stages.append(("implement-tf", cur, cert))
-    if mode == RANGE_N:
-        cur, cert = unsigned_lit(cur, target)
-        stages.append(("unsigned-lit", cur, cert))
-        cur, cert = implement_lit(cur, target)
-        stages.append(("implement-lit", cur, cert))
-    return stages
+    first, *rest = STAGES[_CHAIN_OPS[mode]].ops
+    return _run(phi, [(first, source, target)] + [(op, target, None) for op in rest])
 
 
 def chain(phi: Formula, source: ConstraintLanguage,
           target: ConstraintLanguage, mode: str = RANGE_Z):
     stages = chain_stages(phi, source, target, mode)
     final = stages[-1][1]
-    label = "chain-additive" if mode == RANGE_Z else "chain-linear"
-    cert = build_certificate(label, phi, final,
-                             stages=tuple(c for _, _, c in stages))
-    return final, cert
+    return final, _certify(_CHAIN_OPS[mode], phi, final, None,
+                           stages=tuple(c for _, _, c in stages))
 
 
 def exp_cycle(phi: Formula, gamma: ConstraintLanguage):
     """The reduction cycle tying CS(Gamma_dsat, *) and CS(Gamma, Z) together
     for d = deg(Gamma): signs out via literal variants, across to
     Gamma^NEG, negations folded into signed weights, and back to d-SAT.
-    Input is a formula over Gamma_dsat with integer weights."""
+    Input is a formula over Gamma_dsat with integer weights; the result is
+    the (op, formula, certificate) of each step."""
     d = degree_of_language(gamma)
     if d < 2:
         raise PreconditionError(f"exp-cycle needs deg({gamma.name}) >= 2, got {d}")
     dsat = gamma_d_sat(d)
-    neg = closure(gamma, MODE_NEG)
-    stages = []
-    cur, cert = unsigned_lit(phi, dsat)
-    stages.append(("unsigned-lit", cur, cert))
-    cur, cert = chain(cur, dsat, neg, RANGE_Z)
-    stages.append(("chain-to-neg", cur, cert))
-    cur, cert = neg_to_base(cur, gamma)
-    stages.append(("neg-to-base", cur, cert))
-    cur, cert = chain(cur, gamma, dsat, RANGE_Z)
-    stages.append(("chain-to-dsat", cur, cert))
-    return stages
+    return _run(phi, [("unsigned-lit", dsat, None),
+                      ("chain-z", dsat, closure(gamma, MODE_NEG)),
+                      ("neg-to-base", gamma, None), ("chain-z", gamma, dsat)])
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +509,8 @@ def kernelize(phi: Formula, language: ConstraintLanguage,
         return finish(phi2, cert, compact.monomials)
 
     phi_poly = formula_from_polynomial(poly, n, t_folded)
-    const_cert = build_certificate("fold-constant", phi, phi_poly, KIND_ADDITIVE,
-                                   (AFFINE, 1, t_folded - phi.threshold))
+    const_cert = _certify("fold-constant", phi, phi_poly,
+                          (AFFINE, 1, t_folded - phi.threshold))
     final, chain_cert = chain(phi_poly, gamma_d_and(poly.degree), language, RANGE_N)
     cert = build_certificate("kernelize", phi, final,
                              stages=(const_cert, chain_cert))

@@ -13,6 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from maxcsp import cli
+from maxcsp.formulas import random_formula
+from maxcsp.io_formats import emit_instance, resolve_language_spec
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -53,3 +57,29 @@ def test_traced_caches_exist():
 @pytest.mark.parametrize("module,name", _function_imports())
 def test_workload_imports_resolve(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_tracer_sees_every_stage_the_transform_ops_run(tmp_path):
+    # The ops run their lemmas through the module globals the tracer wraps;
+    # a stage that held a function object would report 0 s here.
+    runs = (("chain-n", "2sat", "2sat", ["--target-language", "nae3"]),
+            ("unsign-neg", "neg:xor", "xor", []))
+    argvs = []
+    for op, spec, language, extra in runs:
+        inst = tmp_path / f"{op}.maxcsp"
+        inst.write_text(emit_instance(random_formula(
+            resolve_language_spec(spec), 5, 6, "Z", max_weight=4, seed=op)))
+        argvs.append(["transform", "--op", op, "--language", language, *extra,
+                      "--instance", str(inst), "-o", str(inst) + ".out"])
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        for argv in argvs:
+            tracer.begin_request()
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in ("chain", "apply_poly", "implement_tf", "unsigned_lit",
+                 "implement_lit", "signed_to_unsigned_neg"):
+        assert summary[f"transforms.{name}.s"] > 0, name

@@ -21,8 +21,8 @@ from maxcsp.io_formats import (emit_certificate, emit_instance, emit_language,
 from maxcsp.formulas import random_formula
 from maxcsp.languages import NP_HARD_LANGUAGE_KEYS, builtin_language
 from maxcsp.solver import brute_force
-from maxcsp.transforms import (chain, kernelize, neg_to_base, unsigned_lit,
-                               verify_transform)
+from maxcsp.transforms import (STAGES, chain, kernelize, neg_to_base,
+                               unsigned_lit, verify_transform)
 
 LANG_TEXT = """\
 # a toy language
@@ -233,6 +233,9 @@ OR2_FROM_EX3 = ("decomposition EX3 2 3\n1/2 x1,x2,0 1,2\n"
     (["transform", "--op", "apply-poly", "--language", "2sat",
       "--instance", "{inst}"], 2, "",
      "error: --target-language is required for apply-poly\n"),
+    (["transform", "--op", "neg-to-base", "--language", "xor",
+      "--target-language", "nae3", "--instance", "{inst}"], 2, "",
+     "error: --target-language is not read by neg-to-base\n"),
     (["verify", "transform", "{inst}", "{inst}", "--language", "xor"], 2, "",
      "error: {inst} carries no certificate block\n"),
 ])
@@ -765,6 +768,8 @@ CLI_FAULTS = [
     ["implement", "--language", "nae3"],
     ["transform", "--op", "chain-z", "--language", "2sat", "--instance", "{inst}"],
     ["transform", "--op", "nope", "--language", "xor", "--instance", "{inst}"],
+    ["transform", "--op", "unsigned-lit", "--language", "xor",
+     "--target-language", "nae3", "--instance", "{inst}", "--verify"],
     ["transform", "--op", "neg-to-base", "--language", "xor", "--instance", "{header}"],
     ["kernelize", "--language", "xor", "--instance", "{nvars}"],
     ["kernelize", "--language", "xor", "--instance", "{inst}", "--oracle-cap", "-1"],
@@ -905,3 +910,65 @@ def test_public_names_are_pinned():
         assert not hasattr(maxcsp.MultilinearPolynomial, method), method
     assert not hasattr(maxcsp.LinearCombination, "evaluate")
     assert "declared_weight_exponent" not in maxcsp.Formula.__dataclass_fields__
+
+
+# Per --op: the language its instance is over, its target language, and the
+# label and kind of the certificate it emits.
+OP_CERTIFICATES = {
+    "neg-to-base": ("neg:xor", None, "neg-to-base", "additive"),
+    "unsign-neg": ("neg:xor", None, "signed-to-unsigned", "additive"),
+    "apply-poly": ("2sat", "xor", "apply-poly", "additive"),
+    "implement-tf": ("tf:xor", None, "implement-tf", "additive"),
+    "unsigned-lit": ("xor", None, "unsigned-lit", "additive"),
+    "implement-lit": ("lit:xor", None, "implement-lit", "linear"),
+    "chain-z": ("2sat", "xor", "chain-additive", "additive"),
+    "chain-n": ("2sat", "nae3", "chain-linear", "linear"),
+}
+
+
+def _emitted(op, phi, tmp_path, capsys):
+    """The header line and the certificate that `transform --op op` emits
+    for phi."""
+    spec, target, _, _ = OP_CERTIFICATES[op]
+    inst = tmp_path / f"{op}.maxcsp"
+    inst.write_text(emit_instance(phi))
+    argv = ["transform", "--op", op, "--language", spec.rpartition(":")[2],
+            "--instance", str(inst)]
+    assert main(argv + (["--target-language", target] if target else [])) == 0
+    header, _, rest = capsys.readouterr().out.partition("\n")
+    return header, parse_certificate(rest[rest.index("certificate "):])
+
+
+def test_stage_table_gives_ops_labels_and_kinds(tmp_path, capsys):
+    transform = dict(_parsers())["transform"]
+    ops = next(a for a in transform._actions if a.dest == "op").choices
+    assert set(ops) == set(STAGES) == set(OP_CERTIFICATES)
+    for op, (spec, _, label, kind) in OP_CERTIFICATES.items():
+        row = STAGES[op]
+        assert row.label == label and row.kind == (None if row.ops else kind), op
+        phi = random_formula(resolve_language_spec(spec), 4, 5,
+                             "N" if op == "implement-lit" else "Z",
+                             max_weight=3, seed=op, threshold=0)
+        _, cert = _emitted(op, phi, tmp_path, capsys)
+        assert (cert.label, cert.kind) == (label, kind), op
+    # The degenerate exits: t < -||phi|| for implement-tf, t < 0 for
+    # implement-lit.
+    for op, weights in (("implement-tf", "Z"), ("implement-lit", "N")):
+        spec, _, label, kind = OP_CERTIFICATES[op]
+        phi = random_formula(resolve_language_spec(spec), 4, 5, weights,
+                             max_weight=3, seed=op)
+        phi = phi.replace(threshold=-phi.total_weight - 1)
+        header, cert = _emitted(op, phi, tmp_path, capsys)
+        assert header == "maxcsp 1 0 N -1", op
+        assert (cert.label, cert.kind) == (label, kind), op
+
+
+# `wc -l src/maxcsp/*.py`: the package may shrink, and a change that grows
+# it raises this number in the same edit.
+SOURCE_LINE_BUDGET = 3056
+
+
+def test_source_line_budget():
+    package = Path(maxcsp.__file__).resolve().parent
+    total = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    assert total <= SOURCE_LINE_BUDGET, total
