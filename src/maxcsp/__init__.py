@@ -13,7 +13,7 @@ from .errors import (CapExceededError, FormatError, MaxCspError,
                      PreconditionError)
 from .expressibility import (DegreeWitness, LinearCombination, decompose,
                              find_degree_witness, language_denominator)
-from .formulas import Application, Formula, empty_formula, random_formula
+from .formulas import Formula, empty_formula, random_formula
 from .implementations import (Implementation, search_implementation,
                               verify_implementation)
 from .languages import builtin_language, gamma_d_and, gamma_d_sat

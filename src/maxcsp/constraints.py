@@ -484,8 +484,7 @@ def recursive_nae(depth: int) -> Constraint:
     """The 3**depth-ary composition: level 0 is the identity, level j wraps
     three level-(j-1) blocks in a ternary not-all-equal."""
     arity = 3 ** depth
-    if arity > 16:
-        raise CapExceededError(f"recursive NAE of depth {depth} has arity {arity}")
+    rows = _rows(f"RNAE{depth}", arity)
     nae3 = nae_constraint(3)
 
     def value(bits: tuple[int, ...]) -> int:
@@ -495,7 +494,7 @@ def recursive_nae(depth: int) -> Constraint:
         parts = [value(bits[i * third:(i + 1) * third]) for i in range(3)]
         return nae3.value(parts)
 
-    table = tuple(value(row_to_bits(r, arity)) for r in range(1 << arity))
+    table = tuple(value(row_to_bits(r, arity)) for r in rows)
     return Constraint(f"RNAE{depth}", arity, table)
 
 
@@ -508,6 +507,12 @@ def standard_constraint(name: str) -> Constraint:
     for prefix, builder in (("OR", or_constraint), ("AND", and_constraint),
                             ("NAE", nae_constraint), ("XOR", xor_constraint),
                             ("EX", ex_constraint), ("RNAE", recursive_nae)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return builder(int(name[len(prefix):]))
+        suffix = name[len(prefix):]
+        if name.startswith(prefix) and suffix.isdecimal():
+            digits = suffix.lstrip("0") or "0"
+            # Refused before an int is built: int() stops at 4,300 digits.
+            if len(digits) > len(str(TABLE_ARITY_CAP)):
+                raise CapExceededError(f"{prefix} with a {len(digits)}-digit suffix "
+                                       f"exceeds truth-table cap {TABLE_ARITY_CAP}")
+            return builder(int(digits))
     raise KeyError(f"unknown standard constraint {name!r}")

@@ -151,7 +151,7 @@ def resolve_language_spec(spec: str) -> ConstraintLanguage:
     except KeyError:
         pass
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise FormatError(f"{spec!r} is neither a builtin language nor a file")
     return parse_language(read_file(path), name=path.stem,
                           allow_constants=True)

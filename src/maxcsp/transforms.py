@@ -35,7 +35,7 @@ from .constraints import (MODE_LIT, MODE_NEG, MODE_TF, POLY_CONDITIONS,
                           closure, recover_pattern, xor_constraint, T, F)
 from .errors import FormatError, PreconditionError
 from .expressibility import language_denominator, max_degree_member
-from .formulas import RANGE_N, RANGE_Z, Application, Formula, empty_formula
+from .formulas import RANGE_N, RANGE_Z, Formula, empty_formula
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
@@ -86,7 +86,7 @@ def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
     `flips` becomes the member with the complementary table at the opposite
     weight.  As w * f = w - w * (1 - f), each flip shifts the values and
     the threshold by -w."""
-    apps = []
+    groups: dict = {}
     shift = 0
     for c, indices, weights in phi.groups:
         negation = tuple(1 - v for v in c.table)
@@ -98,8 +98,10 @@ def _flip_signed(phi: Formula, language: ConstraintLanguage, flips,
                                         f"{'negation of ' if flip else ''}{c.name}")
             if flip:
                 shift -= w
-            apps.append((member, idx, -w if flip else w))
-    phi2 = Formula(phi.nvars, apps, weight_range, phi.threshold + shift)
+            column = groups.setdefault(member, ([], []))
+            column[0].append(idx)
+            column[1].append(-w if flip else w)
+    phi2 = Formula(phi.nvars, groups, weight_range, phi.threshold + shift)
     return phi2, _certify(op, phi, phi2, (AFFINE, 1, shift), var_bound=0,
                           size_factor=1, weight_factor=1, weight_exponent=0)
 
@@ -433,12 +435,6 @@ def _formula_terms(phi: Formula) -> dict:
     return acc
 
 
-def formula_polynomial(phi: Formula) -> MultilinearPolynomial:
-    """phi as a single multilinear polynomial: the weighted sum of the
-    characteristic polynomials of its applications."""
-    return MultilinearPolynomial(_formula_terms(phi))
-
-
 def compress_to_polynomial(phi: Formula) -> CompressResult:
     """The pure compression: fold the formula into monomial coefficients,
     absorbing the constant term into the threshold."""
@@ -543,10 +539,11 @@ def vc_reduce(nvertices: int, edges, k: int) -> Formula:
     lang = gamma_d_sat(2)
     or2 = lang.by_table(2, (0, 1, 1, 1))
     or2nn = lang.by_table(2, (1, 1, 1, 0))
-    apps = [Application(or2nn, (v, v), 1) for v in range(1, nvertices + 1)]
-    apps += [Application(or2, e, 2 * nvertices) for e in sorted(seen)]
+    groups = {or2nn: {(v, v): 1 for v in range(1, nvertices + 1)}}
+    if seen:
+        groups[or2] = dict.fromkeys(sorted(seen), 2 * nvertices)
     t = 2 * nvertices * len(seen) + (nvertices - k)
-    return Formula(nvertices, tuple(apps), RANGE_N, t)
+    return Formula(nvertices, groups, RANGE_N, t)
 
 
 # ---------------------------------------------------------------------------

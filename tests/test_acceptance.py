@@ -258,7 +258,8 @@ def test_criterion_6_kernel_size():
         assert result.report.monomial_bound == 56
         assert equivalent_decisions(phi, result.formula)
 
-        duplicated = phi.replace(applications=phi.applications * 10,
+        duplicated = phi.replace(weights={c: (list(indices) * 10, list(weights) * 10)
+                                          for c, indices, weights in phi.groups},
                                  threshold=phi.threshold * 10)
         result10 = kernelize(duplicated, lang)
         assert result10.formula.size == result.formula.size
@@ -294,7 +295,7 @@ def test_criterion_7_vertex_cover_gadget_all_small_graphs():
                     optimum = brute_force(base).optimum
                     for k in range(nv + 1):
                         phi = vc_reduce(nv, edges, k)
-                        assert phi.applications == base.applications
+                        assert phi.weights == base.weights
                         assert (optimum >= phi.threshold) == (cover <= k)
 
 

@@ -62,6 +62,13 @@ def test_table_arity_cap_refuses_before_building(monkeypatch):
         with pytest.raises(CapExceededError,
                            match=f"{name}{wide}: arity {wide} exceeds truth-table cap"):
             standard_constraint(f"{name}{wide}")
+    with pytest.raises(CapExceededError, match="RNAE3: arity 27 exceeds truth-table cap"):
+        standard_constraint("RNAE3")
+    # A suffix past the cap's digits is refused before an int is built.
+    for name in ("RNAE9999", "OR" + "1" * 5000, "EX" + "0" * 5000 + "100"):
+        with pytest.raises(CapExceededError, match="-digit suffix exceeds truth-table cap"):
+            standard_constraint(name)
+    assert standard_constraint("EX" + "0" * 5000 + "3") == ex_constraint(3)
     with pytest.raises(CapExceededError, match="A: arity 40 exceeds"):
         make_constraint("A", 40, [])
     assert built and max(built) <= TABLE_ARITY_CAP

@@ -22,32 +22,32 @@ from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
                                nae_constraint, or_constraint, xor_constraint,
                                row_to_bits)
 from maxcsp.errors import CapExceededError, FormatError
-from maxcsp.formulas import Application, Formula, empty_formula, random_formula
+from maxcsp.formulas import Formula, empty_formula, random_formula
 from maxcsp.io_formats import emit_instance
 from maxcsp.languages import builtin_language, gamma_d_sat
 from maxcsp.solver import (affine_holds, brute_force, check_equivalence, decide,
                            decide_exact, decisions)
-from maxcsp.transforms import (encoded_bits, formula_polynomial, neg_to_base,
-                               vc_reduce, verify_transform)
+from maxcsp.transforms import encoded_bits, neg_to_base, vc_reduce, verify_transform
+
+from formula_groups import canonical, from_triples, polynomial_terms, triples
 
 XOR = xor_constraint(2)
 OR2 = or_constraint(2)
 
 
 def test_formula_counts():
-    phi = Formula(3, (Application(XOR, (1, 2), 3), Application(XOR, (1, 3), -2)),
-                  "Z", 1)
+    phi = from_triples(3, ((XOR, (1, 2), 3), (XOR, (1, 3), -2)), "Z", 1)
     assert phi.size == 2 and phi.total_weight == 5
 
 
 def test_weight_range_enforced():
     with pytest.raises(FormatError):
-        Formula(2, (Application(XOR, (1, 2), -1),), "N", 0)
+        from_triples(2, ((XOR, (1, 2), -1),), "N", 0)
 
 
 def test_index_bounds_enforced():
     with pytest.raises(FormatError):
-        Formula(2, (Application(XOR, (1, 3), 1),), "N", 0)
+        from_triples(2, ((XOR, (1, 3), 1),), "N", 0)
 
 
 def _grouped(apps):
@@ -65,46 +65,54 @@ def test_merge_keys_on_constraint_value():
     twin = xor_constraint(2)
     renamed = Constraint("XOR_B", 2, XOR.table)
     assert twin is not XOR and hash(twin) == hash(XOR) and twin == XOR
-    groups = _grouped((Application(XOR, (1, 2), 3), Application(twin, (1, 2), 2),
-                       Application(renamed, (1, 2), 4)))
+    groups = _grouped(((XOR, (1, 2), 3), (twin, (1, 2), 2),
+                       (renamed, (1, 2), 4)))
     assert list(groups) == [XOR, renamed]
-    assert [(x.constraint.name, x.weight)
-            for x in Formula(2, groups, "Z").applications] == [("XOR", 5), ("XOR_B", 4)]
+    assert [(c.name, w) for c, _, w in triples(Formula(2, groups, "Z"))] == [
+        ("XOR", 5), ("XOR_B", 4)]
 
 
 def test_sorted_groups_in_canonical_order():
-    # Column groups repeat indices (ties go by weight), and the twin shares
-    # XOR's name: both against a Python-key sort of every entry.
+    # Column groups repeat indices (ties go by weight): against a Python-key
+    # sort of every entry.
     rng = random.Random(1402)
-    twin = Constraint("XOR", 2, (1, 0, 0, 1))
     for key in ("2sat", "nae3lit", "xor"):
-        apps = list(random_formula(builtin_language(key), 3, 40, "Z", max_weight=3,
-                                   seed=rng.randrange(10 ** 9)).applications)
-        for extra in ([], [Application(twin, (2, 1), -1), Application(twin, (1, 2), 2)]):
-            entries = apps + extra
-            rng.shuffle(entries)
-            expected = sorted(entries, key=lambda a: (a.constraint.name, *a.indices, a.weight))
-            phi = Formula(3, entries, "Z")
-            assert emit_instance(phi).splitlines()[1:] == [
-                " ".join(map(str, (a.constraint.name, a.weight, *a.indices)))
-                for a in expected]
-            assert phi.applications == tuple(expected)
+        entries = triples(random_formula(builtin_language(key), 3, 40, "Z", max_weight=3,
+                                         seed=rng.randrange(10 ** 9)))
+        rng.shuffle(entries)
+        expected = sorted(entries, key=lambda e: (e[0].name, *e[1], e[2]))
+        phi = from_triples(3, entries, "Z")
+        assert emit_instance(phi).splitlines()[1:] == [
+            " ".join(map(str, (c.name, w, *indices))) for c, indices, w in expected]
+        assert triples(phi) == expected
+
+
+def test_distinct_constraints_sharing_a_name_are_refused():
+    # The name orders the groups and is all a file writes of a constraint,
+    # so such a formula could not be read back.
+    twin = Constraint("XOR", 2, (1, 0, 0, 1))
+    for groups in ({XOR: {(1, 2): 1}, twin: {(1, 2): 2}},
+                   {OR2: ([(1, 2)], [1]), XOR: ([], []), twin: ([(2, 1)], [-1])}):
+        with pytest.raises(FormatError, match="distinct constraints share the name 'XOR'"):
+            Formula(2, groups, "Z")
+    assert Formula(2, {XOR: {(1, 2): 1}, xor_constraint(2): {(1, 2): 2}}, "Z").size == 1
 
 
 def _assert_same_formula(lazy, reference):
-    """A dict-built formula against the applications-built one; reading
-    its counts, constraints, text and encoded bits builds no application."""
+    """A dict-built formula against the one built with a column entry per
+    application: the same counts, constraints, text, bits and values, yet
+    two formulas, as formulas compare by identity."""
     nvars = reference.nvars
     assert (lazy.nvars, lazy.size, lazy.total_weight, lazy.threshold) == \
         (reference.nvars, reference.size, reference.total_weight, reference.threshold)
     assert lazy.constraints_used() == reference.constraints_used()
     assert emit_instance(lazy) == emit_instance(reference)
     assert encoded_bits(lazy) == encoded_bits(reference)
-    assert "applications" not in vars(lazy)
-    assert lazy == reference and hash(lazy) == hash(reference)
+    assert canonical(lazy) == canonical(reference) and lazy != reference
     assert repr(lazy) == repr(reference)
-    assert lazy.applications is lazy.applications
-    assert lazy.replace(threshold=3) == reference.replace(threshold=3)
+    moved = lazy.replace(threshold=3)
+    assert moved.weights is lazy.weights
+    assert canonical(moved) == canonical(reference.replace(threshold=3))
     for bits in itertools.product((0, 1), repeat=nvars):
         assert lazy.value(bits) == reference.value(bits)
 
@@ -115,9 +123,9 @@ def test_dict_built_formula_equals_applications_built():
         # Few variables, many applications: repeats merge, some to weight 0.
         phi = random_formula(builtin_language(key), 5, 40, weight_range,
                              max_weight=4, seed=rng.randrange(10 ** 9))
-        groups = _grouped(phi.applications)
-        merged = Formula(5, [Application(c, i, w) for c, g in groups.items()
-                             for i, w in g.items()], weight_range, phi.threshold)
+        groups = _grouped(triples(phi))
+        merged = from_triples(5, [(c, i, w) for c, g in groups.items()
+                                  for i, w in g.items()], weight_range, phi.threshold)
         lazy = Formula(5, groups, weight_range, phi.threshold)
         assert lazy.size < phi.size
         assert any(0 in g.values() for g in groups.values()) or key == "xor"
@@ -132,26 +140,26 @@ def test_dict_built_formula_equals_applications_built():
 
 
 def test_grouped_formula_edge_cases():
-    twin, nand2 = xor_constraint(2), Constraint("XOR", 2, (1, 1, 1, 0))
+    twin, nand2 = xor_constraint(2), Constraint("NAND2", 2, (1, 1, 1, 0))
     const = Constraint("ONE", 0, (1,))
-    apps = [Application(XOR, (2, 1), 0), Application(nand2, (1, 2), 5),
-            Application(twin, (1, 2), 2), Application(const, (), 4),
-            Application(nand2, (2, 1), -1), Application(XOR, (1, 2), 1),
-            Application(nand2, (1, 3), 0), Application(OR2, (3, 3), -2)]
+    apps = [(XOR, (2, 1), 0), (nand2, (1, 2), 5),
+            (twin, (1, 2), 2), (const, (), 4),
+            (nand2, (2, 1), -1), (XOR, (1, 2), 1),
+            (nand2, (1, 3), 0), (OR2, (3, 3), -2)]
     groups = _grouped(apps)
     # Twins merge into one group; an arity-0 member and zero weights stay.
     assert list(groups) == [XOR, nand2, const, OR2]
     assert groups[XOR] == {(2, 1): 0, (1, 2): 3} and groups[const] == {(): 4}
     lazy = Formula(3, groups, "Z", 1)
-    reference = Formula(3, [Application(c, i, w) for c, g in groups.items()
-                            for i, w in g.items()], "Z", 1)
+    reference = from_triples(3, [(c, i, w) for c, g in groups.items()
+                                 for i, w in g.items()], "Z", 1)
     _assert_same_formula(lazy, reference)
-    # The two XORs interleave in (name, indices, weight) order.
-    assert [(a.constraint.table, a.indices, a.weight) for a in lazy.applications] == [
-        ((1,), (), 4), ((0, 1, 1, 1), (3, 3), -2), (XOR.table, (1, 2), 3),
-        ((1, 1, 1, 0), (1, 2), 5), ((1, 1, 1, 0), (1, 3), 0),
-        ((1, 1, 1, 0), (2, 1), -1), (XOR.table, (2, 1), 0)]
-    assert emit_instance(lazy).splitlines()[1:4] == ["ONE 4", "OR2 -2 3 3", "XOR 3 1 2"]
+    assert [(c.name, i, w) for c, i, w in triples(lazy)] == [
+        ("NAND2", (1, 2), 5), ("NAND2", (1, 3), 0), ("NAND2", (2, 1), -1),
+        ("ONE", (), 4), ("OR2", (3, 3), -2), ("XOR", (1, 2), 3), ("XOR", (2, 1), 0)]
+    assert emit_instance(lazy).splitlines()[1:] == [
+        "NAND2 5 1 2", "NAND2 0 1 3", "NAND2 -1 2 1", "ONE 4", "OR2 -2 3 3",
+        "XOR 3 1 2", "XOR 0 2 1"]
 
 
 def test_dict_built_formula_checks_its_weights():
@@ -170,7 +178,7 @@ def test_brute_force_empty():
 
 
 def test_brute_force_or2_witness_tie_break():
-    phi = Formula(2, (Application(OR2, (1, 2), 5),), "N", 0)
+    phi = from_triples(2, ((OR2, (1, 2), 5),), "N", 0)
     res = brute_force(phi)
     assert res.optimum == 5
     assert res.witness == (0, 1)  # lexicographically smallest maximizer
@@ -190,20 +198,20 @@ def test_optimum_within_total_weight():
 
 
 def test_decide_max_cut_triangle():
-    apps = tuple(Application(XOR, e, 1) for e in ((1, 2), (2, 3), (1, 3)))
-    phi = Formula(3, apps, "N", 0)
+    apps = tuple((XOR, e, 1) for e in ((1, 2), (2, 3), (1, 3)))
+    phi = from_triples(3, apps, "N", 0)
     assert decide(phi, 2) and not decide(phi, 3)
     assert decide(phi, -phi.total_weight - 1)
 
 
 def test_decide_exact():
-    phi = Formula(2, (Application(XOR, (1, 2), 2),), "N", 0)
+    phi = from_triples(2, ((XOR, (1, 2), 2),), "N", 0)
     assert not decide_exact(phi, 1)  # values are 0 or 2
     assert decide_exact(phi, 2) and decide_exact(phi, 0)
 
 
 def test_check_equivalence_modes():
-    phi = Formula(2, (Application(XOR, (1, 2), 2),), "N", 2)
+    phi = from_triples(2, ((XOR, (1, 2), 2),), "N", 2)
     assert check_equivalence(phi, 2, phi, 2, "geq")
     assert check_equivalence(phi, 2, phi, 2, "eq")
     # corrupting the threshold on a tight instance breaks both
@@ -213,7 +221,7 @@ def test_check_equivalence_modes():
 
 def test_cap_exceeded():
     phi = empty_formula(30)
-    phi = Formula(30, (Application(XOR, (1, 2), 1),), "N", 0)
+    phi = from_triples(30, ((XOR, (1, 2), 1),), "N", 0)
     with pytest.raises(CapExceededError):
         brute_force(phi, cap=24)
 
@@ -266,19 +274,18 @@ def test_oracle_matches_reference():
 
 def test_oracle_edge_instances():
     big = 1 << 62
-    repeated = (Application(OR2, (3, 1), 4), Application(OR2, (2, 2), -3),
-                Application(XOR, (3, 3), 7), Application(F, (2,), -2),
-                Application(Constraint("K", 0, (1,)), (), 2))
+    repeated = ((OR2, (3, 1), 4), (OR2, (2, 2), -3),
+                (XOR, (3, 3), 7), (F, (2,), -2),
+                (Constraint("K", 0, (1,)), (), 2))
     for phi, t in (
             (empty_formula(1), 0),
             (empty_formula(4, threshold=1), 1),
-            (Formula(1, (Application(T, (1,), -2), Application(F, (1,), 5)),
-                     "Z", 5), 5),
-            (Formula(3, repeated, "Z", 1), 2),
+            (from_triples(1, ((T, (1,), -2), (F, (1,), 5)), "Z", 5), 5),
+            (from_triples(3, repeated, "Z", 1), 2),
             # ||phi|| >= 2**62: values are exact Python ints
-            (Formula(3, (Application(XOR, (1, 3), big),
-                         Application(OR2, (3, 2), big + 1),
-                         Application(T, (2,), -3 * big)), "Z", big + 1),
+            (from_triples(3, ((XOR, (1, 3), big),
+                              (OR2, (3, 2), big + 1),
+                              (T, (2,), -3 * big)), "Z", big + 1),
              big + 1)):
         _assert_matches_reference(phi, t)
 
@@ -287,16 +294,16 @@ def test_oracle_blocks_over_top_variables():
     # 22 variables: two blocks of 2**20 entries per setting of x1, x2.
     # Unit T on x1 and x22, unit F on the rest: the unique maximizer is
     # 1 0...0 1 with value 22.
-    apps = [Application(T, (1,), 1), Application(T, (22,), 1)]
-    apps += [Application(F, (i,), 1) for i in range(2, 22)]
-    phi = Formula(22, tuple(apps), "N", 22)
+    apps = [(T, (1,), 1), (T, (22,), 1)]
+    apps += [(F, (i,), 1) for i in range(2, 22)]
+    phi = from_triples(22, apps, "N", 22)
     res = brute_force(phi)
     assert res.optimum == 22 and res.exact
     assert res.witness == (1,) + (0,) * 20 + (1,)
     assert decisions(phi, 23) == (False, False)
     # Unit F on x1 as well ties x1 = 0 with x1 = 1; the tie goes to the
     # first block.
-    tied = phi.replace(applications=phi.applications + (Application(F, (1,), 1),))
+    tied = from_triples(22, apps + [(F, (1,), 1)], "N", 22)
     res = brute_force(tied)
     assert res.optimum == 22 and res.witness == (0,) * 21 + (1,)
 
@@ -343,13 +350,12 @@ def _broadcast_values(phi):
     broadcasting.  Its blocks are this array's 2**20-entry slices."""
     n = phi.nvars
     values = np.zeros((2,) * n, dtype=np.int64)
-    for a in phi.applications:
-        support = sorted(set(a.indices))
+    for c, indices, w in triples(phi):
+        support = sorted(set(indices))
         table = np.zeros((2,) * len(support), dtype=np.int64)
         for bits in itertools.product((0, 1), repeat=len(support)):
             x = dict(zip(support, bits))
-            table[bits] = a.weight * a.constraint.table[
-                int("".join(str(x[i]) for i in a.indices) or "0", 2)]
+            table[bits] = w * c.table[int("".join(str(x[i]) for i in indices) or "0", 2)]
         values += table.reshape([2 if v in support else 1 for v in range(1, n + 1)])
     return values.reshape(-1)
 
@@ -378,9 +384,9 @@ def test_oracle_exact_when_partial_sums_pass_int64():
     # ||phi|| < 2**62, but EX3's x1x2x3 coefficient is 3 * w > 2**63, so the
     # blocks hold Python ints.  A cancelling unary term keeps ||phi|| low.
     w = 3 * (1 << 60) - 5
-    phi = Formula(4, (Application(ex_constraint(3), (2, 1, 3), w),
-                      Application(T, (1,), 7 - (1 << 60)),
-                      Application(XOR, (3, 4), 3)), "Z", w)
+    phi = from_triples(4, ((ex_constraint(3), (2, 1, 3), w),
+                           (T, (1,), 7 - (1 << 60)),
+                           (XOR, (3, 4), 3)), "Z", w)
     assert phi.total_weight < 1 << 62 <= phi.total_weight << 3
     (_, flat), = maxcsp.solver._value_blocks(phi, 24)
     assert [int(v) for v in flat] == [phi.value(row_to_bits(m, 4))
@@ -394,9 +400,9 @@ def _ex3_at_norm(s, norm):
     reach, a unary term at 7 - s and an XOR whose weight takes ||phi|| to
     `norm`: 2**kmax * ||phi|| = 8 * norm."""
     w = 3 * s - 5
-    return Formula(4, (Application(ex_constraint(3), (2, 1, 3), w),
-                       Application(T, (1,), 7 - s),
-                       Application(XOR, (3, 4), norm - 4 * s + 12)), "Z", w)
+    return from_triples(4, ((ex_constraint(3), (2, 1, 3), w),
+                            (T, (1,), 7 - s),
+                            (XOR, (3, 4), norm - 4 * s + 12)), "Z", w)
 
 
 def test_oracle_block_width_edges():
@@ -405,8 +411,8 @@ def test_oracle_block_width_edges():
     top = 1 << 30
     for phi, dtype, coeff_max in (
             (_ex3_at_norm(1 << 25, (top >> 3) - 1), np.int32, 9 * (1 << 25) - 15),
-            (Formula(3, (Application(xor_constraint(3), (3, 1, 2), (top >> 3) - 1),),
-                     "Z", 1), np.int32, (top >> 1) - 4),
+            (from_triples(3, ((xor_constraint(3), (3, 1, 2), (top >> 3) - 1),), "Z", 1),
+             np.int32, (top >> 1) - 4),
             # ||phi|| < 2**30 = 2**kmax * ||phi||
             (_ex3_at_norm(1 << 25, top >> 3), np.int64, 9 * (1 << 25) - 15),
             # ||phi|| < 2**30, and 3w passes 2**31: an int32 sum would wrap.
@@ -459,7 +465,7 @@ def test_oracle_wide_closure_members():
             for weight_range in ("N", "Z"):
                 phi = random_formula(lang, nvars, 2 * nvars, weight_range,
                                      seed=rng.randrange(10 ** 9))
-                assert max(a.constraint.arity for a in phi.applications) >= 4
+                assert max(c.arity for c in phi.weights) >= 4
                 _assert_matches_reference(phi, rng.randint(-8, 8))
 
 
@@ -514,21 +520,20 @@ def test_row_blocks_empty_single_and_every_row():
     AND2 = and_constraint(2)
     # No coefficient: no row is held, and every value is 0.
     for nvars in (1, n):
-        empty = Formula(nvars, (), "Z")
+        empty = Formula(nvars, {}, "Z")
         assert not _row_heads(empty)
         _assert_blocks_match_reference(empty)
     # x1 AND x_v for every v in the low bits: every monomial is x1 x_v, in
     # the one row whose head is x1's bit.
-    single = Formula(n, tuple(Application(AND2, (1, v), v - 3)
-                              for v in range(5, n + 1)), "N")
+    single = from_triples(n, [(AND2, (1, v), v - 3) for v in range(5, n + 1)], "N")
     assert _row_heads(single) == {1 << 3}
     _assert_blocks_match_reference(single)
     # The AND of every nonempty subset of x1..x4, and F on x_n for the
     # constant: the four row bits take every setting.
-    apps = [Application(and_constraint(k), vs, sum(vs)) for k in range(1, 5)
+    apps = [(and_constraint(k), vs, sum(vs)) for k in range(1, 5)
             for vs in itertools.combinations(range(1, 5), k)]
-    apps += [Application(F, (n,), 5), Application(XOR, (n - 1, n), -2)]
-    every = Formula(n, tuple(apps), "Z")
+    apps += [(F, (n,), 5), (XOR, (n - 1, n), -2)]
+    every = from_triples(n, apps, "Z")
     assert _row_heads(every) == set(range(16))
     _assert_blocks_match_reference(every)
 
@@ -578,15 +583,15 @@ def test_span_blocks_with_empty_spans():
     # Low applications on x3..x16 fill span 0; x1 alone and x1 x5 fill
     # span 2 (x1 set, x2 clear); spans 1 and 3 hold no row.
     n = s + 2
-    apps = [Application(OR2, (v, v + 1), v) for v in range(3, n)]
-    apps += [Application(T, (1,), 7), Application(AND2, (1, 5), -3)]
-    phi = Formula(n, tuple(apps), "Z")
+    apps = [(OR2, (v, v + 1), v) for v in range(3, n)]
+    apps += [(T, (1,), 7), (AND2, (1, 5), -3)]
+    phi = from_triples(n, apps, "Z")
     assert _span_heads(phi) == {0, 2}
     _assert_blocks_match_reference(phi)
     # 21 variables, two blocks: every monomial holds x1, so the first block
     # has no row at all and the second has rows in one span of 64.
-    wide = Formula(21, tuple(Application(AND2, (1, v), v - 9) for v in range(10, 22))
-                   + (Application(T, (1,), 4),), "Z")
+    wide = from_triples(21, [(AND2, (1, v), v - 9) for v in range(10, 22)]
+                        + [(T, (1,), 4)], "Z")
     assert _span_heads(wide) == {1 << (21 - 1 - s)}
     blocks = list(maxcsp.solver._value_blocks(wide, 24))
     assert not blocks[0][1].any()
@@ -612,21 +617,21 @@ def test_oracle_coefficients_of_repeated_arguments():
     # x * x = x: an application's coefficients land on the OR of its
     # argument bits, so repeated arguments fold.  Masks: x1 = 4, x2 = 2, x3 = 1.
     for app, coeffs, kmax in (
-            (Application(or_constraint(3), (1, 1, 3), 2), {4: 2, 1: 2, 5: -2}, 2),
-            (Application(ex_constraint(3), (2, 2, 2), 5), {}, 1),
-            (Application(nae_constraint(3), (1, 3, 1), 3), {4: 3, 1: 3, 5: -6}, 2),
-            (Application(T, (2,), 7), {2: 7}, 1),
-            (Application(F, (2,), 4), {0: 4, 2: -4}, 1)):
-        phi = Formula(3, (app,), "Z")
+            ((or_constraint(3), (1, 1, 3), 2), {4: 2, 1: 2, 5: -2}, 2),
+            ((ex_constraint(3), (2, 2, 2), 5), {}, 1),
+            ((nae_constraint(3), (1, 3, 1), 3), {4: 3, 1: 3, 5: -6}, 2),
+            ((T, (2,), 7), {2: 7}, 1),
+            ((F, (2,), 4), {0: 4, 2: -4}, 1)):
+        phi = from_triples(3, (app,), "Z")
         assert maxcsp.solver._coefficients(phi) == (coeffs, kmax)
         assert coeffs == {
             sum(1 << (3 - v) for v in mono): c
-            for mono, c in formula_polynomial(phi).terms.items()}
+            for mono, c in polynomial_terms(phi).items()}
         (_, flat), = maxcsp.solver._value_blocks(phi, 24)
         assert [int(v) for v in flat] == [phi.value(row_to_bits(m, 3)) for m in range(8)]
-    both = Formula(3, (Application(or_constraint(3), (1, 1, 3), 2),
-                       Application(nae_constraint(3), (1, 3, 1), 3),
-                       Application(F, (2,), 4)), "Z")
+    both = from_triples(3, ((or_constraint(3), (1, 1, 3), 2),
+                            (nae_constraint(3), (1, 3, 1), 3),
+                            (F, (2,), 4)), "Z")
     assert maxcsp.solver._coefficients(both) == ({4: 5, 1: 5, 5: -8, 0: 4, 2: -4}, 2)
 
 
@@ -661,16 +666,15 @@ def test_affine_holds_matches_pointwise_reference():
             k, c = rng.choice((-3, -1, 2, 5)), rng.randint(-7, 7)
             # phi2 = k * phi + c, with the constant as T + F on x1 and a
             # cancelling pair of applications that leaves no coefficient.
-            a0 = phi.applications[0]
-            phi2 = Formula(nvars, tuple(a._replace(weight=k * a.weight)
-                                        for a in phi.applications)
-                           + (Application(T, (1,), c), Application(F, (1,), c),
-                              a0, a0._replace(weight=-a0.weight)), "Z")
+            entries = triples(phi)
+            f0, i0, w0 = entries[0]
+            phi2 = from_triples(nvars, [(f, i, k * w) for f, i, w in entries]
+                                + [(T, (1,), c), (F, (1,), c), (f0, i0, w0), (f0, i0, -w0)],
+                                "Z")
             other = random_formula(lang, nvars, 2 * nvars + 2, "Z", max_weight=9,
                                    seed=rng.randrange(10 ** 9))
-            bumped = phi2.replace(applications=phi2.applications[1:] + (
-                phi2.applications[0]._replace(
-                    weight=phi2.applications[0].weight + 1),))
+            (f0, i0, w0), *rest = triples(phi2)
+            bumped = from_triples(nvars, rest + [(f0, i0, w0 + 1)], "Z")
             for f1, f2, a, b in (
                     (phi, phi2, k, c), (phi2, phi, Fraction(1, k), Fraction(-c, k)),
                     (phi, phi2, k + 1, c), (phi, phi2, k, c + Fraction(1, 2)),
@@ -681,7 +685,7 @@ def test_affine_holds_matches_pointwise_reference():
                 checked[expected] += 1
     assert min(checked.values()) >= 3 * len(langs)
     with pytest.raises(ValueError):
-        affine_holds(Formula(2, ()), Formula(3, ()), 1, 0)
+        affine_holds(Formula(2, {}), Formula(3, {}), 1, 0)
 
 
 def test_oracle_coefficients_match_formula_polynomial():
@@ -698,8 +702,8 @@ def test_oracle_coefficients_match_formula_polynomial():
             coeffs, kmax = maxcsp.solver._coefficients(phi)
             assert all(coeffs.values())
             assert {frozenset(v for v in range(1, nvars + 1) if mask >> (nvars - v) & 1): c
-                    for mask, c in coeffs.items()} == formula_polynomial(phi).terms
-            assert kmax == max(len(set(a.indices)) for a in phi.applications)
+                    for mask, c in coeffs.items()} == polynomial_terms(phi)
+            assert kmax == max(len(set(i)) for _, i, _ in triples(phi))
 
 
 def test_oracle_imports_nothing_it_checks():
@@ -747,5 +751,5 @@ def test_random_formula_deterministic():
     lang = builtin_language("nae3")
     a = random_formula(lang, 6, 10, "Z", seed=99)
     b = random_formula(lang, 6, 10, "Z", seed=99)
-    assert a == b
-    assert a != random_formula(lang, 6, 10, "Z", seed=100)
+    assert canonical(a) == canonical(b) and a != b
+    assert canonical(a) != canonical(random_formula(lang, 6, 10, "Z", seed=100))
