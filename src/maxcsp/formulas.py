@@ -15,10 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dataclass_replace
 from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
-from .constraints import Constraint, ConstraintLanguage, bits_to_row
+from .constraints import ConstraintLanguage, bits_to_row
 from .errors import FormatError
 
 RANGE_Z = "Z"
@@ -69,9 +68,6 @@ class Formula:
         return sum(w * c.table[bits_to_row([bits[i - 1] for i in idx])]
                    for c, indices, weights in self.groups
                    for idx, w in zip(indices, weights))
-
-    def constraints_used(self) -> tuple[Constraint, ...]:
-        return tuple(sorted(self.weights, key=attrgetter("name")))
 
     replace = dataclass_replace
 

@@ -130,7 +130,7 @@ def catalog() -> tuple:
 
 
 def _candidates(language: ConstraintLanguage, target: Constraint,
-                max_aux: int, max_apps: int, use_catalog: bool):
+                max_aux: int, max_apps: int):
     """(aux count, applications) candidates in canonical order: the
     target's same-table member under the identity, the catalog rows rebound
     to same-table members of the language, then every multiset of
@@ -138,8 +138,7 @@ def _candidates(language: ConstraintLanguage, target: Constraint,
     direct = language.by_table(target.arity, target.table)
     if direct is not None:
         yield 0, ((direct, tuple(range(1, target.arity + 1))),)
-    rows = catalog() if use_catalog else ()
-    for row_target, q, apps in rows:
+    for row_target, q, apps in catalog():
         if row_target.signature() != target.signature():
             continue
         rebound = tuple((language.by_table(c.arity, c.table), idx)
@@ -159,8 +158,7 @@ def _candidates(language: ConstraintLanguage, target: Constraint,
 @lru_cache(maxsize=None)
 def search_implementation(language: ConstraintLanguage, target: Constraint,
                           max_aux: int = DEFAULT_MAX_AUX,
-                          max_apps: int = DEFAULT_MAX_APPS,
-                          use_catalog: bool = True) -> Implementation | None:
+                          max_apps: int = DEFAULT_MAX_APPS) -> Implementation | None:
     """The first candidate within the caps that is a strict implementation
     of target, with target itself as its .target; None when there is none,
     at once when the language is C-closed and the target is not.  Memoized,
@@ -168,7 +166,7 @@ def search_implementation(language: ConstraintLanguage, target: Constraint,
     if classify_language(language).c_closed and not classify(target).c_closed:
         return None  # a gadget's maxima agree on x and ~x: none can fit
     p = target.arity
-    for q, apps in _candidates(language, target, max_aux, max_apps, use_catalog):
+    for q, apps in _candidates(language, target, max_aux, max_apps):
         if q <= max_aux and len(apps) <= max_apps:
             valid, alpha, strict = _implements(target, _satisfied_counts(p, q, apps))
             if valid and strict:

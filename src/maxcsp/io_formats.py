@@ -7,7 +7,8 @@ number.  The '#' character starts a comment anywhere a line begins.
 
 Language files:     constraint <name> <arity> / one satisfying row per
                     line as a bit string ('-' for the empty row of an
-                    arity-0 closure artifact) / end
+                    arity-0 member, a constant as in a closure) / end;
+                    read only, never emitted.
 Instance files:     maxcsp <n> <m> <Z|N> <t> followed by m lines
                     <name> <weight> <i1> ... <ik>, then an optional
                     certificate block.
@@ -91,8 +92,7 @@ def _end(lines) -> None:
 # Languages
 
 
-def parse_language(text: str, name: str = "language",
-                   allow_constants: bool = False) -> ConstraintLanguage:
+def parse_language(text: str, name: str = "language") -> ConstraintLanguage:
     constraints = []
     current: tuple[str, int] | None = None
     rows: list = []
@@ -104,9 +104,6 @@ def parse_language(text: str, name: str = "language",
             arity = _int(num, parts[2], "arity")
             if arity < 0:
                 _fail(num, f"negative arity in {line!r}")
-            if arity == 0 and not allow_constants:
-                _fail(num, "arity-0 constraints are closure artifacts and are "
-                           "rejected in user-supplied languages")
             current = (parts[1], arity)
             rows = []
         elif line == "end":
@@ -129,16 +126,6 @@ def parse_language(text: str, name: str = "language",
     return ConstraintLanguage(name, tuple(constraints))
 
 
-def emit_language(language: ConstraintLanguage) -> str:
-    out = []
-    for c in language:
-        out.append(f"constraint {c.name} {c.arity}")
-        for row in c.satisfying_rows():
-            out.append(format(row, f"0{c.arity}b") if c.arity else "-")
-        out.append("end")
-    return "\n".join(out) + "\n"
-
-
 def resolve_language_spec(spec: str) -> ConstraintLanguage:
     """A language argument: a builtin key ('xor'), a closure of one
     ('tf:xor', 'lit:nae3', 'neg:xor'), or a path to a language file."""
@@ -153,8 +140,7 @@ def resolve_language_spec(spec: str) -> ConstraintLanguage:
     path = Path(spec)
     if not path.is_file():
         raise FormatError(f"{spec!r} is neither a builtin language nor a file")
-    return parse_language(read_file(path), name=path.stem,
-                          allow_constants=True)
+    return parse_language(read_file(path), name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +186,7 @@ def parse_instance(text: str, language: ConstraintLanguage
                 try:
                     c = language.get(parts[0])
                 except KeyError as exc:
-                    _fail(num, str(exc))
+                    _fail(num, exc.args[0])
                 _int(num, parts[1], "weight")
                 idx = [_int(num, p, "index") for p in parts[2:]]
                 if len(idx) != c.arity:
@@ -290,10 +276,6 @@ def _parse_certificate_lines(lines) -> TransformCertificate:
     return TransformCertificate(**values)
 
 
-def parse_certificate(text: str) -> TransformCertificate:
-    return _parse_certificate_lines(list(_lines(text)))
-
-
 # ---------------------------------------------------------------------------
 # Polynomials
 
@@ -375,7 +357,7 @@ def parse_implementation(text: str, language: ConstraintLanguage,
             try:
                 c = language.get(parts[0])
             except KeyError as exc:
-                _fail(num, str(exc))
+                _fail(num, exc.args[0])
             idx = tuple(_int(num, p, "index") for p in parts[1:])
             if len(idx) != c.arity or not all(1 <= i <= sum(header) for i in idx):
                 _fail(num, f"{c.name} needs {c.arity} indices in "

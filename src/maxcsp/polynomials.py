@@ -3,9 +3,10 @@
 A polynomial is a map from monomials (frozensets of 1-based variable
 indices; the empty set is the constant term) to nonzero coefficients.  The
 coefficients are whatever numbers the caller gives: ints for characteristic
-polynomials, which a subset Moebius transform of a 0/1 truth table computes,
-and for formulas, which are integer-weighted sums of them; Fractions for a
-rational target and for its decompositions.
+polynomials, which the oracle's subset Moebius transform of a 0/1 truth
+table (solver.moebius) computes, and for formulas, which are
+integer-weighted sums of them; Fractions for a rational target and for its
+decompositions.
 
 Sums of composed polynomials are accumulated in one dict by add_composed
 and validated once by the constructor, in linear time.
@@ -22,6 +23,7 @@ from typing import Mapping, Sequence
 
 from .constraints import Constraint, ConstraintLanguage
 from .errors import CapExceededError, FormatError
+from .solver import moebius
 
 Monomial = frozenset
 
@@ -106,25 +108,16 @@ def add_composed(acc: dict, poly: MultilinearPolynomial, indices: Sequence[int],
 def characteristic_polynomial(f: Constraint) -> MultilinearPolynomial:
     """The unique multilinear polynomial agreeing with f on {0,1}^k.
 
-    Computed by an in-place subset Moebius transform of the truth table;
-    coefficients are always integers.
+    Its integer coefficients are the oracle's subset Moebius transform of
+    the truth table.
     """
     if f.arity > DEGREE_CAP:
         raise CapExceededError(
             f"{f.name}: arity {f.arity} exceeds characteristic-polynomial cap {DEGREE_CAP}")
     k = f.arity
-    coeffs = list(f.table)
-    for b in range(k):
-        bit = 1 << b
-        for mask in range(1 << k):
-            if mask & bit:
-                coeffs[mask] -= coeffs[mask ^ bit]
-    terms = {}
-    for mask, c in enumerate(coeffs):
-        if c:
-            mono = frozenset(i for i in range(1, k + 1) if mask >> (k - i) & 1)
-            terms[mono] = c
-    return MultilinearPolynomial(terms)
+    return MultilinearPolynomial(
+        {frozenset(i for i in range(1, k + 1) if mask >> (k - i) & 1): c
+         for mask, c in moebius(f.table)})
 
 
 def degree_of_constraint(f: Constraint) -> int:

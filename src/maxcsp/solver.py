@@ -2,9 +2,10 @@
 
 This is the ground-truth oracle for every transformation check: it
 evaluates the formula on all 2**n assignments as the weighted sum of
-satisfied applications, straight from the truth tables.  It derives its own
-monomial coefficients and shares no code with the polynomial machinery it
-is used to validate.
+satisfied applications, straight from the truth tables.  It imports
+nothing from the polynomial machinery it is used to validate: that
+machinery takes a table's coefficients from moebius below, and the tests
+check the oracle against Formula.value.
 
 Each table's Moebius coefficients are taken once, in Python ints.  An
 application puts the coefficient over its argument set J on the mask that
@@ -58,7 +59,7 @@ class SolveResult:
 
 
 @lru_cache(maxsize=None)
-def _moebius(table: tuple[int, ...]) -> tuple:
+def moebius(table: tuple[int, ...]) -> tuple:
     """The nonzero Moebius coefficients (s, c) of `table`: c is the
     coefficient of the monomial over the arguments whose table-index bits
     are set in s."""
@@ -85,14 +86,14 @@ def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
     coeffs: dict[int, int] = {}
     kmax = 0
     for c, indices, weights in phi.groups:
-        moebius = _moebius(c.table)
+        terms = moebius(c.table)
         for idx, w in zip(indices, weights):
             if len(idx) > kmax:
                 kmax = max(kmax, len(set(idx)))
             masks = [0]  # masks[s]: the variables of the arguments set in s
             for i in reversed(idx):
                 masks += [m | 1 << (n - i) for m in masks]
-            for s, co in moebius:
+            for s, co in terms:
                 coeffs[masks[s]] = coeffs.get(masks[s], 0) + w * co
     _built[:] = (phi, ({mask: c for mask, c in coeffs.items() if c}, kmax)), *_built[:1]
     return _built[0][1]

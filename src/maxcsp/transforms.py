@@ -462,7 +462,7 @@ def formula_from_polynomial(poly: MultilinearPolynomial, nvars: int,
 def encoded_bits(phi: Formula) -> int:
     """Size of a straightforward binary encoding: constraint id, indices in
     ceil(log2(n+1)) bits each, weights in sign+magnitude."""
-    id_bits = max(1, math.ceil(math.log2(len(phi.constraints_used()) + 1)))
+    id_bits = max(1, math.ceil(math.log2(len(phi.weights) + 1)))
     index_bits = max(1, math.ceil(math.log2(phi.nvars + 1)))
     total = abs(phi.threshold).bit_length() + 1
     for c, _, weights in phi.groups:

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from maxcsp import implementations
 from maxcsp.constraints import (Constraint, SubstitutionPattern, apply_pattern,
                                 classify, ex_constraint, nae_constraint,
                                 or_constraint, recursive_nae, xor_constraint,
@@ -299,7 +300,7 @@ def test_criterion_7_vertex_cover_gadget_all_small_graphs():
                         assert (optimum >= phi.threshold) == (cover <= k)
 
 
-def test_criterion_8_implementation_search():
+def test_criterion_8_implementation_search(monkeypatch):
     with report(8, "strict XOR implementations for the three hard cores and "
                    "T/F for a non-complement-closed language", 300.0):
         xor = xor_constraint(2)
@@ -312,9 +313,12 @@ def test_criterion_8_implementation_search():
             impl = search_implementation(builtin_language("ex3"), target)
             assert impl is not None and impl.strict
             assert verify_implementation(impl).valid
-        # raw bounded search (catalog disabled) also succeeds at small caps
+        # raw bounded search (catalog emptied) also succeeds at small caps
+        monkeypatch.setattr(implementations, "catalog", lambda: ())
+        search_implementation.cache_clear()
         raw = search_implementation(builtin_language("nae3"), xor,
-                                    max_aux=1, max_apps=3, use_catalog=False)
+                                    max_aux=1, max_apps=3)
+        search_implementation.cache_clear()
         assert raw is not None and verify_implementation(raw).strict
 
 

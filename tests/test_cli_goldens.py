@@ -17,10 +17,12 @@ from maxcsp.cli import main
 from maxcsp.constraints import ConstraintLanguage, standard_constraint
 from maxcsp.expressibility import max_degree_member
 from maxcsp.formulas import random_formula
-from maxcsp.io_formats import emit_instance, emit_language, resolve_language_spec
+from maxcsp.io_formats import emit_instance, resolve_language_spec
 from maxcsp.languages import (CATALOG_LANGUAGE_KEYS, NP_HARD_LANGUAGE_KEYS,
                               builtin_language)
 from maxcsp.polynomials import degree_of_constraint
+
+from text_formats import emit_language
 
 # The reduce-small mix: (op, base, target, nvars); 8 applications each.
 # Every pair here is below the oracle cap, so its verify report is

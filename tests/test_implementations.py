@@ -57,9 +57,14 @@ def test_search_xor_self():
     assert impl.alpha == 1 and len(impl.applications) == 1
 
 
-def test_search_nae3_within_spec_caps_without_catalog():
+def test_search_nae3_within_spec_caps_without_catalog(monkeypatch):
+    # The raw bounded search, with the catalog emptied; the memo is cleared
+    # on both sides so no answer crosses the patch.
+    monkeypatch.setattr(implementations, "catalog", lambda: ())
+    search_implementation.cache_clear()
     impl = search_implementation(builtin_language("nae3"), XOR,
-                                 max_aux=1, max_apps=3, use_catalog=False)
+                                 max_aux=1, max_apps=3)
+    search_implementation.cache_clear()
     assert impl is not None and impl.strict
     res = verify_implementation(impl)
     assert res.valid and res.alpha == impl.alpha
