@@ -114,10 +114,8 @@ def characteristic_polynomial(f: Constraint) -> MultilinearPolynomial:
     if f.arity > DEGREE_CAP:
         raise CapExceededError(
             f"{f.name}: arity {f.arity} exceeds characteristic-polynomial cap {DEGREE_CAP}")
-    k = f.arity
     return MultilinearPolynomial(
-        {frozenset(i for i in range(1, k + 1) if mask >> (k - i) & 1): c
-         for mask, c in moebius(f.table)})
+        {frozenset(j + 1 for j in positions): c for positions, c in moebius(f.table)})
 
 
 def degree_of_constraint(f: Constraint) -> int:

@@ -11,21 +11,21 @@ Each table's Moebius coefficients are taken once, in Python ints.  An
 application puts the coefficient over its argument set J on the mask that
 ORs the bits of J's variables (x1 is the top bit): by x * x = x that is the
 table's polynomial read at the arguments, so repeated arguments fold by
-themselves.  Weighted and summed, these are phi's monomial coefficients.
-One in-place subset-sum pass per variable turns them into every value: at
-most n * 2**(n-1) additions.  Past 20 variables each block of 2**20
-entries, one per setting p of the top variables, takes the monomials whose
-top variables lie inside p.  A block's passes for its low 8 bits run on a
-compact array whose columns are the rows of 2**8 entries that hold a
-coefficient; those rows go into a zeroed block, the passes for bits 8-13
-run in cache on each span of 2**14 entries that holds a row, and those for
-the other bits over the whole block.  At n <= 8 the block is one row, built
-in place.  The passes commute, and a row or span with no coefficient stays
-zero under the passes inside it, so the block is the one that all passes
-over the whole block give.  numpy is imported by a sweep only, so the CLI
-starts without it.  Partial sums are coefficients of restrictions, at most
-2**kmax * ||phi|| for the largest variable set kmax: int32 below 2**30
-(4 MB blocks), int64 below 2**62, Python ints above.
+themselves.  These weighted terms, summed by mask, are phi's monomial
+coefficients; one in-place subset-sum pass per variable turns those into
+every value: at most n * 2**(n-1) additions.  Each block of 2**18 entries
+(1 MB of int32, in cache), one per setting p of the top variables, sums
+the terms whose top variables lie inside p into a compact array whose
+columns are the rows of 2**rb entries that hold a term, runs the passes
+for the low rb bits there, puts the rows into a zeroed block and runs the
+other passes over it; at n <= 8 the block is its one row.  numpy runs a
+pass as one loop per run of 2**b entries, slow on short runs, so rows of
+2**max(8, low - 8) entries leave the block at most 8 bits.  The passes
+commute, and a row with no term stays zero under them, so the block is
+the one that all passes over the whole block give.  numpy is imported by a
+sweep only.  Partial sums are coefficients of restrictions, at most
+2**kmax * ||phi|| for the largest variable set kmax: int32 below 2**30,
+int64 below 2**62, Python ints above.
 A function on {0,1}^n has exactly one multilinear polynomial, so
 phi2 = a * phi1 + b holds on every assignment exactly when the coefficients
 satisfy it: affine_holds compares them, with no cap.  The witness is the
@@ -39,16 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import repeat
+from operator import or_
 
 from .constraints import row_to_bits
 from .errors import CapExceededError
 from .formulas import Formula
 
 ORACLE_CAP = 24
-_BLOCK_BITS = 20
+_BLOCK_BITS = 18
 _ROW_BITS = 8
-_SPAN_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -60,43 +61,54 @@ class SolveResult:
 
 @lru_cache(maxsize=None)
 def moebius(table: tuple[int, ...]) -> tuple:
-    """The nonzero Moebius coefficients (s, c) of `table`: c is the
-    coefficient of the monomial over the arguments whose table-index bits
-    are set in s."""
+    """The nonzero Moebius coefficients (positions, c) of `table`: c is the
+    coefficient of the monomial over the arguments at those 0-based
+    positions, first argument first."""
     acc = list(table)
     k = len(acc).bit_length() - 1
     for j in range(k):
         for s in range(1 << k):
             if s >> j & 1:
                 acc[s] -= acc[s ^ 1 << j]
-    return tuple((s, c) for s, c in enumerate(acc) if c)
+    return tuple((tuple(j for j in range(k) if s >> (k - 1 - j) & 1), c)
+                 for s, c in enumerate(acc) if c)
 
 
-_built: list = []  # (phi, _coefficients(phi)) for the last two formulas
+_built: list = []  # (phi, _terms(phi)) for the last two formulas
 
 
-def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
-    """({mask: c}, kmax): phi's nonzero monomial coefficients and the size
-    of its largest variable set, at any n.  The last two formulas stay
-    cached by identity: a verify builds each once and hashes neither."""
+def _terms(phi: Formula) -> tuple[list[int], list[int], int]:
+    """(masks, values, kmax): one (mask, w * c) pair per application and
+    nonzero Moebius coefficient c of its table, unsummed, and the size of
+    its largest variable set, at any n.  The last two formulas stay cached
+    by identity: a verify builds each once and hashes neither."""
     for built in _built:
         if built[0] is phi:
             return built[1]
-    n = phi.nvars
-    coeffs: dict[int, int] = {}
-    kmax = 0
+    top = 1 << phi.nvars
+    masks, values, kmax = [], [], 0
     for c, indices, weights in phi.groups:
-        terms = moebius(c.table)
-        for idx, w in zip(indices, weights):
-            if len(idx) > kmax:
-                kmax = max(kmax, len(set(idx)))
-            masks = [0]  # masks[s]: the variables of the arguments set in s
-            for i in reversed(idx):
-                masks += [m | 1 << (n - i) for m in masks]
-            for s, co in terms:
-                coeffs[masks[s]] = coeffs.get(masks[s], 0) + w * co
-    _built[:] = (phi, ({mask: c for mask, c in coeffs.items() if c}, kmax)), *_built[:1]
+        if not weights:
+            continue
+        if c.arity > kmax:
+            kmax = max(kmax, *map(len, map(set, indices)))
+        cols = [list(map(top.__rshift__, col)) for col in zip(*indices)]  # x_i: 1 << (n - i)
+        for positions, co in moebius(c.table):
+            masks += (reduce(partial(map, or_), map(cols.__getitem__, positions))
+                      if positions else repeat(0, len(weights)))
+            values += map(co.__mul__, weights)
+    _built[:] = (phi, (masks, values, kmax)), *_built[:1]
     return _built[0][1]
+
+
+def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:
+    """({mask: c}, kmax): phi's nonzero monomial coefficients, the sums of
+    its terms, and the size of its largest variable set, at any n."""
+    masks, values, kmax = _terms(phi)
+    coeffs = dict.fromkeys(masks, 0)
+    for mask, c in zip(masks, values):
+        coeffs[mask] += c
+    return {mask: c for mask, c in coeffs.items() if c}, kmax
 
 
 def _subset_sums(values, bits) -> None:
@@ -109,39 +121,49 @@ def _subset_sums(values, bits) -> None:
 
 def _value_blocks(phi: Formula, cap: int):
     """phi's value on every assignment, in assignment-index order: yields
-    (index of the first entry, flat block of at most 2**20 values)."""
+    (index of the first entry, flat block of at most 2**18 values).  Every
+    coefficient, and every partial sum in the passes (a coefficient of a
+    restriction), is at most ||phi|| * 2**(kmax-1) (||phi|| at kmax = 0),
+    and a term w * c at most |w| * 2**max(0, arity-1): the dtype holds both.
+    Only where an application repeats arguments can a sum of terms pass it:
+    int32 and int64 sums wrap modulo 2**32 and 2**64, so the coefficient it
+    ends at is still exact."""
     n = phi.nvars
     if n > cap:
         raise CapExceededError(f"oracle: {n} variables exceeds cap {cap}")
+    if n > 63:
+        raise CapExceededError(f"oracle: {n} variables exceeds the 63-variable mask width")
     import numpy as np  # only a sweep needs it: the CLI starts without it
 
-    coeffs, kmax = _coefficients(phi)
-    bound = phi.total_weight << kmax
+    masks, values, kmax = _terms(phi)
+    bound = phi.total_weight << max([kmax, *(c.arity - 1 for c, _, _ in phi.groups)])
     dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
-
+    masks, values = np.array(masks, dtype=np.int64), np.array(values, dtype=dtype)
     low = min(n, _BLOCK_BITS)
-    rb = min(low, _ROW_BITS)
-    sb = min(low, max(rb, _SPAN_BITS))
+    rb = min(low, max(_ROW_BITS, low - _ROW_BITS))
     for p in range(1 << (n - low)):
-        kept = [(mask & (1 << low) - 1, c) for mask, c in coeffs.items()
-                if not mask >> low & ~p]
-        # The rows of 2**rb entries holding a coefficient, by head m >> rb,
-        # held as columns so that the low passes run along long inner axes.
-        heads = sorted({m >> rb for m, _ in kept}) if low > rb else [0]
-        row = {h: i for i, h in enumerate(heads)}
-        rows = np.zeros((1 << rb, len(heads)), dtype=dtype)
-        for m, c in kept:
-            rows[m & (1 << rb) - 1, row[m >> rb]] += c
-        _subset_sums(rows, range(rb))
-        if low > rb:  # else the block is its one row (n <= 8), built in place
-            values = np.zeros(1 << low, dtype=dtype)
-            values.reshape(-1, 1 << rb)[heads] = rows.T
-            for h in sorted({h >> (sb - rb) for h in heads}):
-                _subset_sums(values.reshape(-1, 1 << sb)[h], range(rb, sb))
-            _subset_sums(values, range(sb, low))
-            rows = values
-        yield p << low, rows.reshape(-1)
-        rows = values = None  # free block p before block p+1 is made
+        m, v = masks, values
+        if n > low:  # the terms whose top variables lie inside p
+            keep = (masks >> low & ~p) == 0
+            m, v = masks[keep] & (1 << low) - 1, values[keep]
+        block = np.zeros(1 << low, dtype=dtype)
+        if low > rb:
+            # The rows of 2**rb entries holding a term, by head m >> rb, held
+            # as columns so that the low passes run along long inner axes.
+            heads = m >> rb
+            present = np.zeros(1 << (low - rb), dtype=bool)
+            present[heads] = True
+            held = np.flatnonzero(present)
+            rows = np.zeros((1 << rb, len(held)), dtype=dtype)
+            np.add.at(rows, (m & (1 << rb) - 1, np.searchsorted(held, heads)), v)
+            _subset_sums(rows, range(rb))
+            block.reshape(-1, 1 << rb)[held] = rows.T
+            _subset_sums(block, range(rb, low))
+        else:  # n <= 8: the block is its one row
+            np.add.at(block, m, v)
+            _subset_sums(block, range(low))
+        yield p << low, block
+        rows = block = None  # free block p before block p+1 is made
 
 
 def _sweep(phi: Formula, t_exact: int | None, cap: int) -> tuple[int, int, bool]:

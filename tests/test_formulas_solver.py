@@ -17,7 +17,7 @@ import pytest
 import maxcsp.solver
 from maxcsp.certificates import AFFINE, KIND_ADDITIVE, build_certificate
 from maxcsp.cli import main
-from maxcsp.constraints import (MODE_LIT, T, F, Constraint, ConstraintLanguage,
+from maxcsp.constraints import (MODE_LIT, MODE_TF, T, F, Constraint, ConstraintLanguage,
                                and_constraint, closure, ex_constraint,
                                nae_constraint, or_constraint, xor_constraint,
                                row_to_bits)
@@ -291,7 +291,7 @@ def test_oracle_edge_instances():
 
 
 def test_oracle_blocks_over_top_variables():
-    # 22 variables: two blocks of 2**20 entries per setting of x1, x2.
+    # 22 variables: one block of 2**18 entries per setting of x1..x4.
     # Unit T on x1 and x22, unit F on the rest: the unique maximizer is
     # 1 0...0 1 with value 22.
     apps = [(T, (1,), 1), (T, (22,), 1)]
@@ -347,7 +347,7 @@ def test_affine_verify_builds_each_formula_once(monkeypatch):
 def _broadcast_values(phi):
     """phi's values as the (2,)*n array the broadcasting engine built: each
     application's table, folded onto its distinct variables, added in by
-    broadcasting.  Its blocks are this array's 2**20-entry slices."""
+    broadcasting.  Its blocks are this array's 2**_BLOCK_BITS-entry slices."""
     n = phi.nvars
     values = np.zeros((2,) * n, dtype=np.int64)
     for c, indices, w in triples(phi):
@@ -361,22 +361,24 @@ def _broadcast_values(phi):
 
 
 def test_oracle_two_blocks_match_reference():
-    # 21 variables: two blocks, each built from the monomials whose x1 part
-    # lies inside the block's setting of x1.
+    # One variable past a block: two blocks, each built from the terms whose
+    # x1 part lies inside the block's setting of x1.
     rng = random.Random(2021)
+    b = maxcsp.solver._BLOCK_BITS
+    n = b + 1
     for name in ("3sat", "nae3lit"):
-        phi = random_formula(builtin_language(name), 21, 63, "Z",
+        phi = random_formula(builtin_language(name), n, 3 * n, "Z",
                              seed=rng.randrange(10 ** 9))
         blocks = list(maxcsp.solver._value_blocks(phi, 24))
-        assert [start for start, _ in blocks] == [0, 1 << 20]
+        assert [start for start, _ in blocks] == [0, 1 << b]
         for start, flat in blocks:
             for i in rng.sample(range(len(flat)), 40):
-                assert flat[i] == phi.value(row_to_bits(start + i, 21))
+                assert flat[i] == phi.value(row_to_bits(start + i, n))
         ref = _broadcast_values(phi)
         assert np.array_equal(np.concatenate([flat for _, flat in blocks]), ref)
         res = brute_force(phi)
         assert res.optimum == ref.max()
-        assert res.witness == row_to_bits(int(ref.argmax()), 21)
+        assert res.witness == row_to_bits(int(ref.argmax()), n)
         assert res.exact == bool((ref == phi.threshold).any())
 
 
@@ -429,6 +431,21 @@ def test_oracle_block_width_edges():
             _assert_matches_reference(phi, t)
 
 
+def test_oracle_exact_when_terms_of_repeated_arguments_pass_the_bound():
+    # XOR4 on x1 four times is 0, so kmax = 1 and 2 * ||phi|| < top; but
+    # its terms reach 8 w, past int32 (int64) at top = 2**30 (2**62), and
+    # the dtype is picked to hold them.
+    for k, top, dtype in ((4, 1 << 30, np.int64), (5, 1 << 30, np.int64),
+                          (4, 1 << 62, object)):
+        w = (top >> 1) - 1
+        phi = from_triples(3, ((xor_constraint(k), (1,) * k, w),), "Z")
+        masks, values, kmax = maxcsp.solver._terms(phi)
+        assert kmax == 1 and max(map(abs, values)) == w << (k - 1) >= top << 1
+        (_, flat), = maxcsp.solver._value_blocks(phi, 24)
+        assert flat.dtype == dtype
+        assert [int(v) for v in flat] == [phi.value(row_to_bits(m, 3)) for m in range(8)]
+
+
 def test_int32_blocks_decide_thresholds_past_int32(monkeypatch):
     # |t| > ||phi||: the sweep answers = without comparing t to a block.
     class InRange(np.ndarray):
@@ -471,13 +488,13 @@ def test_oracle_wide_closure_members():
 
 def _reference_blocks(phi):
     """phi's value blocks as the one-array build made them: every kept
-    coefficient scattered into a zeroed 2**20-entry block, then one
+    coefficient scattered into a zeroed 2**_BLOCK_BITS-entry block, then one
     subset-sum pass per bit over the whole block."""
     n = phi.nvars
     coeffs, kmax = maxcsp.solver._coefficients(phi)
     bound = phi.total_weight << kmax
     dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
-    low = min(n, 20)
+    low = min(n, maxcsp.solver._BLOCK_BITS)
     for p in range(1 << (n - low)):
         values = np.zeros(1 << low, dtype=dtype)
         for mask, c in coeffs.items():
@@ -561,44 +578,7 @@ def test_row_bits_do_not_change_blocks(monkeypatch):
             _assert_blocks_match_reference(phi)
 
 
-def _span_heads(phi):
-    return {mask >> maxcsp.solver._SPAN_BITS
-            for mask in maxcsp.solver._coefficients(phi)[0]}
-
-
-def test_span_blocks_match_reference_around_span_bits():
-    rng = random.Random(1111)
-    s = maxcsp.solver._SPAN_BITS
-    for name in ("2sat", "3sat", "nae3lit", "xor"):
-        for nvars in (s - 1, s, s + 1, s + 2, 21):
-            for weight_range in ("N", "Z"):
-                phi = random_formula(builtin_language(name), nvars, 3 * nvars,
-                                     weight_range, seed=rng.randrange(10 ** 9))
-                _assert_blocks_match_reference(phi)
-
-
-def test_span_blocks_with_empty_spans():
-    s = maxcsp.solver._SPAN_BITS
-    AND2 = and_constraint(2)
-    # Low applications on x3..x16 fill span 0; x1 alone and x1 x5 fill
-    # span 2 (x1 set, x2 clear); spans 1 and 3 hold no row.
-    n = s + 2
-    apps = [(OR2, (v, v + 1), v) for v in range(3, n)]
-    apps += [(T, (1,), 7), (AND2, (1, 5), -3)]
-    phi = from_triples(n, apps, "Z")
-    assert _span_heads(phi) == {0, 2}
-    _assert_blocks_match_reference(phi)
-    # 21 variables, two blocks: every monomial holds x1, so the first block
-    # has no row at all and the second has rows in one span of 64.
-    wide = from_triples(21, [(AND2, (1, v), v - 9) for v in range(10, 22)]
-                        + [(T, (1,), 4)], "Z")
-    assert _span_heads(wide) == {1 << (21 - 1 - s)}
-    blocks = list(maxcsp.solver._value_blocks(wide, 24))
-    assert not blocks[0][1].any()
-    _assert_blocks_match_reference(wide)
-
-
-def test_span_bits_do_not_change_blocks(monkeypatch):
+def test_block_bits_do_not_change_blocks(monkeypatch):
     rng = random.Random(1112)
     phis = [random_formula(builtin_language(name), nvars, 3 * nvars, "Z",
                            seed=rng.randrange(10 ** 9))
@@ -606,11 +586,26 @@ def test_span_bits_do_not_change_blocks(monkeypatch):
                                 ("3sat", 21))]
     phis.append(random_formula(builtin_language("2sat"), 11, 20, "Z",
                                max_weight=1 << 61, seed=rng.randrange(10 ** 9)))
-    r = maxcsp.solver._ROW_BITS
-    for span_bits in (1, r, r + 1, 30):
-        monkeypatch.setattr(maxcsp.solver, "_SPAN_BITS", span_bits)
+    AND2 = and_constraint(2)
+    # Low applications on x3..x16, and x1 alone and x1 x5: between them, at
+    # 9 and 14 block bits, stretches of a block and whole blocks hold no row.
+    phis.append(from_triples(16, [(OR2, (v, v + 1), v) for v in range(3, 16)]
+                             + [(T, (1,), 7), (AND2, (1, 5), -3)], "Z"))
+    # One term, on x1: the blocks with x1 set hold one row, with that term
+    # alone, and the others hold none.
+    lone = from_triples(16, [(T, (1,), 5)], "N")
+    phis.append(lone)
+    # Every term holds x1, so every block with x1 clear holds no row.
+    wide = from_triples(21, [(AND2, (1, v), v - 9) for v in range(10, 22)]
+                        + [(T, (1,), 4)], "Z")
+    phis.append(wide)
+    for block_bits in (9, 14, 30):
+        monkeypatch.setattr(maxcsp.solver, "_BLOCK_BITS", block_bits)
         for phi in phis:
             _assert_blocks_match_reference(phi)
+        for f, expected in ((lone, 5), (wide, 4 + sum(range(1, 13)))):
+            values = np.concatenate([flat for _, flat in maxcsp.solver._value_blocks(f, 24)])
+            assert not values[:1 << (f.nvars - 1)].any() and values.max() == expected
 
 
 def test_oracle_coefficients_of_repeated_arguments():
@@ -637,7 +632,7 @@ def test_oracle_coefficients_of_repeated_arguments():
 
 def test_sweep_past_one_block_holds_one_block():
     # Block p is freed before block p+1 is allocated: a 22-variable int32
-    # sweep (four 4 MB blocks) peaks below 1.5 blocks.
+    # sweep (sixteen 1 MB blocks) peaks below 6 MB.
     phi = random_formula(builtin_language("3sat"), 22, 220, "N", seed=7)
     tracemalloc.start()
     try:
@@ -647,6 +642,65 @@ def test_sweep_past_one_block_holds_one_block():
         tracemalloc.stop()
     assert peak < 6_000_000
     assert res.optimum == phi.value(res.witness)
+
+
+def test_sweep_holds_blocks_of_one_megabyte():
+    # A 20-variable int32 sweep runs in four 2**18-entry blocks of 1 MB.
+    phi = random_formula(builtin_language("2sat"), 20, 200, "N", seed=8)
+    tracemalloc.start()
+    try:
+        res = brute_force(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert res.optimum == phi.value(res.witness)
+
+
+def test_oracle_refuses_masks_past_63_variables(tmp_path, capsys):
+    # Masks are int64, and x1's bit at n = 64 is 1 << 63.
+    phi = from_triples(64, ((XOR, (1, 64), 1),), "N")
+    with pytest.raises(CapExceededError, match="64 variables exceeds the 63-variable mask"):
+        next(maxcsp.solver._value_blocks(phi, 70))
+    inst = tmp_path / "in.maxcsp"
+    inst.write_text(emit_instance(phi))
+    assert main(["solve", "--language", "xor", "--instance", str(inst),
+                 "--oracle-cap", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle: 64 variables exceeds") and "Traceback" not in err
+
+
+def test_oracle_terms_sum_to_coefficients():
+    # The unsummed terms, summed by mask, are the coefficients, and these
+    # are the polynomials' coefficients.
+    assert maxcsp.solver.moebius(and_constraint(2).table) == (((0, 1), 1),)
+    assert maxcsp.solver.moebius(F.table) == (((), 1), ((0,), -1))
+    rng = random.Random(90)
+    ex4_tf = closure(ConstraintLanguage("ex4", (ex_constraint(4),)), MODE_TF)
+    nullary = [c for c in ex4_tf if c.arity == 0]
+    assert {c.table for c in nullary} == {(0,), (1,)}
+    phis = [Formula(5, {}, "Z"), Formula(4, {XOR: ([], [])}, "Z"),
+            from_triples(3, ((or_constraint(3), (1, 1, 3), 2), (XOR, (2, 2), 0),
+                             (nae_constraint(3), (3, 1, 3), 1 << 61),
+                             (F, (2,), 0), (T, (3,), -(1 << 62))), "Z")]
+    for max_weight in (9, 1 << 61):
+        phi = random_formula(ex4_tf, 6, 30, "Z", max_weight=max_weight,
+                             seed=rng.randrange(10 ** 9))
+        entries = triples(phi) + [(c, (), rng.randint(-9, 9)) for c in nullary]
+        entries += [(f, i, 0) for f, i, _ in entries[:3]]
+        phis.append(from_triples(6, entries, "Z"))
+    for phi in phis:
+        masks, values, kmax = maxcsp.solver._terms(phi)
+        sums = {}
+        for mask, c in zip(masks, values):
+            sums[mask] = sums.get(mask, 0) + c
+        coeffs = {mask: c for mask, c in sums.items() if c}
+        assert maxcsp.solver._coefficients(phi) == (coeffs, kmax)
+        n = phi.nvars
+        assert {frozenset(v for v in range(1, n + 1) if mask >> (n - v) & 1): c
+                for mask, c in coeffs.items()} == polynomial_terms(phi)
+        assert kmax == max((len(set(i)) for _, i, _ in triples(phi)), default=0)
+        _assert_blocks_match_reference(phi)
 
 
 def _affine_reference(phi1, phi2, a, b):
