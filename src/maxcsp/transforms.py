@@ -178,22 +178,30 @@ def _add_rewired(groups: dict, phi: Formula, base: ConstraintLanguage,
                  mode: str, constants: tuple = ()) -> None:
     """Add phi rewired onto the base by recover_pattern, a group at a time:
     slot s > 0 takes index s, a negated slot -s (MODE_LIT) index s plus n,
-    "1" and "0" (MODE_TF) the first and second constant."""
+    "1" and "0" (MODE_TF) the first and second constant.  Under the identity
+    a group keeps its indices, and a dict that starts a group is copied: the
+    caller adds into the group, and phi's own dicts are never shared."""
     n = phi.nvars
     for c, indices, weights in phi.groups:
         f, pattern = recover_pattern(base, c, mode)
-        # Column j holds index j + 1 of every application, then the constants.
         k = c.arity
-        columns = ([list(map(itemgetter(j), indices)) for j in range(k)]
-                   + [repeat(x) for x in constants])
-        rewired = [columns[k] if s == "1" else columns[k + 1] if s == "0"
-                   else columns[s - 1] if s > 0 else map(add, columns[-s - 1], repeat(n))
-                   for s in pattern.slots]
-        _add(groups.setdefault(f, {}), zip(*rewired) if rewired else repeat(()), weights)
+        if f.table != c.table:  # else the pattern is the identity
+            # Column j holds index j + 1 of every application, then the constants.
+            columns = ([list(map(itemgetter(j), indices)) for j in range(k)]
+                       + [repeat(x) for x in constants])
+            rewired = [columns[k] if s == "1" else columns[k + 1] if s == "0"
+                       else columns[s - 1] if s > 0 else map(add, columns[-s - 1], repeat(n))
+                       for s in pattern.slots]
+            indices = zip(*rewired) if rewired else repeat(())
+        elif f not in groups and isinstance(g := phi.weights[c], dict):
+            groups[f] = g.copy()
+            continue
+        _add(groups.setdefault(f, {}), indices, weights)
 
 
 def _add(g: dict, keys, weights) -> None:
-    """g[key] += w for each key and weight, in order."""
+    """g[key] += w for each key and weight, in order.  A stage copies a group
+    it leaves unchanged, and builds a fresh one of distinct keys by fromkeys."""
     get = g.get
     for key, w in zip(keys, weights):
         g[key] = get(key, 0) + w
@@ -244,13 +252,16 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
     added at the magnitude of the most negative weight, which contributes
     the same |J_f| * |f| to every assignment."""
     lit = closure(base, MODE_LIT)
-    # A formula is a set of applications; merge repeats first so the most
-    # negative weight is measured on the merged instance.
+    # A formula is a set of applications: merge repeats (a dict has none, and
+    # is copied) so the most negative weight is read off the merged instance.
     groups: dict = {}
-    for c, indices, weights in phi.groups:
+    for c, g in phi.weights.items():
         if base.by_table(c.arity, c.table) is None:
             raise PreconditionError(f"{c.name} not in base language {base.name!r}")
-        _add(groups.setdefault(c, {}), indices, weights)
+        if isinstance(g, dict):
+            groups[c] = g.copy()
+        else:
+            _add(groups.setdefault(c, {}), *g)
     big_w = max([0] + [-min(g.values()) for g in groups.values() if g])
     if big_w == 0:
         phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold)
@@ -267,7 +278,10 @@ def unsigned_lit(phi: Formula, base: ConstraintLanguage):
         rows = range(1 << c.arity)
         for s in rows:
             variant = lit.by_table(c.arity, tuple(c.table[r ^ s] for r in rows))
-            _add(groups.setdefault(variant, {}), js, repeat(big_w))
+            if (bundle := groups.get(variant)) is None:  # js holds distinct keys
+                groups[variant] = dict.fromkeys(js, big_w)
+            else:
+                _add(bundle, js, repeat(big_w))
     phi2 = Formula(phi.nvars, groups, RANGE_N, phi.threshold + shift)
     total_tuples = sum(len(js) for _, js in tuples)
     kmax = max(c.arity for c, _ in tuples)

@@ -3,12 +3,15 @@
 `bench/tracer.py` wraps functions by name and reads `cache_info()` of the
 memoized ones, and `bench/workloads.py` imports from maxcsp inside its
 functions, so a renamed or dropped name fails only when the benchmark
-runs. These tests read both files without changing them.
+runs. The last test runs the benchmark's golden slices against
+bench/goldens.json, so a drift in an output byte fails here too. These
+tests read the bench files without changing them.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,16 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workloads():
+    """bench/workloads.py, registered before it runs: its dataclass looks
+    its module up in sys.modules."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -83,3 +96,14 @@ def test_tracer_sees_every_stage_the_transform_ops_run(tmp_path):
     for name in ("chain", "apply_poly", "implement_tf", "unsigned_lit",
                  "implement_lit", "signed_to_unsigned_neg"):
         assert summary[f"transforms.{name}.s"] > 0, name
+
+
+def test_golden_slices_match_the_benchmarks_recorded_digests(tmp_path):
+    # The benchmark's warm-up: every workload's short slice of the golden
+    # seed, through cli.main in this process, against bench/goldens.json.
+    wl = _workloads()
+    for workload in wl.WORKLOADS:
+        reqs = wl.short_slice(workload, wl.GOLDEN_SEED, tmp_path / workload)
+        digests, failures = wl.run_slice(cli, reqs)
+        assert failures == [], workload
+        assert wl.golden_mismatches(workload, digests) == [], workload

@@ -1013,7 +1013,7 @@ def test_stage_table_gives_ops_labels_and_kinds(tmp_path, capsys):
 
 # `wc -l src/maxcsp/*.py`: the package may shrink, and a change that grows
 # it raises this number in the same edit.
-SOURCE_LINE_BUDGET = 3019
+SOURCE_LINE_BUDGET = 3033
 
 
 def test_source_line_budget():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from maxcsp import transforms
+from maxcsp.cli import main
 from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, T, F, and_constraint,
                                 classify_language, closure, literal_variant,
                                 or_constraint, recover_pattern, row_to_bits,
@@ -14,16 +16,17 @@ from maxcsp.errors import CapExceededError, FormatError, PreconditionError
 from maxcsp.expressibility import language_denominator, max_degree_member
 from maxcsp.formulas import Formula, random_formula
 from maxcsp.implementations import search_implementation
-from maxcsp.io_formats import emit_instance
+from maxcsp.io_formats import emit_instance, parse_instance, resolve_language_spec
 from maxcsp.languages import builtin_language, gamma_d_and, gamma_d_sat
 from maxcsp.polynomials import MultilinearPolynomial, characteristic_polynomial
 from maxcsp.solver import brute_force, check_equivalence, decide
 from maxcsp.transforms import (AFFINE, KIND_ADDITIVE, TransformCertificate,
                                apply_poly, chain, chain_stages,
                                compress_to_polynomial, encoded_bits, exp_cycle,
-                               implement_lit, implement_tf, kernelize,
-                               neg_to_base, signed_to_unsigned_neg,
-                               unsigned_lit, vc_reduce, verify_transform)
+                               formula_from_polynomial, implement_lit,
+                               implement_tf, kernelize, neg_to_base,
+                               signed_to_unsigned_neg, unsigned_lit,
+                               vc_reduce, verify_transform)
 
 from formula_groups import canonical, from_triples, polynomial_terms, triples
 
@@ -457,6 +460,103 @@ def test_chain_stages_match_list_then_merge_reference():
     assert canonical(out) == canonical(_ref_unsigned_lit(phi, base))
     assert cert.value_map == ("affine", 1, 2 * 3 * 3)
     assert_equivalent(phi, out, cert)
+
+
+def _shares_no_group(phi, out):
+    return not any(g is h for g in out.weights.values() for h in phi.weights.values())
+
+
+def test_chain_stages_share_no_group_with_their_input(monkeypatch):
+    # A stage copies a weight dict it leaves unchanged, then adds gadgets,
+    # pins or variants into the copy: the input's own dicts stay as they
+    # were, through the stage and through the rest of the chain.
+    runs = []
+    for name in ("apply_poly", "implement_tf", "unsigned_lit", "implement_lit"):
+        def traced(phi, *languages, lemma=getattr(transforms, name)):
+            before = canonical(phi)
+            out, cert = lemma(phi, *languages)
+            assert canonical(phi) == before and _shares_no_group(phi, out)
+            runs.append((phi, out, before))
+            return out, cert
+        monkeypatch.setattr(transforms, name, traced)
+    cases = []
+    for key in ("2sat", "3sat", "nae3lit"):
+        for phi in random_cases(builtin_language(key), 3, 6, 40, "N",
+                                seed=f"share/{key}", max_weight=5):
+            poly = compress_to_polynomial(phi).polynomial
+            cases.append((formula_from_polynomial(poly, phi.nvars, 0),
+                          gamma_d_and(poly.degree), builtin_language(key)))
+    cases += [(phi.replace(threshold=0), builtin_language("2sat"), builtin_language("nae3"))
+              for phi in random_cases(builtin_language("2sat"), 3, 5, 12, "Z",
+                                      seed="share/nae3", max_weight=3)]
+    for phi, source, target in cases:
+        runs.clear()
+        stages = chain_stages(phi, source, target, "N")
+        assert [out for _, out, _ in runs] == [out for _, out, _ in stages]
+        for inp, _, before in runs:
+            assert canonical(inp) == before
+
+
+def test_copied_groups_meet_added_ones_on_a_shared_member():
+    # Under the identity a weight dict is copied into a member with no group
+    # yet; a rewired group landing on that member, and the XOR pins, are
+    # added to it, in either order.  XOR(x, 0) and XOR(x, ~y) are rewired
+    # onto XOR; XOR(x1, ~x1) lands on implement-lit's pin XOR(1, 4).
+    x_0 = closure(XORL, MODE_TF).by_table(1, (0, 1))
+    x_not_y = closure(XORL, MODE_LIT).by_table(2, (1, 0, 0, 1))
+    for lemma, other, moved, weight_range in (
+            (implement_tf, x_0, {(1,): 2, (3,): -1}, "Z"),
+            (implement_lit, x_not_y, {(1, 1): 2, (2, 3): 1}, "N")):
+        for first, second in ((XOR, other), (other, XOR)):
+            groups = {XOR: {(1, 2): 3, (2, 3): 1}, other: moved}
+            phi = Formula(3, {first: groups[first], second: groups[second]},
+                          weight_range, 1)
+            before = canonical(phi)
+            out, cert = lemma(phi, XORL)
+            label = lemma.__name__.replace("_", "-")
+            assert canonical(out) == canonical(REFERENCES[label](phi, XORL)), label
+            assert canonical(phi) == before and _shares_no_group(phi, out)
+            assert_equivalent(phi, out, cert)
+
+    # unsigned-lit: OR2's variants OR2 and NAND2 land on groups the input
+    # has, its mixed variants on fresh ones, which NAND2's variants then
+    # reach; a column group with repeats is merged, a dict copied.
+    base = builtin_language("2sat")
+    or2, nand2 = base.get("OR2"), base.by_table(2, (1, 1, 1, 0))
+    for nand2_group in ({(1, 3): 2, (2, 3): -1}, ([(1, 3), (2, 3), (1, 3)], [2, -1, -4])):
+        for first, second in ((or2, nand2), (nand2, or2)):
+            groups = {or2: {(1, 2): -3, (2, 3): 1}, nand2: nand2_group}
+            phi = Formula(3, {first: groups[first], second: groups[second]}, "Z", 1)
+            before = canonical(phi)
+            out, cert = unsigned_lit(phi, base)
+            assert canonical(out) == canonical(_ref_unsigned_lit(phi, base))
+            assert canonical(phi) == before and _shares_no_group(phi, out)
+            assert_equivalent(phi, out, cert)
+
+
+@pytest.mark.parametrize("op,spec,out_spec,text", [
+    ("implement-lit", "lit:2sat", "2sat",
+     "maxcsp 3 5 N 4\nOR2 2 1 2\nOR2 2 1 2\nOR2|x1,~x2 1 2 3\n"
+     "OR2|x1,~x2 3 2 3\nOR2|~x1,~x2 1 1 3\n"),
+    ("implement-lit", "lit:xor", "xor",
+     "maxcsp 3 5 N 2\nXOR 2 1 2\nXOR 1 1 2\nXOR|x1,~x2 1 1 1\n"
+     "XOR|x1,~x2 2 1 1\nXOR|x1,~x2 1 2 3\n"),
+    ("unsigned-lit", "2sat", "lit:2sat",
+     "maxcsp 3 5 Z 1\nOR2 -3 1 2\nOR2 1 1 2\nOR2|~x1,~x2 -1 2 3\n"
+     "OR2|~x1,~x2 5 2 3\nOR2 2 3 1\n"),
+])
+def test_transform_merges_the_repeated_lines_of_a_parsed_instance(
+        op, spec, out_spec, text, tmp_path):
+    # A parsed file's groups are columns, one entry per line, merged by _add.
+    inst, out = tmp_path / "in.maxcsp", tmp_path / "out.maxcsp"
+    inst.write_text(text)
+    base = spec.rpartition(":")[2]
+    assert main(["transform", "--op", op, "--language", base,
+                 "--instance", str(inst), "-o", str(out)]) == 0
+    phi, _ = parse_instance(text, resolve_language_spec(spec))
+    assert sum(len(set(indices)) for _, indices, _ in phi.groups) < phi.size
+    got, _ = parse_instance(out.read_text(), resolve_language_spec(out_spec))
+    assert canonical(got) == canonical(REFERENCES[op](phi, builtin_language(base)))
 
 
 def test_lemmas_keep_the_unmerged_weight_of_an_applications_built_input():
