@@ -22,8 +22,9 @@ class TransformCertificate:
       linear:    n_out <= var_bound * n_in
       always:    size_out <= size_factor * (size_in + n_in)
                  weight_out <= weight_factor * (weight_in + 1) * n_in**weight_exponent
-    An affine value map (a, b) asserts phi2(x) = a * phi1(x) + b pointwise
-    whenever the transform preserves the variable set.
+    An affine value map (a, b) asserts phi2(x) = a * phi1(x) + b pointwise,
+    and t_out = a * t_in + b, whenever the transform preserves the variable
+    set.
     """
 
     label: str

@@ -270,39 +270,28 @@ class ConstraintFlags:
 
 
 def _two_monotone_witness(arity: int, table: tuple[int, ...]):
-    """Search index sets P, Q with f == (AND_P x) OR (AND_Q ~x).
+    """Index sets P, Q with f == (AND_P x) OR (AND_Q ~x), read off the table.
 
     The sets may overlap; an empty set means that term is absent, and at
-    least one term must be present.  Bit b of a mask corresponds to the
-    variable arity - b (matching the row encoding).
+    least one term must be present.  Bit b of a mask is variable arity - b.
+    The P term is absent iff the all-ones row is false, Q iff all-zeros is.
+    Otherwise the false rows miss part of P and meet Q: the row whose only
+    set bit is q is false iff q is in Q, the row whose only clear bit is p
+    iff p is in P, unless the other set is that bit alone.  So the bits P0
+    and Q0 those rows give lie in every witness's P and Q, and each witness
+    is (P0, Q0), (P0, P0 | Q0) or (P0 | Q0, Q0); the first of these that
+    gives the table has the smallest P mask, then Q mask.  With P0 and Q0
+    both empty, only the all-true table is 2-monotone: x_k OR ~x_k.
     """
-    rows = 1 << arity
-    fmask = 0
-    for r, v in enumerate(table):
-        if v:
-            fmask |= 1 << r
-    pos = [0] * rows
-    neg = [0] * rows
-    for m in range(rows):
-        pm = nm = 0
-        for r in range(rows):
-            if r & m == m:
-                pm |= 1 << r
-            if r & m == 0:
-                nm |= 1 << r
-        pos[m] = pm
-        neg[m] = nm
-
-    def vars_of(mask: int) -> tuple[int, ...]:
-        return tuple(arity - b for b in range(arity - 1, -1, -1) if mask >> b & 1)
-
-    for pmask in range(rows):
-        base = pos[pmask] if pmask else 0
-        if pmask and base == fmask:
-            return (vars_of(pmask), ())
-        for qmask in range(1, rows):
-            if base | neg[qmask] == fmask:
-                return (vars_of(pmask), vars_of(qmask))
+    full = (1 << arity) - 1
+    p0 = sum(1 << b for b in range(arity) if not table[full ^ 1 << b]) if table[full] else 0
+    q0 = sum(1 << b for b in range(arity) if not table[1 << b]) if table[0] else 0
+    if not p0 | q0:
+        return ((arity,), (arity,)) if arity and all(table) else None
+    for p, q in ((p0, q0), (p0, p0 | q0), (p0 | q0, q0)):
+        if all(v == (p and r & p == p or q and not r & q) for r, v in enumerate(table)):
+            return tuple(tuple(arity - b for b in reversed(range(arity)) if m >> b & 1)
+                         for m in (p, q))
     return None
 
 

@@ -3,7 +3,9 @@ decompositions, certificates, graphs.
 
 All emitters produce canonical, newline-terminated ASCII so identical
 inputs give byte-identical outputs.  Parsers report the offending line
-number.  The '#' character starts a comment anywhere a line begins.
+number, except that an instance's index-range or sign fault is named by
+its application's (name, indices, weight), the first in that order.  The
+'#' character starts a comment anywhere a line begins.
 
 Language files:     constraint <name> <arity> / one satisfying row per
                     line as a bit string ('-' for the empty row of an

@@ -74,17 +74,12 @@ def moebius(table: tuple[int, ...]) -> tuple:
                  for s, c in enumerate(acc) if c)
 
 
-_built: list = []  # (phi, _terms(phi)) for the last two formulas
-
-
+@lru_cache(maxsize=2)
 def _terms(phi: Formula) -> tuple[list[int], list[int], int]:
     """(masks, values, kmax): one (mask, w * c) pair per application and
     nonzero Moebius coefficient c of its table, unsummed, and the size of
-    its largest variable set, at any n.  The last two formulas stay cached
-    by identity: a verify builds each once and hashes neither."""
-    for built in _built:
-        if built[0] is phi:
-            return built[1]
+    its largest variable set, at any n.  The last two formulas stay cached,
+    by identity since a Formula hashes so: a verify builds each once."""
     top = 1 << phi.nvars
     masks, values, kmax = [], [], 0
     for c, indices, weights in phi.groups:
@@ -97,8 +92,7 @@ def _terms(phi: Formula) -> tuple[list[int], list[int], int]:
             masks += (reduce(partial(map, or_), map(cols.__getitem__, positions))
                       if positions else repeat(0, len(weights)))
             values += map(co.__mul__, weights)
-    _built[:] = (phi, (masks, values, kmax)), *_built[:1]
-    return _built[0][1]
+    return masks, values, kmax
 
 
 def _coefficients(phi: Formula) -> tuple[dict[int, int], int]:

@@ -138,8 +138,8 @@ def apply_poly(phi: Formula, source: ConstraintLanguage,
         raise PreconditionError(
             f"deg({source.name}) = {degree_of_language(source)} exceeds "
             f"deg({target.name}) = {deg_f}")
-    beta, combos = language_denominator(source, f)
     tf = closure(target, MODE_TF)
+    beta, combos = language_denominator(source, f)
     groups: dict = {}
     for c, indices, weights in phi.groups:
         if c not in source.constraints:
@@ -584,8 +584,9 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
                      oracle_cap: int = ORACLE_CAP) -> VerifyReport:
     """Oracle-check a transformation certificate: endpoint bookkeeping, the
     accounting inequalities, both decision equivalences up to the one oracle
-    cap, and, at any n, the pointwise affine relation where one is claimed
-    (compared on the two formulas' monomial coefficients)."""
+    cap, and, at any n, the affine relation where one is claimed: on the
+    thresholds exactly, and pointwise on the two formulas' monomial
+    coefficients."""
     checks = []
 
     endpoint_ok = all(getattr(cert, field) == value
@@ -614,6 +615,8 @@ def verify_transform(phi1: Formula, phi2: Formula, cert: TransformCertificate,
         pairs = zip(decisions(phi1, cap=oracle_cap), decisions(phi2, cap=oracle_cap))
         checks += [ConditionCheck(name, d1 == d2) for name, (d1, d2) in zip(names, pairs)]
     if cert.is_affine() and phi1.nvars == phi2.nvars:
+        a, b = cert.value_map[1:]
         checks.append(ConditionCheck(
-            "affine-pointwise", affine_holds(phi1, phi2, *cert.value_map[1:])))
+            "affine-pointwise", phi2.threshold == a * phi1.threshold + b
+            and affine_holds(phi1, phi2, a, b)))
     return VerifyReport(tuple(checks))

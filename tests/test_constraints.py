@@ -1,7 +1,9 @@
 """Truth tables, classification, patterns, closures."""
 
+import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -120,6 +122,87 @@ def test_classify_trivial_constants():
     assert classify(ones).trivial and classify(zeros).trivial
     assert classify(ones).two_monotone
     assert not classify(zeros).two_monotone
+
+
+def _searched_witness(arity, table):
+    """The first (P, Q) in (P mask, Q mask) order, P-only before any Q,
+    with f == (AND_P x) OR (AND_Q ~x), found by trying all 4**arity pairs:
+    the reference the classifier's direct reading must reproduce."""
+    rows = 1 << arity
+    fmask = sum(v << r for r, v in enumerate(table))
+    pos, neg = _term_row_masks(arity)
+
+    def vars_of(mask):
+        return tuple(arity - b for b in range(arity - 1, -1, -1) if mask >> b & 1)
+
+    for pmask in range(rows):
+        base = pos[pmask] if pmask else 0
+        if pmask and base == fmask:
+            return (vars_of(pmask), ())
+        for qmask in range(1, rows):
+            if base | neg[qmask] == fmask:
+                return (vars_of(pmask), vars_of(qmask))
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _term_row_masks(arity):
+    """For each mask m, the rows containing m and the rows missing m, each
+    as a bit set over the rows."""
+    rows = range(1 << arity)
+    return ([sum(1 << r for r in rows if r & m == m) for m in rows],
+            [sum(1 << r for r in rows if not r & m) for m in rows])
+
+
+def _random_index_set(rng, arity):
+    """An index mask that is empty, a single bit or uniform, a third each,
+    so absent terms and the single-bit cases of the reading come up often."""
+    kind = rng.randrange(3)
+    return (0, 1 << rng.randrange(arity), rng.randrange(1 << arity))[kind]
+
+
+def test_two_monotone_reading_matches_the_pair_search(monkeypatch):
+    # Half the tables are (AND_P x) OR (AND_Q ~x) by construction; the other
+    # half flip one row of such a table or are uniform, a quarter each.
+    rng = random.Random("two-monotone-reading")
+    cases = []
+    for arity, count in ((5, 300), (6, 250), (7, 200), (8, 150), (9, 70), (10, 30)):
+        for i in range(count):
+            p = q = 0
+            while not p | q:
+                p, q = _random_index_set(rng, arity), _random_index_set(rng, arity)
+            table = [int(bool(p) and r & p == p or bool(q) and not r & q)
+                     for r in range(1 << arity)]
+            if i % 4 == 1:
+                table[rng.randrange(1 << arity)] ^= 1
+            elif i % 4 == 3:
+                table = [rng.randrange(2) for _ in table]
+            cases.append(Constraint("c", arity, tuple(table)))
+    assert len(cases) >= 1000
+    read = [classify(c) for c in cases]
+    assert all(flags.two_monotone for flags in read[::2])
+    monkeypatch.setattr(constraints, "_two_monotone_witness", _searched_witness)
+    assert [classify(c) for c in cases] == read
+
+
+def test_two_monotone_reading_agrees_on_every_small_table():
+    for arity in range(5):
+        for packed in range(1 << (1 << arity)):
+            table = tuple((packed >> r) & 1 for r in range(1 << arity))
+            assert (constraints._two_monotone_witness(arity, table)
+                    == _searched_witness(arity, table))
+
+
+def test_classify_16_ary_members_without_a_pair_search():
+    rng = random.Random(16)
+    members = (and_constraint(16), or_constraint(16), nae_constraint(16),
+               Constraint("R16", 16, tuple(rng.randrange(2) for _ in range(1 << 16))))
+    for c in members:
+        start = time.perf_counter()
+        flags = classify(c)
+        assert time.perf_counter() - start < 1.0, c.name
+        assert flags.two_monotone == (c.name == "AND16")
+    assert classify(members[0]).two_monotone_witness == (tuple(range(1, 17)), ())
 
 
 def test_classify_symmetric_invariant_under_permutation():
