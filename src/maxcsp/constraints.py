@@ -301,16 +301,13 @@ def classify(f: Constraint) -> ConstraintFlags:
     full = rows - 1
     trivial = f.is_trivial()
     witness = _two_monotone_witness(f.arity, f.table)
-    by_popcount: dict[int, set[int]] = {}
-    for r, v in enumerate(f.table):
-        by_popcount.setdefault(bin(r).count("1"), set()).add(v)
     return ConstraintFlags(
         trivial=trivial,
         zero_valid=f.table[0] == 1,
         one_valid=f.table[full] == 1,
         two_monotone=witness is not None,
         c_closed=all(f.table[r] == f.table[full ^ r] for r in range(rows)),
-        symmetric=all(len(vals) == 1 for vals in by_popcount.values()),
+        symmetric=all(v == f.table[(1 << r.bit_count()) - 1] for r, v in enumerate(f.table)),
         two_monotone_witness=witness,
     )
 

@@ -65,8 +65,8 @@ class LinearCombination:
     def expand(self) -> MultilinearPolynomial:
         acc: dict = {}
         for t in self.terms:
-            add_composed(acc, characteristic_polynomial(t.constraint), t.indices,
-                         t.coefficient)
+            add_composed(acc, characteristic_polynomial(t.constraint), [t.indices],
+                         [t.coefficient])
         return MultilinearPolynomial(acc)
 
 
@@ -149,7 +149,7 @@ def decompose(target: MultilinearPolynomial, f: Constraint) -> LinearCombination
                 idx = tuple(sorted(mono))
                 terms.append(CombinationTerm(witness.pattern, witness.constraint,
                                              idx, alpha))
-                add_composed(residual, poly, idx, -alpha)
+                add_composed(residual, poly, [idx], [-alpha])
         const = residual.get(frozenset(), 0)
         if const:
             sat = f.satisfying_rows()[0]

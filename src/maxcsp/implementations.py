@@ -9,7 +9,9 @@ for every unsatisfying primary assignment.
 
 The search trusts nothing: every candidate (the target's own member, each
 built-in catalog row, each multiset of applications) goes through the one
-exhaustive check over all 2**(p+q) assignments before it is returned.
+exhaustive check over all 2**(p+q) assignments before it is returned.  The
+catalog keeps only the XOR gadgets the search alone does not find first, so
+emitted gadgets stay as recorded until ROADMAP item 19 re-records them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from functools import lru_cache
 
 from .constraints import (Constraint, ConstraintLanguage, classify,
                           classify_language, dicut_constraint, ex_constraint,
-                          nae_constraint, or_constraint, xor_constraint, T, F,
-                          literal_variant)
+                          literal_variant, nae_constraint, or_constraint, xor_constraint)
 from .errors import CapExceededError, FormatError
 from .solver import ORACLE_CAP
 
@@ -106,26 +107,18 @@ def _implements(target: Constraint, per_x_max: list[int]) -> tuple[bool, int, bo
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple:
-    """Known strict implementations of XOR, T, F as (target, aux count,
-    applications) rows; the search checks each row it serves."""
-    xor = xor_constraint(2)
-    or2 = or_constraint(2)
-    or2nn = literal_variant(or2, {1, 2})      # ~x OR ~y
-    nae3 = nae_constraint(3)
-    ex3 = ex_constraint(3)
-    dicut = dicut_constraint()
+    """Strict XOR gadgets as (target, aux count, applications) rows, checked
+    like any candidate.  A row stays only where the search alone finds another
+    first: OR3 at (1, 1, 2) for 3sat, NAE3 at (1, 1, 2), EX3 with no auxiliary,
+    and at one auxiliary two EX3 in place of the DICUT pair for ex3's LIT
+    closure.  ROADMAP item 19 deletes them and re-records the goldens."""
+    xor, or2 = xor_constraint(2), or_constraint(2)
+    nae3, ex3, dicut = nae_constraint(3), ex_constraint(3), dicut_constraint()
     return (
-        (xor, 0, ((or2, (1, 2)), (or2nn, (1, 2)))),
+        (xor, 0, ((or2, (1, 2)), (literal_variant(or2, {1, 2}), (1, 2)))),
         (xor, 0, ((nae3, (1, 2, 2)),)),
         (xor, 2, ((ex3, (1, 2, 3)), (ex3, (3, 3, 4)))),
-        (xor, 0, ((xor, (1, 2)),)),
         (xor, 0, ((dicut, (1, 2)), (dicut, (2, 1)))),
-        (T, 0, ((or2, (1, 1)),)),
-        (T, 1, ((ex3, (1, 2, 2)),)),
-        (T, 1, ((dicut, (1, 2)),)),
-        (F, 0, ((or2nn, (1, 1)),)),
-        (F, 1, ((ex3, (1, 1, 2)),)),
-        (F, 1, ((dicut, (2, 1)),)),
     )
 
 

@@ -161,8 +161,8 @@ def parse_instance(text: str, language: ConstraintLanguage
     if keyword != "maxcsp" or len(fields) != 4:
         line = lines[num - 1].partition("#")[0].strip()
         _fail(num, f"expected 'maxcsp <n> <m> <Z|N> <t>', got {line!r}")
-    n = _int(num, fields[0], "variable count")
-    m = _int(num, fields[1], "application count")
+    n = _count(num, fields[0], "variable count")
+    m = _count(num, fields[1], "application count")
     t = _int(num, fields[3], "threshold")
     if fields[2] not in (RANGE_Z, RANGE_N):
         _fail(num, f"weight range must be Z or N, got {fields[2]!r}")
@@ -429,8 +429,8 @@ def parse_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
         if header is None:
             if parts[0] != "graph" or len(parts) != 3:
                 _fail(num, f"expected 'graph <n> <e>', got {line!r}")
-            header = (_int(num, parts[1], "vertex count"),
-                      _int(num, parts[2], "edge count"))
+            header = (_count(num, parts[1], "vertex count"),
+                      _count(num, parts[2], "edge count"))
         else:
             if len(parts) != 2:
                 _fail(num, f"expected '<u> <v>', got {line!r}")

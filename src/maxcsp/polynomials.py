@@ -18,7 +18,8 @@ by degree, then lexicographically on the sorted index tuple.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .constraints import Constraint, ConstraintLanguage
@@ -94,14 +95,17 @@ class MultilinearPolynomial:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def add_composed(acc: dict, poly: MultilinearPolynomial, indices: Sequence[int],
-                 scale) -> None:
-    """acc += scale * poly(x_{indices[0]}, ..., x_{indices[k-1]}) in place,
-    collapsing x*x = x."""
+def add_composed(acc: dict, poly: MultilinearPolynomial, indices: Sequence[tuple],
+                 weights: Sequence) -> None:
+    """acc += weights[a] * poly(x_{indices[a][0]}, ...) for each application
+    a, in place, collapsing x*x = x: each term is mapped through the index
+    columns at once.  An empty group adds nothing."""
+    columns = [list(map(itemgetter(j), indices)) for j in range(poly.max_index())]
     get = acc.get
     for mono, c in poly._terms.items():
-        key = frozenset([indices[j - 1] for j in mono])
-        acc[key] = get(key, 0) + scale * c
+        keys = map(frozenset, zip(*[columns[j - 1] for j in mono])) if mono else repeat(mono)
+        for key, w in zip(keys, weights):
+            acc[key] = get(key, 0) + w * c
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, itemgetter, mul
 
 from .certificates import (AFFINE, EXISTENTIAL, KIND_ADDITIVE, KIND_LINEAR,
@@ -39,8 +39,8 @@ from .formulas import RANGE_N, RANGE_Z, Formula, empty_formula
 from .implementations import (DEFAULT_MAX_APPS, DEFAULT_MAX_AUX,
                               Implementation, search_implementation)
 from .languages import gamma_d_and, gamma_d_sat
-from .polynomials import (MultilinearPolynomial, characteristic_polynomial,
-                          degree_of_language)
+from .polynomials import (MultilinearPolynomial, add_composed,
+                          characteristic_polynomial, degree_of_language)
 from .solver import ORACLE_CAP, affine_holds, decisions
 
 
@@ -435,24 +435,12 @@ class CompressResult:
     monomials: int
 
 
-def _formula_terms(phi: Formula) -> dict:
-    """phi's integer monomial coefficients, summed in one pass: a group
-    adds each term of its polynomial over its index columns at once."""
-    acc: dict = {}
-    for c, indices, weights in phi.groups:
-        if not all(weights):
-            indices, weights = list(compress(indices, weights)), list(filter(None, weights))
-        columns = [list(map(itemgetter(j), indices)) for j in range(c.arity)]
-        for mono, coeff in characteristic_polynomial(c).terms.items():
-            keys = map(frozenset, zip(*[columns[j - 1] for j in mono])) if mono else repeat(mono)
-            _add(acc, keys, map(mul, weights, repeat(coeff)))
-    return acc
-
-
 def compress_to_polynomial(phi: Formula) -> CompressResult:
     """The pure compression: fold the formula into monomial coefficients,
     absorbing the constant term into the threshold."""
-    terms = _formula_terms(phi)
+    terms: dict = {}
+    for c, indices, weights in phi.groups:
+        add_composed(terms, characteristic_polynomial(c), indices, weights)
     const = terms.pop(frozenset(), 0)
     reduced = MultilinearPolynomial(terms)
     return CompressResult(reduced, phi.threshold - const, phi.nvars,

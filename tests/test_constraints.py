@@ -154,6 +154,15 @@ def _term_row_masks(arity):
             [sum(1 << r for r in rows if not r & m) for m in rows])
 
 
+def _symmetric_by_popcount(table):
+    """The reference for the symmetric flag: the set of values at each row
+    weight, each of which must hold one value."""
+    by_popcount = {}
+    for r, v in enumerate(table):
+        by_popcount.setdefault(bin(r).count("1"), set()).add(v)
+    return all(len(vals) == 1 for vals in by_popcount.values())
+
+
 def _random_index_set(rng, arity):
     """An index mask that is empty, a single bit or uniform, a third each,
     so absent terms and the single-bit cases of the reading come up often."""
@@ -181,16 +190,21 @@ def test_two_monotone_reading_matches_the_pair_search(monkeypatch):
     assert len(cases) >= 1000
     read = [classify(c) for c in cases]
     assert all(flags.two_monotone for flags in read[::2])
+    symmetric = [_symmetric_by_popcount(c.table) for c in cases]
+    assert [flags.symmetric for flags in read] == symmetric and any(symmetric)
     monkeypatch.setattr(constraints, "_two_monotone_witness", _searched_witness)
     assert [classify(c) for c in cases] == read
 
 
 def test_two_monotone_reading_agrees_on_every_small_table():
+    # The symmetric flag is checked against its reference on the same walk.
     for arity in range(5):
         for packed in range(1 << (1 << arity)):
             table = tuple((packed >> r) & 1 for r in range(1 << arity))
             assert (constraints._two_monotone_witness(arity, table)
                     == _searched_witness(arity, table))
+            assert (classify(Constraint("c", arity, table)).symmetric
+                    == _symmetric_by_popcount(table))
 
 
 def test_classify_16_ary_members_without_a_pair_search():

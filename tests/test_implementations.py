@@ -4,9 +4,10 @@ import pytest
 
 from maxcsp import implementations
 from maxcsp.errors import CapExceededError
-from maxcsp.constraints import (ConstraintLanguage, classify_language,
-                                literal_variant, or_constraint,
-                                xor_constraint, T, F)
+from maxcsp.constraints import (MODE_LIT, MODE_TF, ConstraintLanguage,
+                                classify_language, closure, dicut_constraint,
+                                ex_constraint, literal_variant, nae_constraint,
+                                or_constraint, xor_constraint, T, F)
 from maxcsp.implementations import (Implementation, catalog,
                                     search_implementation,
                                     verify_implementation)
@@ -14,6 +15,30 @@ from maxcsp.io_formats import emit_implementation, parse_implementation
 from maxcsp.languages import NP_HARD_LANGUAGE_KEYS, builtin_language
 
 XOR = xor_constraint(2)
+
+
+def _reference_catalog():
+    """The eleven catalog rows before the seven that the search finds by
+    itself were deleted: the reference the trimmed catalog must answer as."""
+    or2 = or_constraint(2)
+    or2nn = literal_variant(or2, {1, 2})      # ~x OR ~y
+    nae3, ex3, dicut = nae_constraint(3), ex_constraint(3), dicut_constraint()
+    return (
+        (XOR, 0, ((or2, (1, 2)), (or2nn, (1, 2)))),
+        (XOR, 0, ((nae3, (1, 2, 2)),)),
+        (XOR, 2, ((ex3, (1, 2, 3)), (ex3, (3, 3, 4)))),
+        (XOR, 0, ((XOR, (1, 2)),)),
+        (XOR, 0, ((dicut, (1, 2)), (dicut, (2, 1)))),
+        (T, 0, ((or2, (1, 1)),)),
+        (T, 1, ((ex3, (1, 2, 2)),)),
+        (T, 1, ((dicut, (1, 2)),)),
+        (F, 0, ((or2nn, (1, 1)),)),
+        (F, 1, ((ex3, (1, 1, 2)),)),
+        (F, 1, ((dicut, (2, 1)),)),
+    )
+
+
+REFERENCE_CATALOG = _reference_catalog()
 
 
 def test_verify_refuses_more_variables_than_the_oracle_cap():
@@ -92,10 +117,32 @@ def test_c_closed_language_answers_a_non_c_closed_target_without_a_candidate(
 
 
 def test_catalog_all_verified_strict():
-    for target, q, apps in catalog():
+    # The reference rows, so that the deleted gadgets stay verified too.
+    assert set(catalog()) <= set(REFERENCE_CATALOG)
+    for target, q, apps in REFERENCE_CATALOG:
         res = verify_implementation(
             Implementation(target, target.arity, q, apps, None, None))
         assert res.valid and res.strict
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_aux": 1, "max_apps": 2}])
+def test_trimmed_catalog_answers_as_the_reference(caps, monkeypatch):
+    # Each NP-hard catalog language and its TF and LIT closures, searched
+    # for XOR, T and F with the trimmed catalog and with the reference rows
+    # patched in; the memo is cleared on both sides of the patch.
+    assert len(catalog()) == 4
+    bases = [builtin_language(key) for key in NP_HARD_LANGUAGE_KEYS]
+    languages = [lang for base in bases
+                 for lang in (base, closure(base, MODE_TF), closure(base, MODE_LIT))]
+    cases = [(lang, target) for lang in languages for target in (XOR, T, F)]
+    search_implementation.cache_clear()
+    trimmed = [search_implementation(lang, target, **caps) for lang, target in cases]
+    monkeypatch.setattr(implementations, "catalog", lambda: REFERENCE_CATALOG)
+    search_implementation.cache_clear()
+    reference = [search_implementation(lang, target, **caps) for lang, target in cases]
+    search_implementation.cache_clear()
+    assert trimmed == reference
+    assert all(impl is not None for impl in trimmed[::3])
 
 
 @pytest.mark.parametrize("key", NP_HARD_LANGUAGE_KEYS)

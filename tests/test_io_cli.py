@@ -679,6 +679,10 @@ def test_cli_error_exit_code(tmp_path, capsys):
      "line 1: negative variable count '-1'"),
     (parse_decomposition, "decomposition EX3 2 -3\nend\n",
      "line 1: negative term count '-3'"),
+    (parse_graph, "graph -2 0\n", "line 1: negative vertex count '-2'"),
+    (parse_graph, "# g\ngraph 3 -1\n", "line 2: negative edge count '-1'"),
+    (parse_instance, "maxcsp 2 -1 N 0\n", "line 1: negative application count '-1'"),
+    (parse_instance, "maxcsp -3 0 Z 0\n", "line 1: negative variable count '-3'"),
 ])
 def test_parsers_reject_bad_integers_with_line(parse, text, line):
     args = {parse_implementation: (builtin_language("xor"), xor_constraint(2)),
@@ -1069,10 +1073,11 @@ def test_stage_table_gives_ops_labels_and_kinds(tmp_path, capsys):
 
 # `wc -l src/maxcsp/*.py`: the package may shrink, and a change that grows
 # it raises this number in the same edit.
-SOURCE_LINE_BUDGET = 3022
+SOURCE_LINE_BUDGET = 3004
 
 
 def test_source_line_budget():
     package = Path(maxcsp.__file__).resolve().parent
-    total = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
-    assert total <= SOURCE_LINE_BUDGET, total
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+    assert sum(lines.values()) <= SOURCE_LINE_BUDGET, f"{sum(lines.values())} lines: " + ", ".join(
+        f"{name} {count}" for name, count in lines.items())

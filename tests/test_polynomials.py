@@ -13,8 +13,9 @@ from maxcsp.constraints import (MODE_LIT, MODE_NEG, MODE_TF, Constraint,
                                 SubstitutionPattern, apply_pattern)
 from maxcsp.errors import CapExceededError
 from maxcsp.io_formats import emit_polynomial, parse_polynomial
-from maxcsp.polynomials import (MultilinearPolynomial, characteristic_polynomial,
-                                degree_of_constraint, degree_of_language)
+from maxcsp.polynomials import (MultilinearPolynomial, add_composed,
+                                characteristic_polynomial, degree_of_constraint,
+                                degree_of_language)
 
 
 def poly(*pairs):
@@ -122,6 +123,31 @@ def test_moebius_equals_expansion():
               for k in (1, 2, 3, 4, 5, 6) for _ in range(4)]
     for c in cases:
         assert characteristic_polynomial(c) == characteristic_polynomial_by_expansion(c)
+
+
+def test_add_composed_on_a_group_sums_its_applications():
+    # One call on a group against one call per application, and both
+    # against the weighted table values at every assignment of x1..x5.
+    rng = random.Random(31)
+    cases = [(or_constraint(2), [], []),                          # empty group
+             (Constraint("one", 0, (1,)), [(), ()], [3, -1]),      # arity 0
+             (nae_constraint(3), [(1, 1, 2), (2, 3, 3), (1, 1, 2)], [0, 5, 0]),
+             (ex_constraint(3), [(4, 4, 4), (1, 2, 4)], [Fraction(1, 3), Fraction(-7, 2)])]
+    for k in (1, 2, 3, 4):
+        c = Constraint("r", k, tuple(rng.randint(0, 1) for _ in range(1 << k)))
+        indices = [tuple(rng.randint(1, 5) for _ in range(k)) for _ in range(12)]
+        cases.append((c, indices, [rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)))
+                                   for _ in indices]))
+    for c, indices, weights in cases:
+        group, apart = {}, {}
+        add_composed(group, characteristic_polynomial(c), indices, weights)
+        for idx, w in zip(indices, weights):
+            add_composed(apart, characteristic_polynomial(c), [idx], [w])
+        assert group == apart and (group or not indices)
+        for row in range(1 << 5):
+            bits = [(row >> (4 - i)) & 1 for i in range(5)]
+            assert value(MultilinearPolynomial(group), bits) == sum(
+                w * c.value([bits[i - 1] for i in idx]) for idx, w in zip(indices, weights))
 
 
 def test_arity_cap():
