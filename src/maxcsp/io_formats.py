@@ -1,22 +1,23 @@
-"""Text formats: languages, instances, polynomials, implementations,
-decompositions, certificates, graphs.
+"""Text formats, each named below by its header's usage string.
 
-All emitters produce canonical, newline-terminated ASCII so identical
-inputs give byte-identical outputs.  Parsers report the offending line
-number, except that an instance's index-range or sign fault is named by
-its application's (name, indices, weight), the first in that order.  The
-'#' character starts a comment anywhere a line begins.
+Emitters write canonical, newline-terminated ASCII, so identical inputs
+give byte-identical outputs.  '#' starts a comment anywhere a line begins.
+A file's first line is its header, read by one rule against its usage.
+Parsers name the offending line, except that an instance's index-range or
+sign fault names its application (name, indices, weight), first in order.
 
-Language files:     constraint <name> <arity> / one satisfying row per
-                    line as a bit string ('-' for the empty row of an
-                    arity-0 member, a constant as in a closure) / end;
-                    read only, never emitted.
-Instance files:     maxcsp <n> <m> <Z|N> <t> followed by m lines
-                    <name> <weight> <i1> ... <ik>, then an optional
-                    certificate block.
-Polynomials:        poly <nvars> <nterms>, then <coeff> <i1> <i2> ...
-                    per term, indices in 1..nvars, '-' for the constant.
-Graphs:             graph <n> <e> followed by e lines <u> <v>.
+constraint <name> <arity>              satisfying rows as bit strings ('-'
+                                       at arity 0), end; a block per member
+maxcsp <n> <m> <Z|N> <t>               m lines <name> <weight> <i1> ... <ik>,
+                                       then an optional certificate block
+certificate <label>                    kind, vars, sizes, weights, thresholds,
+                                       value_map, bounds, [stages] lines, end
+poly <nvars> <nterms>                  <coeff> <i1> <i2> ... per term ('-' for
+                                       the constant), indices in 1..nvars
+impl <target> ...                      p=<p> q=<q> [alpha=<a>] [strict=<0|1>],
+                                       then <name> <i1> ... <ik> lines, end
+decomposition <base> <nvars> <nterms>  <alpha> <pattern> <indices> lines, end
+graph <n> <e>                          e lines <u> <v>
 """
 
 from __future__ import annotations
@@ -48,14 +49,24 @@ def _fail(num: int, msg: str):
     raise FormatError(f"line {num}: {msg}")
 
 
-def _require_header(header, keyword: str, found: int | None = None,
-                    what: str = "") -> None:
-    """Refuse a file without its header, or whose body does not hold the
-    `found` items the header declares in its second field."""
-    if header is None:
+def _header(first, usage: str) -> tuple[int, list[str]]:
+    """The line number and fields of a file's first (number, line) pair,
+    checked against its usage string; a closing '...' allows more fields."""
+    keyword, *names = usage.split()
+    if first is None:
         raise FormatError(f"missing '{keyword}' header")
-    if found is not None and found != header[1]:
-        raise FormatError(f"header declares {header[1]} {what}, found {found}")
+    num, line = first
+    parts = line.split()
+    fits = len(parts) >= len(names) if names[-1] == "..." else len(parts) == len(names) + 1
+    if parts[0] != keyword or not fits:
+        _fail(num, f"expected {usage!r}, got {line!r}")
+    return num, parts[1:]
+
+
+def _found(declared: int, found: int, what: str) -> None:
+    """Refuse a body that does not hold the `declared` items of its header."""
+    if found != declared:
+        raise FormatError(f"header declares {declared} {what}, found {found}")
 
 
 def _int(num: int, text: str, what: str, kind=int) -> int:
@@ -66,11 +77,11 @@ def _int(num: int, text: str, what: str, kind=int) -> int:
         _fail(num, f"bad {what} {text!r}")
 
 
-def _count(num: int, text: str, what: str) -> int:
-    """A header count of line `num`: an int, refused when negative."""
+def _count(num: int, text: str, what: str, least: int = 0) -> int:
+    """A header count of line `num`: an int, refused below `least`."""
     value = _int(num, text, what)
-    if value < 0:
-        _fail(num, f"negative {what} {text!r}")
+    if value < least:
+        _fail(num, f"{'negative' if value < 0 else 'zero'} {what} {text!r}")
     return value
 
 
@@ -84,10 +95,15 @@ def read_file(path) -> str:
         raise FormatError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _end(lines) -> None:
-    """A block's 'end' line: refuse any line left after it."""
-    for num, _ in lines:
-        _fail(num, "unexpected line after 'end'")
+def _until_end(lines):
+    """The (number, line) pairs before an 'end' line; refuses any after it."""
+    lines = iter(lines)
+    for num, line in lines:
+        if line == "end":
+            for num, _ in lines:
+                _fail(num, "unexpected line after 'end'")
+            return
+        yield num, line
 
 
 # ---------------------------------------------------------------------------
@@ -95,37 +111,30 @@ def _end(lines) -> None:
 
 
 def parse_language(text: str, name: str = "language") -> ConstraintLanguage:
-    constraints = []
-    current: tuple[str, int] | None = None
-    rows: list = []
-    for num, line in _lines(text):
-        parts = line.split()
-        if current is None:
-            if parts[0] != "constraint" or len(parts) != 3:
-                _fail(num, f"expected 'constraint <name> <arity>', got {line!r}")
-            arity = _int(num, parts[2], "arity")
-            if arity < 0:
-                _fail(num, f"negative arity in {line!r}")
-            current = (parts[1], arity)
-            rows = []
-        elif line == "end":
-            try:
-                constraints.append(make_constraint(current[0], current[1], rows))
-            except FormatError as exc:
-                _fail(num, str(exc))
-            current = None
-        else:
-            if len(parts) != 1:
-                _fail(num, f"expected one satisfying row, got {line!r}")
+    constraints = {}
+    lines = _lines(text)
+    for first in lines:
+        num, (cname, arity) = _header(first, "constraint <name> <arity>")
+        arity = _count(num, arity, "arity")
+        if cname in constraints:
+            _fail(num, f"repeated constraint {cname!r}")
+        rows = []
+        for num, line in lines:
+            if line == "end":
+                break
             row = "" if line == "-" else line
-            if len(row) != current[1] or any(ch not in "01" for ch in row):
-                _fail(num, f"bad row {line!r} for arity {current[1]}")
+            if len(row) != arity or any(ch not in "01" for ch in row):
+                _fail(num, f"bad row {line!r} for arity {arity}")
             rows.append(row)
-    if current is not None:
-        raise FormatError(f"constraint {current[0]!r} not terminated by 'end'")
+        else:
+            raise FormatError(f"constraint {cname!r} not terminated by 'end'")
+        try:
+            constraints[cname] = make_constraint(cname, arity, rows)
+        except FormatError as exc:
+            _fail(num, str(exc))
     if not constraints:
         raise FormatError("language file defines no constraints")
-    return ConstraintLanguage(name, tuple(constraints))
+    return ConstraintLanguage(name, tuple(constraints.values()))
 
 
 def resolve_language_spec(spec: str) -> ConstraintLanguage:
@@ -156,16 +165,12 @@ def parse_instance(text: str, language: ConstraintLanguage
     lines = text.splitlines()
     rows = [raw.partition("#")[0].split() for raw in lines]
     num = next((i for i, parts in enumerate(rows, 1) if parts), None)
-    _require_header(num, "maxcsp")
-    keyword, *fields = rows[num - 1]
-    if keyword != "maxcsp" or len(fields) != 4:
-        line = lines[num - 1].partition("#")[0].strip()
-        _fail(num, f"expected 'maxcsp <n> <m> <Z|N> <t>', got {line!r}")
-    n = _count(num, fields[0], "variable count")
-    m = _count(num, fields[1], "application count")
-    t = _int(num, fields[3], "threshold")
-    if fields[2] not in (RANGE_Z, RANGE_N):
-        _fail(num, f"weight range must be Z or N, got {fields[2]!r}")
+    num, (n, m, weight_range, t) = _header(
+        num and (num, lines[num - 1].partition("#")[0].strip()), "maxcsp <n> <m> <Z|N> <t>")
+    n, m = _count(num, n, "variable count", 1), _count(num, m, "application count")
+    t = _int(num, t, "threshold")
+    if weight_range not in (RANGE_Z, RANGE_N):
+        _fail(num, f"weight range must be Z or N, got {weight_range!r}")
     cut = next((i for i in range(num, len(rows)) if rows[i][:1] == ["certificate"]),
                len(rows)) if "certificate" in text else len(rows)
     by_name, groups = {}, {}
@@ -193,8 +198,8 @@ def parse_instance(text: str, language: ConstraintLanguage
                 idx = [_int(num, p, "index") for p in parts[2:]]
                 if len(idx) != c.arity:
                     _fail(num, f"{c.name} has arity {c.arity}, got {len(idx)} indices")
-    _require_header((n, m), "maxcsp", sum(map(len, by_name.values())), "applications")
-    phi = Formula(n, groups, fields[2], t)
+    _found(m, sum(map(len, by_name.values())), "applications")
+    phi = Formula(n, groups, weight_range, t)
     if cut == len(rows):
         return phi, None
     return phi, _parse_certificate_lines(_lines("\n".join(lines[cut:]), cut + 1))
@@ -241,12 +246,9 @@ def emit_certificate(cert: TransformCertificate) -> str:
 
 def _parse_certificate_lines(lines) -> TransformCertificate:
     fields: dict = {}
-    lines = iter(lines)
-    for num, line in lines:
+    for num, line in _until_end(lines):
         key, *vals = line.split()
-        if key == "end":
-            _end(lines)
-        elif key not in _CERT_KEYS:
+        if key not in _CERT_KEYS:
             _fail(num, f"unknown key {key!r}")
         elif key in fields:
             _fail(num, f"repeated {key!r} line")
@@ -291,31 +293,27 @@ def emit_polynomial(poly: MultilinearPolynomial, nvars: int) -> str:
 
 
 def parse_polynomial(text: str) -> tuple[MultilinearPolynomial, int]:
-    header = None
+    lines = _lines(text)
+    num, (nvars, nterms) = _header(next(lines, None), "poly <nvars> <nterms>")
+    nvars, nterms = _count(num, nvars, "variable count"), _count(num, nterms, "term count")
     terms = {}
-    for num, line in _lines(text):
+    for num, line in lines:
         parts = line.split()
-        if header is None:
-            if parts[0] != "poly" or len(parts) != 3:
-                _fail(num, f"expected 'poly <nvars> <nterms>', got {line!r}")
-            header = (_count(num, parts[1], "variable count"),
-                      _count(num, parts[2], "term count"))
-        else:
-            try:
-                coeff = Fraction(parts[0])
-                indices = [] if parts[1:] == ["-"] else [int(p) for p in parts[1:]]
-            except (ValueError, ZeroDivisionError):
-                _fail(num, f"bad term {line!r}")
-            mono = frozenset(indices)
-            if len(mono) != len(indices):
-                _fail(num, f"repeated index in {line!r}")
-            if not all(1 <= i <= header[0] for i in mono):
-                _fail(num, f"index outside 1..{header[0]} in {line!r}")
-            if mono in terms:
-                _fail(num, f"duplicate monomial in {line!r}")
-            terms[mono] = coeff
-    _require_header(header, "poly", len(terms), "terms")
-    return MultilinearPolynomial(terms), header[0]
+        try:
+            coeff = Fraction(parts[0])
+            indices = [] if parts[1:] == ["-"] else [int(p) for p in parts[1:]]
+        except (ValueError, ZeroDivisionError):
+            _fail(num, f"bad term {line!r}")
+        mono = frozenset(indices)
+        if len(mono) != len(indices):
+            _fail(num, f"repeated index in {line!r}")
+        if not all(1 <= i <= nvars for i in mono):
+            _fail(num, f"index outside 1..{nvars} in {line!r}")
+        if mono in terms:
+            _fail(num, f"duplicate monomial in {line!r}")
+        terms[mono] = coeff
+    _found(nterms, len(terms), "terms")
+    return MultilinearPolynomial(terms), nvars
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +334,31 @@ def parse_implementation(text: str, language: ConstraintLanguage,
     """The candidate a file states, checked for format and index ranges
     only: alpha and strict are the header's claims (None where it states
     none), for the caller to compare with verify_implementation's."""
-    header = None
-    apps = []
     lines = _lines(text)
-    for num, line in lines:
+    first = next(lines, None)
+    num, (name, *claims) = _header(first, "impl <target> ...")
+    kv = dict(p.partition("=")[::2] for p in claims)
+    if len(kv) < len(claims) or not kv.keys() <= {"p", "q", "alpha", "strict"}:
+        _fail(num, f"expected p=, q=, alpha=, strict= at most once each, got {first[1]!r}")
+    p, q = (_int(num, kv.get(k, ""), f"{k}=") for k in ("p", "q"))
+    if min(p, q) < 0:
+        _fail(num, f"p= and q= must be nonnegative, got {first[1]!r}")
+    alpha, strict = (_int(num, kv[k], f"{k}=") if k in kv else None
+                     for k in ("alpha", "strict"))
+    if name != target.name:
+        _fail(num, f"implementation targets {name!r}, not {target.name!r}")
+    apps = []
+    for num, line in _until_end(lines):
         parts = line.split()
-        if header is None:
-            if parts[0] != "impl" or len(parts) < 2:
-                _fail(num, f"expected 'impl ...', got {line!r}")
-            kv = dict(p.partition("=")[::2] for p in parts[2:])
-            header = (_int(num, kv.get("p", ""), "p="),
-                      _int(num, kv.get("q", ""), "q="))
-            if min(header) < 0:
-                _fail(num, f"p= and q= must be nonnegative, got {line!r}")
-            alpha, strict = (_int(num, kv[k], f"{k}=") if k in kv else None
-                             for k in ("alpha", "strict"))
-            if parts[1] != target.name:
-                _fail(num, f"implementation targets {parts[1]!r}, not {target.name!r}")
-        elif line == "end":
-            _end(lines)
-        else:
-            try:
-                c = language.get(parts[0])
-            except KeyError as exc:
-                _fail(num, exc.args[0])
-            idx = tuple(_int(num, p, "index") for p in parts[1:])
-            if len(idx) != c.arity or not all(1 <= i <= sum(header) for i in idx):
-                _fail(num, f"{c.name} needs {c.arity} indices in "
-                           f"1..{sum(header)}, got {line!r}")
-            apps.append((c, idx))
-    _require_header(header, "impl")
-    return Implementation(target, *header, tuple(apps), alpha, strict)
+        try:
+            c = language.get(parts[0])
+        except KeyError as exc:
+            _fail(num, exc.args[0])
+        idx = tuple(_int(num, i, "index") for i in parts[1:])
+        if len(idx) != c.arity or not all(1 <= i <= p + q for i in idx):
+            _fail(num, f"{c.name} needs {c.arity} indices in 1..{p + q}, got {line!r}")
+        apps.append((c, idx))
+    return Implementation(target, p, q, tuple(apps), alpha, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +375,32 @@ def emit_decomposition(combo: LinearCombination) -> str:
 
 
 def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
-    header = None
-    terms = []
     lines = _lines(text)
-    for num, line in lines:
+    num, (name, nvars, nterms) = _header(next(lines, None),
+                                         "decomposition <base> <nvars> <nterms>")
+    if name != base.name:
+        _fail(num, f"decomposition is over {name!r}, not {base.name!r}")
+    nvars, nterms = _count(num, nvars, "variable count"), _count(num, nterms, "term count")
+    terms = []
+    for num, line in _until_end(lines):
         parts = line.split()
-        if header is None:
-            if parts[0] != "decomposition" or len(parts) != 4:
-                _fail(num, f"expected decomposition header, got {line!r}")
-            if parts[1] != base.name:
-                _fail(num, f"decomposition is over {parts[1]!r}, not {base.name!r}")
-            header = (_count(num, parts[2], "variable count"),
-                      _count(num, parts[3], "term count"))
-        elif line == "end":
-            _end(lines)
-        else:
-            if len(parts) != 3:
-                _fail(num, f"expected '<alpha> <pattern> <indices>', got {line!r}")
-            try:
-                coeff = Fraction(parts[0])
-                indices = (() if parts[2] == "-"
-                           else tuple(int(p) for p in parts[2].split(",")))
-                pattern = parse_pattern(parts[1], len(indices))
-                if any(isinstance(s, int) and s < 0 for s in pattern.slots):
-                    raise FormatError("negated slot in constants-only pattern")
-                constraint = apply_pattern(base, pattern)
-            except (ValueError, ZeroDivisionError, FormatError) as exc:
-                _fail(num, f"bad decomposition term: {exc}")
-            if not all(1 <= i <= header[0] for i in indices):
-                _fail(num, f"index outside 1..{header[0]} in {line!r}")
-            terms.append(CombinationTerm(pattern, constraint, indices, coeff))
-    _require_header(header, "decomposition", len(terms), "terms")
-    return LinearCombination(base, header[0], tuple(terms))
+        if len(parts) != 3:
+            _fail(num, f"expected '<alpha> <pattern> <indices>', got {line!r}")
+        try:
+            coeff = Fraction(parts[0])
+            indices = (() if parts[2] == "-"
+                       else tuple(int(p) for p in parts[2].split(",")))
+            pattern = parse_pattern(parts[1], len(indices))
+            if any(isinstance(s, int) and s < 0 for s in pattern.slots):
+                raise FormatError("negated slot in constants-only pattern")
+            constraint = apply_pattern(base, pattern)
+        except (ValueError, ZeroDivisionError, FormatError) as exc:
+            _fail(num, f"bad decomposition term: {exc}")
+        if not all(1 <= i <= nvars for i in indices):
+            _fail(num, f"index outside 1..{nvars} in {line!r}")
+        terms.append(CombinationTerm(pattern, constraint, indices, coeff))
+    _found(nterms, len(terms), "terms")
+    return LinearCombination(base, nvars, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +408,15 @@ def parse_decomposition(text: str, base: Constraint) -> LinearCombination:
 
 
 def parse_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
-    header = None
+    lines = _lines(text)
+    num, (n, e) = _header(next(lines, None), "graph <n> <e>")
+    n, e = _count(num, n, "vertex count", 1), _count(num, e, "edge count")
     edges = []
-    for num, line in _lines(text):
+    for num, line in lines:
         parts = line.split()
-        if header is None:
-            if parts[0] != "graph" or len(parts) != 3:
-                _fail(num, f"expected 'graph <n> <e>', got {line!r}")
-            header = (_count(num, parts[1], "vertex count"),
-                      _count(num, parts[2], "edge count"))
-        else:
-            if len(parts) != 2:
-                _fail(num, f"expected '<u> <v>', got {line!r}")
-            edges.append((_int(num, parts[0], "vertex"),
-                          _int(num, parts[1], "vertex")))
-    _require_header(header, "graph", len(edges), "edges")
-    return header[0], edges
+        if len(parts) != 2:
+            _fail(num, f"expected '<u> <v>', got {line!r}")
+        edges.append((_int(num, parts[0], "vertex"),
+                      _int(num, parts[1], "vertex")))
+    _found(e, len(edges), "edges")
+    return n, edges
